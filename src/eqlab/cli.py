@@ -15,8 +15,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigInvalidError, DimensionOverflowError, EqlabError
 from .runner import ExperimentConfig, all_bounds_satisfied, emit, run_experiment
-from .states import Subspace
-from .verifiers import CONSTANTS, haar_pair_moment_check, swap_trace_identity_check
+from .verifiers import CONSTANTS, identity_checks
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -72,21 +71,14 @@ def _cmd_constants(_args) -> int:
 
 
 def _cmd_check_identities(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    max_dev = 0.0
-    for _ in range(100):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        max_dev = max(max_dev, swap_trace_identity_check(a, b))
-    swap_ok = max_dev <= 1e-10
-    print(f"swap trace identity: max deviation {max_dev:.3e} "
-          f"({'ok' if swap_ok else 'FAIL'})")
-    trials = 10_000
-    moment_dev = haar_pair_moment_check(Subspace.full(4), trials, rng)
-    moment_ok = moment_dev <= 5 / np.sqrt(trials)
-    print(f"haar pair moment:    max deviation {moment_dev:.3e} at {trials} trials "
-          f"({'ok' if moment_ok else 'FAIL'})")
-    return 0 if swap_ok and moment_ok else 2
+    checks = identity_checks(np.random.default_rng(args.seed))
+    swap = checks["swap_identity_max_dev"]
+    moment = checks["haar_pair_moment_dev"]
+    print(f"swap trace identity: max deviation {swap.empirical:.3e} "
+          f"({'ok' if swap.satisfied else 'FAIL'})")
+    print(f"haar pair moment:    max deviation {moment.empirical:.3e} at "
+          f"{moment.metadata['trials']} trials ({'ok' if moment.satisfied else 'FAIL'})")
+    return 0 if swap.satisfied and moment.satisfied else 2
 
 
 def _cmd_version(_args) -> int:

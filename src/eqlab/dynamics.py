@@ -62,14 +62,18 @@ def dephased_time_average(
 
 
 def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
-    """Ψ(α) = Σ_k e^{iα_k} c_k |E_k⟩: time evolution with free phases."""
+    """Ψ(α) = Σ_k e^{iα_k} c_k |E_k⟩: time evolution with free phases.
+
+    ``alpha`` is one phase vector or an (n, d) stack of them; a stack gives
+    one state per row.
+    """
     cv = np.asarray(c, dtype=np.complex128)
     av = np.asarray(alpha, dtype=np.float64)
-    if cv.size != h.dim or av.size != h.dim:
+    if cv.size != h.dim or av.shape[-1:] != (h.dim,):
         raise DimensionMismatchError(
-            f"coefficients ({cv.size}) and phases ({av.size}) must have length {h.dim}"
+            f"coefficients ({cv.size}) and phases {av.shape} must have length {h.dim}"
         )
-    return h.eigenbasis @ (np.exp(1j * av) * cv)
+    return (np.exp(1j * av) * cv) @ h.eigenbasis.T
 
 
 @dataclass(frozen=True)
@@ -120,17 +124,15 @@ def trajectory_statistics(
     require_nondegenerate(h)
     omega_s = partial_trace_bath(dephased_time_average(psi0, h, check_gaps=False), space)
     times = sample_times(t_max, n_samples, rng)
-    rhos = reduced_states_at_times(psi0, h, space, times)
-    distances = [trace_distance(hermitize(r), omega_s) for r in rhos]
+    distances = trace_distance(reduced_states_at_times(psi0, h, space, times), omega_s)
     mean = math.fsum(distances) / n_samples
-    dist_arr = np.asarray(distances)
     exceed = {
-        float(k): (float(np.mean(dist_arr > k * mean)) if mean > 0 else 0.0)
+        float(k): (float(np.mean(distances > k * mean)) if mean > 0 else 0.0)
         for k in thresholds
     }
     return TrajectoryStats(
         mean_distance=mean,
-        max_distance=float(np.max(dist_arr)),
+        max_distance=float(np.max(distances)),
         exceed_fractions=exceed,
         sample_count=n_samples,
         t_max=float(t_max),

@@ -10,7 +10,7 @@ class NotHermitianError(EqlabError):
 
 
 class NoConvergenceError(EqlabError):
-    """Iterative eigensolver exceeded its sweep limit."""
+    """The LAPACK eigensolver did not converge (numpy raised LinAlgError)."""
 
 
 class DimensionMismatchError(EqlabError):

@@ -1,9 +1,9 @@
 """Dense complex linear algebra kernel.
 
 Matrices are plain numpy complex128 arrays in row-major (C) order. This
-module provides the validation helpers, Kronecker products, a cyclic Jacobi
-eigensolver for Hermitian matrices and Haar-random unitaries that the rest
-of the package is built on.
+module provides the validation helpers, Kronecker products, the Hermitian
+eigendecomposition (LAPACK through ``np.linalg.eigh``) and Haar-random
+unitaries that the rest of the package is built on.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .errors import (
 
 DEFAULT_MAX_DIM = 4096
 HERMITICITY_TOL = 1e-12
-JACOBI_SWEEP_LIMIT = 100
-JACOBI_DEFAULT_TOL = 1e-12
 
 
 def max_dimension() -> int:
@@ -51,16 +49,18 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a (..., d, d) stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Exact Hermitian part (a + a†)/2."""
-    return (a + a.conj().T) / 2
+    """Exact Hermitian part (a + a†)/2 of a matrix or of each matrix in a stack."""
+    return (a + dagger(a)) / 2
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    """Every entry of a − a† (for every matrix of a stack) is within tol."""
+    return bool(np.all(np.abs(a - dagger(a)) <= tol))
 
 
 @dataclass(frozen=True)
@@ -74,81 +74,26 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _jacobi_rotation(a: np.ndarray, u: np.ndarray, p: int, q: int) -> None:
-    """Zero out a[p, q] with an exact unitary 2x2 similarity, in place."""
-    b = a[p, q]
-    app = a[p, p].real
-    aqq = a[q, q].real
-    h = (aqq - app) / 2
-    r = np.hypot(h, abs(b))
-    sgn = 1.0 if h >= 0 else -1.0
-    # Use the block eigenvalue closer to app so the rotation angle stays
-    # <= pi/4 (required for sweep convergence); y = lam_near - app is
-    # computed cancellation-free as -sgn*|b|^2/(r+|h|).
-    y = -sgn * abs(b) ** 2 / (r + abs(h))
-    norm = np.hypot(abs(b), y)
-    if norm == 0.0:
-        return
-    x = b / norm
-    y = y / norm
-    rot = np.array([[x, -y], [y, np.conj(x)]], dtype=np.complex128)
-    cols = [p, q]
-    a[:, cols] = a[:, cols] @ rot
-    a[cols, :] = rot.conj().T @ a[cols, :]
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-    u[:, cols] = u[:, cols] @ rot
+def hermitian_eigendecomposition(m) -> EigenDecomposition:
+    """Diagonalize a Hermitian matrix with LAPACK (``np.linalg.eigh``).
 
-
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diagonal(a))
-    return float(np.linalg.norm(off))
-
-
-def hermitian_eigendecomposition(
-    m, tol: float = JACOBI_DEFAULT_TOL
-) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi sweeps.
-
-    ``tol`` is relative: the iteration stops once the Frobenius norm of the
-    off-diagonal part drops below ``tol * ||m||_F``. Raises NotHermitianError
-    if the input is not symmetric to 1e-12 entrywise, NoConvergenceError
-    after 100 sweeps.
+    Raises DimensionMismatchError for a non-square input, NotHermitianError
+    if the input is not symmetric to 1e-12 entrywise, and NoConvergenceError
+    when LAPACK reports that the eigensolver did not converge (numpy's
+    LinAlgError).
     """
     a = as_matrix(m)
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
     if not is_hermitian(a):
         raise NotHermitianError(
-            f"max |m - m†| = {np.max(np.abs(a - a.conj().T)):.3e} exceeds {HERMITICITY_TOL}"
+            f"max |m - m†| = {np.max(np.abs(a - dagger(a))):.3e} exceeds {HERMITICITY_TOL}"
         )
-    a = hermitize(a)
-    threshold = tol * float(np.linalg.norm(a))
-    u = np.eye(n, dtype=np.complex128)
-
-    converged = n == 1 or _off_norm(a) <= threshold
-    for _ in range(JACOBI_SWEEP_LIMIT):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] != 0.0:
-                    _jacobi_rotation(a, u, p, q)
-        converged = _off_norm(a) <= threshold
-    if not converged:
-        raise NoConvergenceError(
-            f"Jacobi sweeps exhausted ({JACOBI_SWEEP_LIMIT}) at off-norm "
-            f"{_off_norm(a):.3e}, threshold {threshold:.3e}"
-        )
-
-    values = np.diagonal(a).real.copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(
-        eigenvalues=values[order], eigenvectors=u[:, order].copy()
-    )
+    try:
+        values, vectors = np.linalg.eigh(hermitize(a))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
+    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

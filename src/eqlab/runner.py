@@ -28,10 +28,9 @@ from .verifiers import (
     delta_quantity,
     diagonal_counterexample,
     ergodicity_ks_statistic,
-    haar_pair_moment_check,
+    identity_checks,
     spin_bath_counterexample,
     subadditivity_and_bath_checks,
-    swap_trace_identity_check,
     theorem1_check,
     theorem4_tail,
 )
@@ -325,19 +324,8 @@ def _run_trial(payload: tuple) -> tuple[int, int, list, dict]:
         extras["satisfied"] = all(c.satisfied for _, c in checks)
 
     elif cfg.experiment == "identities":
-        pairs = 100
-        max_dev = 0.0
-        for _ in range(pairs):
-            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            max_dev = max(max_dev, swap_trace_identity_check(a, b))
-        n_moment = 10_000
-        moment_dev = haar_pair_moment_check(Subspace.full(4), n_moment, rng)
+        checks = list(identity_checks(rng).items())
         wall = (time.perf_counter() - t0) * 1e3
-        checks = [
-            ("swap_identity_max_dev", BoundCheck.upper(max_dev, 1e-10)),
-            ("haar_pair_moment_dev", BoundCheck.upper(moment_dev, 5 / math.sqrt(n_moment))),
-        ]
         rows += _check_rows(cfg, d_b, space.d, trial_index, seed, checks, wall)
         extras["satisfied"] = all(c.satisfied for _, c in checks)
 
@@ -370,9 +358,8 @@ def _aggregate_rows(cfg, sweep_index, d_b, trial_results) -> list[ExperimentReco
         )
     elif cfg.experiment in ("thm3-bath", "thm3-subsystem"):
         d_r = extras[0]["d_R"]
-        omegas = [e["omega_s"] for e in extras]
-        mean_omega = hermitize(np.mean(omegas, axis=0))
-        distances = np.array([trace_distance(o, mean_omega) for o in omegas])
+        omegas = np.array([e["omega_s"] for e in extras])
+        distances = trace_distance(omegas, hermitize(np.mean(omegas, axis=0)))
         mean = float(np.mean(distances))
         se = float(np.std(distances, ddof=1) / np.sqrt(len(distances))) if len(distances) > 1 else 0.0
         space = BipartiteSpace(cfg.d_S, d_b)

@@ -7,12 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bipartite import BipartiteSpace
-from .errors import DimensionMismatchError
-from .linalg import (
-    as_matrix,
-    hermitian_eigendecomposition,
-    is_hermitian,
-)
+from .errors import DimensionMismatchError, NotHermitianError
+from .linalg import HERMITICITY_TOL, as_matrix, hermitize, is_hermitian
 
 STATE_NORM_TOL = 1e-12
 DENSITY_HERMITICITY_TOL = 1e-10
@@ -51,7 +47,7 @@ def check_density_matrix(rho, check_positivity: bool = False) -> np.ndarray:
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValueError(f"density matrix trace {tr!r} deviates from 1")
     if check_positivity:
-        lo = float(hermitian_eigendecomposition(a).eigenvalues[0])
+        lo = float(np.linalg.eigvalsh(a)[0])
         if lo < DENSITY_EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {lo} below {DENSITY_EIGENVALUE_FLOOR}")
     return a
@@ -124,16 +120,36 @@ def effective_dimension(rho) -> float:
 
 
 def numerical_rank(rho, threshold: float = RANK_THRESHOLD) -> int:
-    """Number of eigenvalues above the threshold."""
-    eig = hermitian_eigendecomposition(as_matrix(rho, "rho"))
-    return int(np.sum(eig.eigenvalues > threshold))
+    """Number of eigenvalues above the threshold.
+
+    ``eigvalsh`` reads only the lower triangle, so ρ must be Hermitian.
+    """
+    return int(np.sum(np.linalg.eigvalsh(as_matrix(rho, "rho")) > threshold))
 
 
-def trace_distance(rho1, rho2) -> float:
-    """½ Σ|λ_i| over the eigenvalues of the Hermitian difference."""
-    a = as_matrix(rho1, "rho1")
-    b = as_matrix(rho2, "rho2")
-    if a.shape != b.shape:
+def trace_distance(rho1, rho2):
+    """½ Σ|λ_i| over the eigenvalues of the Hermitian difference ρ₁ − ρ₂.
+
+    Each argument is a d×d matrix or a (..., d, d) stack of them, and the
+    stacks broadcast against each other, so a stack of states is compared
+    with one reference state in a single batched ``eigvalsh`` call. Two
+    matrices give a float; otherwise the result is an array of the broadcast
+    stack shape.
+    """
+    a = np.asarray(rho1, dtype=np.complex128)
+    b = np.asarray(rho2, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-2:] != b.shape[-2:] or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    eig = hermitian_eigendecomposition(a - b)
-    return 0.5 * float(np.sum(np.abs(eig.eigenvalues)))
+    if a.shape[-1] == 0:
+        raise DimensionMismatchError("density matrices must be nonempty")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError as exc:
+        raise DimensionMismatchError(f"stacks {a.shape} and {b.shape} do not broadcast") from exc
+    diff = a - b
+    if not np.all(np.isfinite(diff)):
+        raise ValueError("density matrices contain non-finite entries")
+    if not is_hermitian(diff):
+        raise NotHermitianError(f"difference is not Hermitian within {HERMITICITY_TOL}")
+    distances = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(hermitize(diff))), axis=-1)
+    return float(distances) if distances.ndim == 0 else distances

@@ -248,14 +248,10 @@ def theorem3_statistics(
         raise ValueError(f"trials must be >= 1, got {trials}")
     d_r = subspace.d_R
     d_s = space.d_S
-    reduced = reduced_eigenstates(h, space)
-    omegas = []
-    for _ in range(trials):
-        psi = haar_random_state(subspace, rng)
-        w = np.abs(energy_coefficients(psi, h)) ** 2
-        omegas.append(hermitize(np.einsum("k,kst->st", w, reduced)))
-    mean_omega = hermitize(np.mean(omegas, axis=0))
-    distances = np.array([trace_distance(o, mean_omega) for o in omegas])
+    psis = [haar_random_state(subspace, rng) for _ in range(trials)]
+    weights = np.abs(np.array([energy_coefficients(psi, h) for psi in psis])) ** 2
+    omegas = hermitize(np.einsum("nk,kst->nst", weights, reduced_eigenstates(h, space)))
+    distances = trace_distance(omegas, hermitize(np.mean(omegas, axis=0)))
     mean = float(np.mean(distances))
     se = _standard_error(distances)
 
@@ -302,14 +298,9 @@ def torus_distances(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """D(ρ_S(α), ω_S) for uniform independent phase vectors α."""
-    out = np.empty(samples)
-    cv = np.asarray(c, dtype=np.complex128)
-    for i in range(samples):
-        alpha = rng.uniform(0.0, 2 * np.pi, size=h.dim)
-        psi = torus_state(cv, h, alpha)
-        amp = psi.reshape(space.d_S, space.d_B)
-        out[i] = trace_distance(hermitize(amp @ amp.conj().T), omega_s)
-    return out
+    psis = torus_state(c, h, rng.uniform(0.0, 2 * np.pi, size=(samples, h.dim)))
+    amps = psis.reshape(samples, space.d_S, space.d_B)
+    return trace_distance(np.einsum("nsb,ntb->nst", amps, amps.conj()), omega_s)
 
 
 def theorem4_tail(
@@ -364,8 +355,7 @@ def ergodicity_ks_statistic(
         t_max = default_t_max(h)
     omega_s = partial_trace_bath(dephased_time_average(psi0, h, check_gaps=False), space)
     times = sample_times(t_max, n_samples, rng)
-    rhos = reduced_states_at_times(psi0, h, space, times)
-    time_d = np.array([trace_distance(hermitize(r), omega_s) for r in rhos])
+    time_d = trace_distance(reduced_states_at_times(psi0, h, space, times), omega_s)
     c = energy_coefficients(psi0, h)
     torus_d = torus_distances(c, h, space, omega_s, n_samples, rng)
     return float(scipy_stats.ks_2samp(time_d, torus_d).statistic)
@@ -486,8 +476,33 @@ def haar_pair_moment_check(
     return float(np.max(np.abs(estimate - closed)))
 
 
+def identity_checks(rng: np.random.Generator) -> dict[str, BoundCheck]:
+    """SWAP trace identity over 100 random 4×4 pairs and the Haar pair
+    moment of C⁴ over 10 000 draws, each against its gate."""
+    pairs = 100
+    swap_dev = 0.0
+    for _ in range(pairs):
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        swap_dev = max(swap_dev, swap_trace_identity_check(a, b))
+    trials = 10_000
+    moment_dev = haar_pair_moment_check(Subspace.full(4), trials, rng)
+    return {
+        "swap_identity_max_dev": BoundCheck.upper(swap_dev, 1e-10, pairs=pairs),
+        "haar_pair_moment_dev": BoundCheck.upper(
+            moment_dev, 5 / math.sqrt(trials), trials=trials
+        ),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Counterexample Hamiltonians
+
+
+# ω_S of the diagonal model is diagonal with the conserved populations, so
+# D(ω_a, ω_b) and the population total variation are the same exact quantity
+# computed two ways; they may differ by rounding.
+IMBALANCE_ALLOWANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -545,7 +560,11 @@ def diagonal_counterexample(
     return DiagonalCounterexampleReport(
         max_population_drift=max(drift0, drift1, drift_a, drift_b),
         basis_omega_distance=trace_distance(omega0, omega1),
-        imbalance_check=BoundCheck.lower(trace_distance(omega_a, omega_b), imbalance),
+        imbalance_check=BoundCheck.lower(
+            trace_distance(omega_a, omega_b) + IMBALANCE_ALLOWANCE,
+            imbalance,
+            allowance=IMBALANCE_ALLOWANCE,
+        ),
     )
 
 

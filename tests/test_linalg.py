@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqlab.errors import DimensionMismatchError, NotHermitianError
+from eqlab.errors import DimensionMismatchError, NoConvergenceError, NotHermitianError
 from eqlab.linalg import (
     haar_random_unitary,
     hermitian_eigendecomposition,
@@ -102,6 +102,14 @@ class TestEigendecomposition:
         with pytest.raises(DimensionMismatchError):
             hermitian_eigendecomposition(np.zeros((2, 3)))
 
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergenceError):
+            hermitian_eigendecomposition(SIGMA_Z)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31))
     def test_property_reconstruction(self, dim, seed):
@@ -173,5 +181,7 @@ def test_is_hermitian_tolerance():
     m = np.eye(3, dtype=np.complex128)
     m[0, 1] = 1e-13
     assert is_hermitian(m)
+    assert is_hermitian(np.stack([np.eye(3), m]))
     m[0, 1] = 1e-6
     assert not is_hermitian(m)
+    assert not is_hermitian(np.stack([np.eye(3), m]))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqlab.bipartite import BipartiteSpace, partial_trace_bath
-from eqlab.errors import DimensionMismatchError
+from eqlab.errors import DimensionMismatchError, NotHermitianError
 from eqlab.states import (
     Subspace,
     as_state,
@@ -188,9 +188,31 @@ class TestTraceDistance:
             bound = 0.5 * np.sqrt(d * np.trace(diff @ diff).real)
             assert trace_distance(a, b) <= bound + 1e-10
 
+    def test_stack_matches_pairs(self):
+        rng = np.random.default_rng(12)
+        stack = np.array([random_mixed_state(3, 2, rng) for _ in range(6)])
+        ref = random_mixed_state(3, 3, rng)
+        out = trace_distance(stack, ref)
+        assert out.shape == (6,)
+        assert isinstance(trace_distance(stack[0], ref), float)
+        pairs = [trace_distance(rho, ref) for rho in stack]
+        assert np.max(np.abs(out - pairs)) <= 1e-15
+        assert np.max(np.abs(trace_distance(ref, stack) - pairs)) <= 1e-15
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             trace_distance(np.eye(2) / 2, np.eye(3) / 3)
+        with pytest.raises(DimensionMismatchError):
+            trace_distance(np.stack([np.eye(2) / 2] * 4), np.eye(3) / 3)
+        with pytest.raises(DimensionMismatchError):
+            trace_distance(np.stack([np.eye(2) / 2] * 4), np.stack([np.eye(2) / 2] * 3))
+
+    def test_non_hermitian_difference(self):
+        skew = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=np.complex128)
+        with pytest.raises(NotHermitianError):
+            trace_distance(skew, np.eye(2) / 2)
+        with pytest.raises(NotHermitianError):
+            trace_distance(np.stack([np.eye(2) / 2, skew]), np.eye(2) / 2)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31))
