@@ -96,14 +96,18 @@ def sample_times(
     return (np.arange(n_samples) + jitter) * (t_max / n_samples)
 
 
+def states_at_times(psi0, h: SpectralHamiltonian, times: np.ndarray) -> np.ndarray:
+    """Stack of ψ(t) for each sample time, shape (n, d): row j = ψ(t_j)."""
+    c = energy_coefficients(psi0, h)
+    phases = np.exp(-1j * np.outer(times, h.energies))
+    return (phases * c) @ h.eigenbasis.T
+
+
 def reduced_states_at_times(
     psi0, h: SpectralHamiltonian, space: BipartiteSpace, times: np.ndarray
 ) -> np.ndarray:
     """Stack of ρ_S(t) for each sample time, shape (n, d_S, d_S)."""
-    c = energy_coefficients(psi0, h)
-    phases = np.exp(-1j * np.outer(times, h.energies))
-    states = (phases * c) @ h.eigenbasis.T  # row j = ψ(t_j) in computational basis
-    amps = states.reshape(len(times), space.d_S, space.d_B)
+    amps = states_at_times(psi0, h, times).reshape(len(times), space.d_S, space.d_B)
     return np.einsum("nsb,ntb->nst", amps, amps.conj())
 
 

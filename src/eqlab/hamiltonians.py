@@ -84,7 +84,12 @@ def gap_analysis(h: SpectralHamiltonian, tol: float | None = None) -> GapReport:
 
     Degenerate levels (zero gaps within tol) are reported as violations with
     quadruples of the form (k, l, k, l); a pair of equal gaps from distinct
-    index pairs is reported as (k, l, m, n).
+    index pairs is reported as (k, l, m, n). Zero-gap quadruples come first,
+    in (k, l < k) order, then the equal-gap pairs in ascending gap order.
+
+    Vectorised over all d(d-1)/2 gaps: O(d² log d) time for the sort. Memory
+    peaks at 6 × 8 bytes per gap (the two index arrays, the gaps, the sort
+    order, the sorted gaps and their differences): ~400 MB at d = 4096.
     """
     e = h.energies
     d = e.size
@@ -93,29 +98,24 @@ def gap_analysis(h: SpectralHamiltonian, tol: float | None = None) -> GapReport:
     if tol is None:
         tol = default_gap_tolerance(e)
 
-    violations: list[tuple[int, int, int, int]] = []
-
-    gaps = []
-    for k in range(d):
-        for l in range(k):
-            g = e[k] - e[l]
-            if g <= tol:
-                violations.append((k, l, k, l))
-            else:
-                gaps.append((g, k, l))
-    gaps.sort(key=lambda t: t[0])
-
-    min_sep = np.inf
-    for (g1, k1, l1), (g2, k2, l2) in zip(gaps, gaps[1:]):
-        sep = g2 - g1
-        if sep <= tol:
-            violations.append((k1, l1, k2, l2))
-        else:
-            min_sep = min(min_sep, sep)
+    k, l = np.tril_indices(d, -1)  # k outer, l < k inner: the reporting order
+    gaps = e[k] - e[l]
+    zero = np.flatnonzero(gaps <= tol)
+    # Zero gaps sort first; the stable sort keeps tied gaps in (k, l) order.
+    order = np.argsort(gaps, kind="stable")[zero.size:]
+    seps = np.diff(gaps[order])
+    close = seps <= tol
+    i = np.flatnonzero(close)
+    first, second = order[i], order[i + 1]
+    zk, zl = k[zero].tolist(), l[zero].tolist()
+    violations = [
+        *zip(zk, zl, zk, zl),
+        *zip(k[first].tolist(), l[first].tolist(), k[second].tolist(), l[second].tolist()),
+    ]
 
     return GapReport(
         passes=not violations,
-        min_gap_separation=float(min_sep),
+        min_gap_separation=float(np.min(seps, where=~close, initial=np.inf)),
         degenerate_pairs=tuple(violations),
         tolerance=float(tol),
     )

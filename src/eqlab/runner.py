@@ -13,7 +13,9 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,13 +133,15 @@ class ExperimentConfig:
         if not (0 <= self.master_seed <= _MASK64):
             raise ConfigInvalidError("master_seed: must fit in 64 bits")
 
-    def config_hash(self) -> str:
+    def canonical_json(self) -> str:
+        """The config as sorted-key JSON that from_dict() reads back."""
         doc = asdict(self)
         doc["d_B"] = list(self.d_B)
         doc["thresholds_K"] = list(self.thresholds_K)
-        return hashlib.sha256(
-            json.dumps(doc, sort_keys=True).encode()
-        ).hexdigest()[:16]
+        return json.dumps(doc, sort_keys=True)
+
+    def config_hash(self) -> str:
+        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -206,10 +210,35 @@ def _build_subspace(cfg: ExperimentConfig, space: BipartiteSpace, rng) -> Subspa
     return Subspace.fixed_bath(psi, space)
 
 
+@lru_cache(maxsize=1)
+def _sweep_shared(cfg_json: str, sweep_index: int) -> tuple:
+    """The sweep's shared (H, subspace), built once per sweep and process.
+
+    Both come from the shared stream of (master_seed, sweep_index), so every
+    trial and every worker sees the same objects. The subspace is None where
+    the experiment draws it per trial (thm4). Callers must not modify the
+    returned arrays: later trials of the sweep receive the same objects.
+    run_experiment clears the memo when it returns.
+    """
+    cfg = ExperimentConfig.from_dict(json.loads(cfg_json))
+    space = BipartiteSpace(cfg.d_S, cfg.d_B[sweep_index])
+    shared = _shared_rng(cfg, sweep_index)
+    h = _build_hamiltonian(cfg, space, shared)
+    if cfg.experiment == "thm2":
+        sub = _build_subspace(cfg, space, shared)
+    elif cfg.experiment == "thm3-bath":
+        sub = Subspace.fixed_system(haar_random_state(Subspace.full(space.d_S), shared), space)
+    elif cfg.experiment == "thm3-subsystem":
+        sub = Subspace.fixed_bath(haar_random_state(Subspace.full(space.d_B), shared), space)
+    else:
+        sub = None
+    return h, sub
+
+
 def _run_trial(payload: tuple) -> tuple[int, int, list, dict]:
     """Execute one trial; fully self-contained for process-pool dispatch."""
-    cfg_doc, sweep_index, trial_index = payload
-    cfg = ExperimentConfig.from_dict(cfg_doc)
+    cfg_json, sweep_index, trial_index = payload
+    cfg = ExperimentConfig.from_dict(json.loads(cfg_json))
     d_b = cfg.d_B[sweep_index]
     space = BipartiteSpace(cfg.d_S, d_b)
     seed = derive_seed(cfg.master_seed, sweep_index, trial_index)
@@ -250,9 +279,7 @@ def _run_trial(payload: tuple) -> tuple[int, int, list, dict]:
         extras["satisfied"] = all(c.satisfied for _, c in checks)
 
     elif cfg.experiment == "thm2":
-        shared = _shared_rng(cfg, sweep_index)
-        h = _build_hamiltonian(cfg, space, shared)
-        sub = _build_subspace(cfg, space, shared)
+        h, sub = _sweep_shared(cfg_json, sweep_index)
         psi = haar_random_state(sub, rng)
         d_eff = d_eff_of_time_average(psi, h)
         wall = (time.perf_counter() - t0) * 1e3
@@ -264,14 +291,7 @@ def _run_trial(payload: tuple) -> tuple[int, int, list, dict]:
         extras["d_R"] = sub.d_R
 
     elif cfg.experiment in ("thm3-bath", "thm3-subsystem"):
-        shared = _shared_rng(cfg, sweep_index)
-        h = _build_hamiltonian(cfg, space, shared)
-        if cfg.experiment == "thm3-bath":
-            psi_s = haar_random_state(Subspace.full(space.d_S), shared)
-            sub = Subspace.fixed_system(psi_s, space)
-        else:
-            phi_b = haar_random_state(Subspace.full(space.d_B), shared)
-            sub = Subspace.fixed_bath(phi_b, space)
+        h, sub = _sweep_shared(cfg_json, sweep_index)
         psi = haar_random_state(sub, rng)
         omega_s = partial_trace_bath(dephased_time_average(psi, h, check_gaps=False), space)
         wall = (time.perf_counter() - t0) * 1e3
@@ -279,8 +299,7 @@ def _run_trial(payload: tuple) -> tuple[int, int, list, dict]:
         extras["d_R"] = sub.d_R
 
     elif cfg.experiment == "thm4":
-        shared = _shared_rng(cfg, sweep_index)
-        h = _build_hamiltonian(cfg, space, shared)
+        h, _ = _sweep_shared(cfg_json, sweep_index)
         psi0 = haar_random_state(_build_subspace(cfg, space, rng), rng)
         c = energy_coefficients(psi0, h)
         tail = theorem4_tail(c, h, space, cfg.epsilon, n_samples, rng)
@@ -362,14 +381,8 @@ def _aggregate_rows(cfg, sweep_index, d_b, trial_results) -> list[ExperimentReco
         distances = trace_distance(omegas, hermitize(np.mean(omegas, axis=0)))
         mean = float(np.mean(distances))
         se = float(np.std(distances, ddof=1) / np.sqrt(len(distances))) if len(distances) > 1 else 0.0
-        space = BipartiteSpace(cfg.d_S, d_b)
-        shared = _shared_rng(cfg, sweep_index)
-        h = _build_hamiltonian(cfg, space, shared)
-        if cfg.experiment == "thm3-bath":
-            sub = Subspace.fixed_system(haar_random_state(Subspace.full(space.d_S), shared), space)
-        else:
-            sub = Subspace.fixed_bath(haar_random_state(Subspace.full(space.d_B), shared), space)
-        delta = delta_quantity(h, sub, space)
+        h, sub = _sweep_shared(cfg.canonical_json(), sweep_index)
+        delta = delta_quantity(h, sub, BipartiteSpace(cfg.d_S, d_b))
         weak = math.sqrt(cfg.d_S / (4 * d_r))
         tight = math.sqrt(cfg.d_S * delta / (4 * d_r))
         rows.append(
@@ -401,35 +414,27 @@ def _aggregate_rows(cfg, sweep_index, d_b, trial_results) -> list[ExperimentReco
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ExperimentRecord]:
-    """Execute the configured suite; records are sorted by (sweep, trial)."""
-    config.validate()
-    doc = asdict(config)
-    doc["d_B"] = list(config.d_B)
-    doc["thresholds_K"] = list(config.thresholds_K)
-    tasks = [
-        (doc, sweep_index, trial_index)
-        for sweep_index in range(len(config.d_B))
-        for trial_index in range(config.trials)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial, tasks))
-    else:
-        results = [_run_trial(t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[1]))
+    """Execute the configured suite; records are sorted by (sweep, trial).
 
+    Sweeps run one after another, so a process builds each sweep's shared
+    objects once, for its trials and then for the sweep's aggregate rows.
+    """
+    config.validate()
+    cfg_json = config.canonical_json()
     records: list[ExperimentRecord] = []
-    for sweep_index, d_b in enumerate(config.d_B):
-        sweep_results = [
-            (trial, rows, extras)
-            for s, trial, rows, extras in results
-            if s == sweep_index
-        ]
-        for _, rows, _ in sweep_results:
-            records.extend(rows)
-        records.extend(
-            _aggregate_rows(config, sweep_index, d_b, [(t, e) for t, _, e in sweep_results])
-        )
+    try:
+        with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+            run = pool.map if pool else map
+            for sweep_index, d_b in enumerate(config.d_B):
+                tasks = [(cfg_json, sweep_index, trial) for trial in range(config.trials)]
+                results = list(run(_run_trial, tasks))  # in task order: by trial
+                for _, _, rows, _ in results:
+                    records.extend(rows)
+                records.extend(
+                    _aggregate_rows(config, sweep_index, d_b, [(t, e) for _, t, _, e in results])
+                )
+    finally:
+        _sweep_shared.cache_clear()  # the memo serves one run; release its arrays
     return records
 
 

@@ -31,6 +31,7 @@ from .dynamics import (
     reduced_states_at_times,
     require_nondegenerate,
     sample_times,
+    states_at_times,
     torus_state,
     trajectory_statistics,
 )
@@ -398,11 +399,8 @@ def subadditivity_and_bath_checks(
     )
 
     times = sample_times(t_max, n_samples, rng)
-    rhos_s = reduced_states_at_times(psi0, h, space, times)
-    c = energy_coefficients(psi0, h)
-    phases = np.exp(-1j * np.outer(times, h.energies))
-    states = (phases * c) @ h.eigenbasis.T
-    amps = states.reshape(n_samples, space.d_S, space.d_B)
+    amps = states_at_times(psi0, h, times).reshape(n_samples, space.d_S, space.d_B)
+    rhos_s = np.einsum("nsb,ntb->nst", amps, amps.conj())
     rhos_b = np.einsum("nsb,nsc->nbc", amps, amps.conj())
     bath_deff = 1.0 / np.einsum("nbc,ncb->n", rhos_b, rhos_b).real
     bath_deff_check = BoundCheck.upper(float(np.max(bath_deff)), space.d_S + 1e-6)
@@ -575,7 +573,6 @@ def spin_bath_counterexample(
     n_times: int = 200,
 ) -> SpinBathCounterexampleReport:
     """Conserved energy separation between σ_z-eigenstate initializations."""
-    from .dynamics import evolve
     from .hamiltonians import spin_bath_hamiltonian
     from .states import product_state
 
@@ -587,13 +584,12 @@ def spin_bath_counterexample(
 
     t_max = default_t_max(h, 100.0)
     times = sample_times(t_max, n_times, rng)
-    diffs = np.empty(n_times)
-    for i, t in enumerate(times):
-        up = evolve(psi_plus, h, t)
-        down = evolve(psi_minus, h, t)
-        e_up = np.vdot(up, dense @ up).real
-        e_down = np.vdot(down, dense @ down).real
-        diffs[i] = e_up - e_down
+
+    def energy_at_times(psi0) -> np.ndarray:
+        psis = states_at_times(psi0, h, times)
+        return np.einsum("nd,nd->n", psis.conj(), psis @ dense.T).real
+
+    diffs = energy_at_times(psi_plus) - energy_at_times(psi_minus)
 
     omega_plus = partial_trace_bath(dephased_time_average(psi_plus, h, check_gaps=False), space)
     omega_minus = partial_trace_bath(dephased_time_average(psi_minus, h, check_gaps=False), space)

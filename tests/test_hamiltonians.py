@@ -7,6 +7,7 @@ import pytest
 
 from eqlab.bipartite import BipartiteSpace, partial_trace_bath
 from eqlab.hamiltonians import (
+    GapReport,
     SpectralHamiltonian,
     default_gap_tolerance,
     diagonal_product_hamiltonian,
@@ -43,6 +44,37 @@ def brute_force_gap_degenerate(energies: np.ndarray, tol: float) -> bool:
                     return True
             gaps[(k, l)] = g
     return False
+
+
+def loop_gap_analysis(h: SpectralHamiltonian, tol: float | None = None) -> GapReport:
+    """Reference gap check: the pure-Python double loop and stable list sort."""
+    e = h.energies
+    d = e.size
+    if tol is None:
+        tol = default_gap_tolerance(e)
+    violations: list[tuple[int, int, int, int]] = []
+    gaps = []
+    for k in range(d):
+        for l in range(k):
+            g = e[k] - e[l]
+            if g <= tol:
+                violations.append((k, l, k, l))
+            else:
+                gaps.append((g, k, l))
+    gaps.sort(key=lambda t: t[0])
+    min_sep = np.inf
+    for (g1, k1, l1), (g2, k2, l2) in zip(gaps, gaps[1:]):
+        sep = g2 - g1
+        if sep <= tol:
+            violations.append((k1, l1, k2, l2))
+        else:
+            min_sep = min(min_sep, sep)
+    return GapReport(
+        passes=not violations,
+        min_gap_separation=float(min_sep),
+        degenerate_pairs=tuple(violations),
+        tolerance=float(tol),
+    )
 
 
 def trivial_hamiltonian(energies) -> SpectralHamiltonian:
@@ -99,6 +131,38 @@ class TestGapAnalysis:
             h = trivial_hamiltonian(e)
             tol = default_gap_tolerance(e)
             assert gap_analysis(h).passes == (not brute_force_gap_degenerate(e, tol))
+
+    @pytest.mark.parametrize("kind", ["random", "integer", "rounded"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 16, 33, 64, 120])
+    def test_matches_loop_oracle(self, kind, d):
+        rng = np.random.default_rng(1000 * d + len(kind))
+        if kind == "random":
+            e = rng.uniform(-1.0, 3.0, size=d)
+        elif kind == "integer":
+            e = rng.integers(0, 2 * d, size=d).astype(np.float64)
+        else:  # a coarse grid makes many gaps tie exactly
+            e = np.round(rng.uniform(0.0, 1.0, size=d), 2)
+        h = trivial_hamiltonian(np.sort(e))
+        assert gap_analysis(h) == loop_gap_analysis(h)
+        assert gap_analysis(h, tol=0.05) == loop_gap_analysis(h, tol=0.05)
+
+    @pytest.mark.parametrize(
+        "energies, min_sep",
+        [
+            ([0.0, 1.0], np.inf),  # one gap: nothing to separate
+            ([0.0, 0.0], np.inf),
+            ([0.0, 0.0, 0.0], np.inf),  # every gap is zero
+            ([0.0, 1.0, 2.0], 1.0),
+            ([0.0, 0.0, 1.0, 1.0, 3.0], 1.0),
+        ],
+    )
+    def test_matches_loop_oracle_edge_cases(self, energies, min_sep):
+        h = trivial_hamiltonian(energies)
+        report = gap_analysis(h)
+        assert report == loop_gap_analysis(h)
+        assert report.min_gap_separation == min_sep
+        if energies[0] == energies[1]:
+            assert (1, 0, 1, 0) in report.degenerate_pairs
 
     def test_noninteracting_always_fails(self):
         rng = np.random.default_rng(4)

@@ -9,8 +9,11 @@ import json
 import numpy as np
 import pytest
 
+from eqlab import runner
+from eqlab.bipartite import BipartiteSpace
 from eqlab.cli import main
 from eqlab.errors import ConfigInvalidError
+from eqlab.hamiltonians import random_spectral_hamiltonian
 from eqlab.runner import (
     CSV_HEADER,
     ExperimentConfig,
@@ -21,6 +24,7 @@ from eqlab.runner import (
     run_experiment,
     splitmix64,
 )
+from eqlab.states import Subspace, haar_random_state
 
 
 def strip_walltime(records):
@@ -149,6 +153,67 @@ class TestRunExperiment:
         cfg = small_config(experiment="identities", d_B=[4], trials=1)
         records = run_experiment(cfg)
         assert all_bounds_satisfied(records)
+
+
+@pytest.fixture
+def hamiltonian_builds(monkeypatch):
+    """Energies of every shared Hamiltonian the runner builds, in order."""
+    built = []
+    build = runner.random_spectral_hamiltonian
+
+    def counting(*args, **kwargs):
+        h = build(*args, **kwargs)
+        built.append(h.energies)
+        return h
+
+    runner._sweep_shared.cache_clear()
+    monkeypatch.setattr(runner, "random_spectral_hamiltonian", counting)
+    return built
+
+
+class TestSharedPerSweep:
+    @pytest.mark.parametrize(
+        "experiment, subspace_spec",
+        [("thm2", "full"), ("thm3-subsystem", "product-fixed-bath"), ("thm4", "full")],
+    )
+    def test_built_once_per_sweep(self, hamiltonian_builds, experiment, subspace_spec):
+        cfg = small_config(
+            experiment=experiment, subspace_spec=subspace_spec, d_B=[4, 8], trials=5
+        )
+        run_experiment(cfg)
+        assert [e.size for e in hamiltonian_builds] == [8, 16]
+        assert runner._sweep_shared.cache_info().currsize == 0  # released after the run
+
+    @pytest.mark.parametrize(
+        "experiment, subspace_spec",
+        [("thm2", "full"), ("thm3-bath", "product-fixed-system")],
+    )
+    def test_parallel_matches_serial(self, experiment, subspace_spec):
+        cfg = small_config(
+            experiment=experiment, subspace_spec=subspace_spec, d_B=[4, 8], trials=5
+        )
+        serial = run_experiment(cfg)
+        parallel = run_experiment(cfg, workers=2)
+        assert strip_walltime(parallel) == strip_walltime(serial)
+
+    def test_memo_keyed_on_seed(self, hamiltonian_builds):
+        a = run_experiment(small_config(experiment="thm2", trials=3, master_seed=7))
+        b = run_experiment(small_config(experiment="thm2", trials=3, master_seed=8))
+        assert len(hamiltonian_builds) == 2
+        assert not np.array_equal(hamiltonian_builds[0], hamiltonian_builds[1])
+        assert [r.empirical for r in a] != [r.empirical for r in b]
+
+    def test_matches_shared_stream(self):
+        # The memoised objects are exactly what the shared stream draws.
+        cfg = small_config(experiment="thm3-bath", subspace_spec="product-fixed-system")
+        h, sub = runner._sweep_shared(cfg.canonical_json(), 0)
+        shared = runner._shared_rng(cfg, 0)
+        space = BipartiteSpace(2, 8)
+        h_ref = random_spectral_hamiltonian(space, (0.0, 1.0), shared)
+        psi_s = haar_random_state(Subspace.full(2), shared)
+        assert np.array_equal(h.energies, h_ref.energies)
+        assert np.array_equal(h.eigenbasis, h_ref.eigenbasis)
+        assert np.array_equal(sub.basis, Subspace.fixed_system(psi_s, space).basis)
 
 
 @pytest.fixture(scope="module")
