@@ -15,7 +15,7 @@ import numpy as np
 
 from .bipartite import BipartiteSpace, partial_trace_bath
 from .errors import DegenerateHamiltonianError, DimensionMismatchError
-from .hamiltonians import SpectralHamiltonian, gap_analysis
+from .hamiltonians import SpectralHamiltonian
 from .linalg import hermitize
 from .states import as_state, trace_distance
 
@@ -43,7 +43,7 @@ def evolve(psi0, h: SpectralHamiltonian, t: float) -> np.ndarray:
 
 
 def require_nondegenerate(h: SpectralHamiltonian) -> None:
-    report = gap_analysis(h)
+    report = h.gap_report
     if not report.passes:
         raise DegenerateHamiltonianError(
             f"Hamiltonian fails the gap check: {len(report.degenerate_pairs)} violations"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,11 @@ class SpectralHamiltonian:
 
     def min_level_gap(self) -> float:
         return float(np.min(np.diff(self.energies)))
+
+    @cached_property
+    def gap_report(self) -> GapReport:
+        """gap_analysis at the default tolerance, computed once per Hamiltonian."""
+        return gap_analysis(self)
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,7 @@ def _resample(build, rng: np.random.Generator, what: str) -> SpectralHamiltonian
     """Draw Hamiltonians until gap_analysis passes (measure-zero failures)."""
     for _ in range(RESAMPLE_LIMIT):
         h = build(rng)
-        if gap_analysis(h).passes:
+        if h.gap_report.passes:
             return h
     raise EqlabError(
         f"{what}: no gap-nondegenerate sample in {RESAMPLE_LIMIT} attempts; "

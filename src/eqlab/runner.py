@@ -10,45 +10,33 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .bipartite import BipartiteSpace
+from .bipartite import BipartiteSpace, partial_trace_bath
+from .dynamics import default_t_max, dephased_time_average, energy_coefficients
 from .errors import ConfigInvalidError
 from .hamiltonians import random_spectral_hamiltonian
 from .states import Subspace, haar_random_state
 from .verifiers import (
-    CONSTANTS,
+    KS_STATISTIC_GATE,
     BoundCheck,
+    counterexample_demonstrations,
     d_eff_of_time_average,
     delta_quantity,
-    diagonal_counterexample,
     ergodicity_ks_statistic,
     identity_checks,
-    spin_bath_counterexample,
     subadditivity_and_bath_checks,
     theorem1_check,
+    theorem2_summary,
+    theorem3_summary,
     theorem4_tail,
-)
-from .dynamics import default_t_max, dephased_time_average, energy_coefficients
-from .bipartite import partial_trace_bath
-from .linalg import hermitize
-from .states import trace_distance
-
-EXPERIMENTS = (
-    "thm1",
-    "thm2",
-    "thm3-bath",
-    "thm3-subsystem",
-    "thm4",
-    "counterexamples",
-    "identities",
 )
 
 CSV_HEADER = (
@@ -117,6 +105,12 @@ class ExperimentConfig:
             raise ConfigInvalidError(f"d_S: must be >= 1, got {self.d_S}")
         if not self.d_B or any(b < 1 for b in self.d_B):
             raise ConfigInvalidError(f"d_B: entries must be >= 1, got {self.d_B}")
+        # The diagonal model compares two system basis states; the spin-bath
+        # model needs a bath of at least two levels.
+        if self.experiment == "counterexamples" and self.d_S < 2:
+            raise ConfigInvalidError(f"d_S: counterexamples needs d_S >= 2, got {self.d_S}")
+        if self.experiment == "counterexamples" and min(self.d_B) < 2:
+            raise ConfigInvalidError(f"d_B: counterexamples needs entries >= 2, got {self.d_B}")
         if self.trials < 1:
             raise ConfigInvalidError(f"trials: must be >= 1, got {self.trials}")
         if self.subspace_spec not in ("full", "product-fixed-system", "product-fixed-bath"):
@@ -159,33 +153,36 @@ class ExperimentRecord:
     wall_ms: float
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+def _csv_cell(value):
+    """Floats with 17 significant digits, booleans as true/false literals."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "%.17g" % value if isinstance(value, float) else value
 
 
-def _record(cfg, d_b, d_r, trial, seed, quantity, empirical, bound, satisfied, wall_ms):
+class Row(NamedTuple):
+    """Output columns given as they are, not as a BoundCheck: a lower check
+    reported with its quantity in the empirical column, or a diagnostic."""
+
+    empirical: float
+    bound: float
+    satisfied: bool
+
+
+class TrialResult(NamedTuple):
+    """One trial's d_R, its output rows and its payload for the aggregate."""
+
+    d_r: int
+    records: list[ExperimentRecord]
+    payload: object
+
+
+def _record(cfg, d_b, d_r, trial, seed, quantity, check, wall_ms) -> ExperimentRecord:
+    """The output row of a named BoundCheck or Row."""
     return ExperimentRecord(
-        experiment=cfg.experiment,
-        d_S=cfg.d_S,
-        d_B=d_b,
-        d_R=d_r,
-        trial=trial,
-        seed=seed,
-        quantity=quantity,
-        empirical=float(empirical),
-        bound=float(bound),
-        satisfied=bool(satisfied),
-        wall_ms=wall_ms,
+        cfg.experiment, cfg.d_S, d_b, d_r, trial, seed, quantity,
+        float(check.empirical), float(check.bound), bool(check.satisfied), wall_ms,
     )
-
-
-def _check_rows(cfg, d_b, d_r, trial, seed, named_checks, wall_ms):
-    rows = []
-    for name, chk in named_checks:
-        rows.append(
-            _record(cfg, d_b, d_r, trial, seed, name, chk.empirical, chk.bound, chk.satisfied, wall_ms)
-        )
-    return rows
 
 
 def _shared_rng(cfg: ExperimentConfig, sweep_index: int) -> np.random.Generator:
@@ -200,10 +197,10 @@ def _build_hamiltonian(cfg: ExperimentConfig, space: BipartiteSpace, rng):
     return random_spectral_hamiltonian(space, window, rng)
 
 
-def _build_subspace(cfg: ExperimentConfig, space: BipartiteSpace, rng) -> Subspace:
-    if cfg.subspace_spec == "full":
+def _build_subspace(spec: str, space: BipartiteSpace, rng) -> Subspace:
+    if spec == "full":
         return Subspace.full(space.d)
-    if cfg.subspace_spec == "product-fixed-system":
+    if spec == "product-fixed-system":
         psi = haar_random_state(Subspace.full(space.d_S), rng)
         return Subspace.fixed_system(psi, space)
     psi = haar_random_state(Subspace.full(space.d_B), rng)
@@ -224,192 +221,165 @@ def _sweep_shared(cfg_json: str, sweep_index: int) -> tuple:
     space = BipartiteSpace(cfg.d_S, cfg.d_B[sweep_index])
     shared = _shared_rng(cfg, sweep_index)
     h = _build_hamiltonian(cfg, space, shared)
-    if cfg.experiment == "thm2":
-        sub = _build_subspace(cfg, space, shared)
-    elif cfg.experiment == "thm3-bath":
-        sub = Subspace.fixed_system(haar_random_state(Subspace.full(space.d_S), shared), space)
-    elif cfg.experiment == "thm3-subsystem":
-        sub = Subspace.fixed_bath(haar_random_state(Subspace.full(space.d_B), shared), space)
-    else:
-        sub = None
-    return h, sub
+    # thm3-bath fixes the system's state, thm3-subsystem the bath's.
+    spec = {
+        "thm2": cfg.subspace_spec,
+        "thm3-bath": "product-fixed-system",
+        "thm3-subsystem": "product-fixed-bath",
+    }.get(cfg.experiment)
+    return h, None if spec is None else _build_subspace(spec, space, shared)
 
 
-def _run_trial(payload: tuple) -> tuple[int, int, list, dict]:
+# ---------------------------------------------------------------------------
+# The experiment registry. A trial function maps (cfg, space, rng, shared) to
+# (d_R, named checks, payload); an aggregate function maps (cfg, space, the
+# sweep's TrialResults in trial order, shared) to (trial, quantity, check)
+# rows, where trial is AGGREGATE_TRIAL for the sweep's own rows. shared()
+# returns the sweep's memoised (H, subspace). Verifiers are called through
+# this module's names.
+
+
+def _n_samples(cfg: ExperimentConfig) -> int:
+    return int(cfg.time_sampling["n_samples"])
+
+
+def _t_max(cfg: ExperimentConfig, h) -> float:
+    return default_t_max(h, float(cfg.time_sampling["t_max_factor"]))
+
+
+def _thm1_trial(cfg, space, rng, shared):
+    h = _build_hamiltonian(cfg, space, rng)
+    psi0 = haar_random_state(_build_subspace(cfg.subspace_spec, space, rng), rng)
+    t_max = _t_max(cfg, h)
+    res = theorem1_check(
+        psi0, h, space, t_max, _n_samples(cfg), thresholds=cfg.thresholds_K, rng=rng
+    )
+    sub = subadditivity_and_bath_checks(psi0, h, space, t_max=t_max, rng=rng)
+    checks = [
+        ("mean_distance_bath_bound", res.bath_check),
+        ("mean_distance_total_bound", res.total_check),
+        ("renyi_subadditivity", sub.renyi_check),
+        ("bath_deff_max", sub.bath_deff_check),
+    ]
+    checks += [
+        (f"exceed_fraction_K{k:g}", chk) for k, chk in sorted(res.exceed_checks.items())
+    ]
+    return space.d, checks, None
+
+
+def _thm2_trial(cfg, space, rng, shared):
+    h, sub = shared()
+    d_eff = d_eff_of_time_average(haar_random_state(sub, rng), h)
+    return sub.d_R, [("d_eff_omega", Row(d_eff, sub.d_R / 4, d_eff >= sub.d_R / 4))], d_eff
+
+
+def _thm2_aggregate(cfg, space, results, shared):
+    d_r = results[0].d_r
+    summary = theorem2_summary([r.payload for r in results], d_r)
+    mean_row = Row(summary.mean, d_r / 2, summary.mean_check.satisfied)
+    return [
+        (AGGREGATE_TRIAL, "mean_d_eff", mean_row),
+        (AGGREGATE_TRIAL, "tail_frequency", summary.tail_check),
+    ]
+
+
+def _thm3_trial(cfg, space, rng, shared):
+    h, sub = shared()
+    psi = haar_random_state(sub, rng)
+    omega_s = partial_trace_bath(dephased_time_average(psi, h, check_gaps=False), space)
+    return sub.d_R, [], omega_s
+
+
+def _thm3_aggregate(cfg, space, results, shared):
+    h, sub = shared()
+    omegas = np.array([r.payload for r in results])
+    summary = theorem3_summary(omegas, delta_quantity(h, sub, space), sub.d_R, space.d_S)
+    weak = summary.weak_check
+    rows = [
+        (AGGREGATE_TRIAL, "mean_distance_weak_bound", weak),
+        (AGGREGATE_TRIAL, "mean_distance_delta_bound", summary.delta_check),
+        (AGGREGATE_TRIAL, "delta", summary.delta_range_check),
+    ]
+    rows += [
+        (trial, "distance_to_mean", Row(d, weak.bound, True))
+        for trial, d in enumerate(summary.distances)
+    ]
+    return rows
+
+
+def _thm4_trial(cfg, space, rng, shared):
+    h, _ = shared()
+    psi0 = haar_random_state(_build_subspace(cfg.subspace_spec, space, rng), rng)
+    n_samples = _n_samples(cfg)
+    tail = theorem4_tail(energy_coefficients(psi0, h), h, space, cfg.epsilon, n_samples, rng)
+    ks = ergodicity_ks_statistic(
+        psi0, h, space, t_max=_t_max(cfg, h), n_samples=n_samples, rng=rng
+    )
+    checks = [
+        ("torus_tail_frequency", tail),
+        ("ks_statistic", BoundCheck.upper(ks, KS_STATISTIC_GATE)),
+    ]
+    return space.d, checks, None
+
+
+def _counterexamples_trial(cfg, space, rng, shared):
+    report = counterexample_demonstrations(
+        space, rng, field=float(cfg.hamiltonian.get("field", 50.0)), n_times=_n_samples(cfg)
+    )
+    return space.d, list(report.checks().items()), None
+
+
+def _identities_trial(cfg, space, rng, shared):
+    return space.d, list(identity_checks(rng).items()), None
+
+
+def _fraction_satisfied(cfg, space, results, shared):
+    passed = [all(r.satisfied for r in res.records) for res in results]
+    return [
+        (AGGREGATE_TRIAL, "fraction_satisfied", Row(float(np.mean(passed)), 1.0, all(passed)))
+    ]
+
+
+REGISTRY = {
+    "thm1": (_thm1_trial, _fraction_satisfied),
+    "thm2": (_thm2_trial, _thm2_aggregate),
+    "thm3-bath": (_thm3_trial, _thm3_aggregate),
+    "thm3-subsystem": (_thm3_trial, _thm3_aggregate),
+    "thm4": (_thm4_trial, _fraction_satisfied),
+    "counterexamples": (_counterexamples_trial, _fraction_satisfied),
+    "identities": (_identities_trial, _fraction_satisfied),
+}
+
+EXPERIMENTS = tuple(REGISTRY)
+
+
+def _run_trial(payload: tuple) -> TrialResult:
     """Execute one trial; fully self-contained for process-pool dispatch."""
     cfg_json, sweep_index, trial_index = payload
     cfg = ExperimentConfig.from_dict(json.loads(cfg_json))
-    d_b = cfg.d_B[sweep_index]
-    space = BipartiteSpace(cfg.d_S, d_b)
+    space = BipartiteSpace(cfg.d_S, cfg.d_B[sweep_index])
     seed = derive_seed(cfg.master_seed, sweep_index, trial_index)
-    rng = np.random.default_rng(seed)
+    trial_fn, _ = REGISTRY[cfg.experiment]
     t0 = time.perf_counter()
-    rows: list[ExperimentRecord] = []
-    extras: dict = {}
-
-    n_samples = int(cfg.time_sampling["n_samples"])
-    t_factor = float(cfg.time_sampling["t_max_factor"])
-
-    if cfg.experiment == "thm1":
-        h = _build_hamiltonian(cfg, space, rng)
-        psi0 = haar_random_state(_build_subspace(cfg, space, rng), rng)
-        res = theorem1_check(
-            psi0,
-            h,
-            space,
-            t_max=default_t_max(h, t_factor),
-            n_samples=n_samples,
-            thresholds=cfg.thresholds_K,
-            rng=rng,
-        )
-        sub = subadditivity_and_bath_checks(
-            psi0, h, space, t_max=default_t_max(h, t_factor), rng=rng
-        )
-        wall = (time.perf_counter() - t0) * 1e3
-        checks = [
-            ("mean_distance_bath_bound", res.bath_check),
-            ("mean_distance_total_bound", res.total_check),
-            ("renyi_subadditivity", sub.renyi_check),
-            ("bath_deff_max", sub.bath_deff_check),
-        ]
-        checks += [
-            (f"exceed_fraction_K{k:g}", chk) for k, chk in sorted(res.exceed_checks.items())
-        ]
-        rows += _check_rows(cfg, d_b, space.d, trial_index, seed, checks, wall)
-        extras["satisfied"] = all(c.satisfied for _, c in checks)
-
-    elif cfg.experiment == "thm2":
-        h, sub = _sweep_shared(cfg_json, sweep_index)
-        psi = haar_random_state(sub, rng)
-        d_eff = d_eff_of_time_average(psi, h)
-        wall = (time.perf_counter() - t0) * 1e3
-        tail_ok = d_eff >= sub.d_R / 4
-        rows.append(
-            _record(cfg, d_b, sub.d_R, trial_index, seed, "d_eff_omega", d_eff, sub.d_R / 4, tail_ok, wall)
-        )
-        extras["d_eff"] = d_eff
-        extras["d_R"] = sub.d_R
-
-    elif cfg.experiment in ("thm3-bath", "thm3-subsystem"):
-        h, sub = _sweep_shared(cfg_json, sweep_index)
-        psi = haar_random_state(sub, rng)
-        omega_s = partial_trace_bath(dephased_time_average(psi, h, check_gaps=False), space)
-        wall = (time.perf_counter() - t0) * 1e3
-        extras["omega_s"] = omega_s
-        extras["d_R"] = sub.d_R
-
-    elif cfg.experiment == "thm4":
-        h, _ = _sweep_shared(cfg_json, sweep_index)
-        psi0 = haar_random_state(_build_subspace(cfg, space, rng), rng)
-        c = energy_coefficients(psi0, h)
-        tail = theorem4_tail(c, h, space, cfg.epsilon, n_samples, rng)
-        ks = ergodicity_ks_statistic(
-            psi0, h, space, t_max=default_t_max(h, t_factor), n_samples=n_samples, rng=rng
-        )
-        wall = (time.perf_counter() - t0) * 1e3
-        rows += _check_rows(
-            cfg,
-            d_b,
-            space.d,
-            trial_index,
-            seed,
-            [("torus_tail_frequency", tail), ("ks_statistic", BoundCheck.upper(ks, 0.05))],
-            wall,
-        )
-        extras["satisfied"] = tail.satisfied and ks <= 0.05
-
-    elif cfg.experiment == "counterexamples":
-        diag = diagonal_counterexample(space, rng, n_times=max(2, n_samples))
-        field_strength = float(cfg.hamiltonian.get("field", 50.0))
-        spin = spin_bath_counterexample(field_strength, d_b, rng, n_times=max(2, n_samples // 2))
-        wall = (time.perf_counter() - t0) * 1e3
-        checks = [
-            ("population_drift", BoundCheck.upper(diag.max_population_drift, 1e-10)),
-            (
-                "basis_omega_distance",
-                BoundCheck.upper(abs(diag.basis_omega_distance - 1.0), 1e-9),
-            ),
-            ("imbalance_lower_bound", diag.imbalance_check),
-            (
-                "energy_diff_min",
-                BoundCheck.lower(spin.energy_diff_min, 2 * field_strength - 4),
-            ),
-            (
-                "energy_diff_max",
-                BoundCheck.upper(spin.energy_diff_max, 2 * field_strength + 4),
-            ),
-        ]
-        rows += _check_rows(cfg, d_b, space.d, trial_index, seed, checks, wall)
-        extras["satisfied"] = all(c.satisfied for _, c in checks)
-
-    elif cfg.experiment == "identities":
-        checks = list(identity_checks(rng).items())
-        wall = (time.perf_counter() - t0) * 1e3
-        rows += _check_rows(cfg, d_b, space.d, trial_index, seed, checks, wall)
-        extras["satisfied"] = all(c.satisfied for _, c in checks)
-
-    else:  # pragma: no cover - guarded by validate()
-        raise ConfigInvalidError(f"experiment: {cfg.experiment!r}")
-
-    return sweep_index, trial_index, rows, extras
+    shared = partial(_sweep_shared, cfg_json, sweep_index)
+    d_r, checks, result = trial_fn(cfg, space, np.random.default_rng(seed), shared)
+    wall = (time.perf_counter() - t0) * 1e3
+    records = [
+        _record(cfg, space.d_B, d_r, trial_index, seed, name, chk, wall) for name, chk in checks
+    ]
+    return TrialResult(d_r, records, result)
 
 
-def _aggregate_rows(cfg, sweep_index, d_b, trial_results) -> list[ExperimentRecord]:
-    """Deterministic aggregate rows computed from sorted per-trial extras."""
-    seed = derive_seed(cfg.master_seed, sweep_index, _SHARED_STREAM)
-    extras = [e for _, e in trial_results]
-    rows: list[ExperimentRecord] = []
-
-    if cfg.experiment == "thm2":
-        d_r = extras[0]["d_R"]
-        samples = np.array([e["d_eff"] for e in extras])
-        mean = float(np.mean(samples))
-        se = float(np.std(samples, ddof=1) / np.sqrt(len(samples))) if len(samples) > 1 else 0.0
-        tail_freq = float(np.mean(samples < d_r / 4))
-        tail_bound = 2 * math.exp(-CONSTANTS.c * math.sqrt(d_r))
-        rows.append(
-            _record(cfg, d_b, d_r, AGGREGATE_TRIAL, seed, "mean_d_eff", mean, d_r / 2,
-                    mean + 3 * se >= d_r / 2, 0.0)
-        )
-        rows.append(
-            _record(cfg, d_b, d_r, AGGREGATE_TRIAL, seed, "tail_frequency", tail_freq,
-                    tail_bound, tail_freq <= tail_bound, 0.0)
-        )
-    elif cfg.experiment in ("thm3-bath", "thm3-subsystem"):
-        d_r = extras[0]["d_R"]
-        omegas = np.array([e["omega_s"] for e in extras])
-        distances = trace_distance(omegas, hermitize(np.mean(omegas, axis=0)))
-        mean = float(np.mean(distances))
-        se = float(np.std(distances, ddof=1) / np.sqrt(len(distances))) if len(distances) > 1 else 0.0
-        h, sub = _sweep_shared(cfg.canonical_json(), sweep_index)
-        delta = delta_quantity(h, sub, BipartiteSpace(cfg.d_S, d_b))
-        weak = math.sqrt(cfg.d_S / (4 * d_r))
-        tight = math.sqrt(cfg.d_S * delta / (4 * d_r))
-        rows.append(
-            _record(cfg, d_b, d_r, AGGREGATE_TRIAL, seed, "mean_distance_weak_bound",
-                    mean, weak + 3 * se, mean <= weak + 3 * se, 0.0)
-        )
-        rows.append(
-            _record(cfg, d_b, d_r, AGGREGATE_TRIAL, seed, "mean_distance_delta_bound",
-                    mean, tight + 3 * se, mean <= tight + 3 * se, 0.0)
-        )
-        rows.append(
-            _record(cfg, d_b, d_r, AGGREGATE_TRIAL, seed, "delta", delta, 1.0, delta <= 1.0, 0.0)
-        )
-        for i, (trial_index, _) in enumerate(trial_results):
-            rows.append(
-                _record(cfg, d_b, d_r, trial_index,
-                        derive_seed(cfg.master_seed, sweep_index, trial_index),
-                        "distance_to_mean", float(distances[i]), weak + 3 * se,
-                        True, 0.0)
-            )
-    else:
-        sat = all(e.get("satisfied", True) for e in extras)
-        rows.append(
-            _record(cfg, d_b, cfg.d_S * d_b, AGGREGATE_TRIAL, seed, "fraction_satisfied",
-                    float(np.mean([1.0 if e.get("satisfied", True) else 0.0 for e in extras])),
-                    1.0, sat, 0.0)
-        )
+def _aggregate_rows(cfg, cfg_json, sweep_index, results) -> list[ExperimentRecord]:
+    """The sweep's aggregate rows from its trial results, in trial order."""
+    space = BipartiteSpace(cfg.d_S, cfg.d_B[sweep_index])
+    _, aggregate = REGISTRY[cfg.experiment]
+    shared = partial(_sweep_shared, cfg_json, sweep_index)
+    rows = []
+    for trial, name, chk in aggregate(cfg, space, results, shared):
+        stream = _SHARED_STREAM if trial == AGGREGATE_TRIAL else trial
+        seed = derive_seed(cfg.master_seed, sweep_index, stream)
+        rows.append(_record(cfg, space.d_B, results[0].d_r, trial, seed, name, chk, 0.0))
     return rows
 
 
@@ -425,14 +395,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Experimen
     try:
         with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
             run = pool.map if pool else map
-            for sweep_index, d_b in enumerate(config.d_B):
+            for sweep_index in range(len(config.d_B)):
                 tasks = [(cfg_json, sweep_index, trial) for trial in range(config.trials)]
                 results = list(run(_run_trial, tasks))  # in task order: by trial
-                for _, _, rows, _ in results:
-                    records.extend(rows)
-                records.extend(
-                    _aggregate_rows(config, sweep_index, d_b, [(t, e) for _, t, _, e in results])
-                )
+                for result in results:
+                    records.extend(result.records)
+                records.extend(_aggregate_rows(config, cfg_json, sweep_index, results))
     finally:
         _sweep_shared.cache_clear()  # the memo serves one run; release its arrays
     return records
@@ -457,54 +425,17 @@ def emit(
         raise ValueError("records must be nonempty")
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    rows = []
-    for r in records:
-        wall = r.wall_ms if include_walltime else 0.0
-        rows.append(
-            {
-                "experiment": r.experiment,
-                "d_S": r.d_S,
-                "d_B": r.d_B,
-                "d_R": r.d_R,
-                "trial": r.trial,
-                "seed": r.seed,
-                "quantity": r.quantity,
-                "empirical": r.empirical,
-                "bound": r.bound,
-                "satisfied": r.satisfied,
-                "wall_ms": wall,
-            }
-        )
+    fields = CSV_HEADER.split(",")
+    rows = [{**vars(r), "wall_ms": r.wall_ms if include_walltime else 0.0} for r in records]
     try:
         if fmt == "csv":
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(CSV_HEADER.split(","))
-                for row in rows:
-                    writer.writerow(
-                        [
-                            row["experiment"],
-                            row["d_S"],
-                            row["d_B"],
-                            row["d_R"],
-                            row["trial"],
-                            row["seed"],
-                            row["quantity"],
-                            _fmt(row["empirical"]),
-                            _fmt(row["bound"]),
-                            "true" if row["satisfied"] else "false",
-                            _fmt(row["wall_ms"]),
-                        ]
-                    )
+                writer.writerow(fields)
+                writer.writerows([_csv_cell(row[key]) for key in fields] for row in rows)
         else:
-            payload = [
-                {**row, "empirical": float(_fmt(row["empirical"])),
-                 "bound": float(_fmt(row["bound"])),
-                 "wall_ms": float(_fmt(row["wall_ms"]))}
-                for row in rows
-            ]
             with open(path, "w") as fh:
-                json.dump(payload, fh, indent=1)
+                json.dump(rows, fh, indent=1)
                 fh.write("\n")
     except OSError as exc:
         raise OSError(f"failed writing {fmt} output to {path!r}: {exc}") from exc

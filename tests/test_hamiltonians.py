@@ -179,6 +179,13 @@ class TestRandomSpectralHamiltonian:
         h = random_spectral_hamiltonian(BipartiteSpace(2, 2), (0.0, 1.0), rng)
         assert gap_analysis(h).passes
 
+    def test_gap_report_computed_once(self):
+        rng = np.random.default_rng(5)
+        h = random_spectral_hamiltonian(BipartiteSpace(2, 2), (0.0, 1.0), rng)
+        assert h.gap_report is h.gap_report
+        assert h.gap_report == gap_analysis(h)
+        assert gap_analysis(h, tol=0.5) != h.gap_report  # an explicit call is not cached
+
     def test_determinism(self):
         space = BipartiteSpace(2, 3)
         a = random_spectral_hamiltonian(space, (0.0, 1.0), np.random.default_rng(6))

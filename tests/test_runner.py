@@ -5,17 +5,21 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eqlab import runner
+from eqlab import dynamics, hamiltonians, runner, verifiers
 from eqlab.bipartite import BipartiteSpace
 from eqlab.cli import main
 from eqlab.errors import ConfigInvalidError
 from eqlab.hamiltonians import random_spectral_hamiltonian
 from eqlab.runner import (
+    AGGREGATE_TRIAL,
     CSV_HEADER,
+    EXPERIMENTS,
     ExperimentConfig,
     all_bounds_satisfied,
     derive_seed,
@@ -75,6 +79,13 @@ class TestConfigValidation:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigInvalidError, match="experiment"):
             small_config(experiment="thm9")
+
+    @pytest.mark.parametrize("field, dims", [("d_S", {"d_S": 1}), ("d_B", {"d_B": [4, 1]})])
+    def test_counterexamples_dimensions(self, field, dims):
+        # The diagonal model needs two system basis states, the spin bath two
+        # bath levels; below that the run would crash or read as a violation.
+        with pytest.raises(ConfigInvalidError, match=f"^{field}: counterexamples"):
+            small_config(experiment="counterexamples", **dims)
 
     def test_scalar_d_b_coerced(self):
         cfg = small_config(d_B=16)
@@ -153,6 +164,102 @@ class TestRunExperiment:
         cfg = small_config(experiment="identities", d_B=[4], trials=1)
         records = run_experiment(cfg)
         assert all_bounds_satisfied(records)
+
+    def test_thm3_delta_rounding(self):
+        # δ ≤ 1 holds exactly, but at d_S = 1 and master seed 7 it is computed
+        # as 1.0000000000000002; the row's rounding allowance must absorb that.
+        cfg = small_config(
+            experiment="thm3-subsystem", subspace_spec="product-fixed-bath",
+            d_S=1, d_B=[4], trials=3,
+        )
+        agg = {r.quantity: r for r in run_experiment(cfg) if r.trial == AGGREGATE_TRIAL}
+        assert agg["delta"].satisfied
+        assert agg["delta"].bound == 1.0 + verifiers.DELTA_ALLOWANCE
+
+    def test_gap_check_once_per_hamiltonian(self, monkeypatch):
+        checked = []
+        analyse = hamiltonians.gap_analysis
+
+        def counting(h, tol=None):
+            checked.append(h)
+            return analyse(h, tol)
+
+        for module in (hamiltonians, dynamics, verifiers):
+            if getattr(module, "gap_analysis", None) is analyse:
+                monkeypatch.setattr(module, "gap_analysis", counting)
+        run_experiment(small_config(trials=1))
+        assert checked
+        assert len({id(h) for h in checked}) == len(checked)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_smallest_trials_and_samples(experiment, tmp_path):
+    """Every registered experiment runs at trials=1 and n_samples=2, the
+    smallest values the validator accepts, and emits the fixed schema.
+
+    Whether the rows pass is not asserted: thm4's ks_statistic gate is a
+    fixed 0.05 whatever the sample size, so it fails at n_samples=2.
+    """
+    cfg = small_config(
+        experiment=experiment, d_B=[2], trials=1,
+        time_sampling={"t_max_factor": 1e3, "n_samples": 2},
+    )
+    records = run_experiment(cfg)
+    assert {r.trial for r in records} <= {0, AGGREGATE_TRIAL}
+    assert any(r.trial == AGGREGATE_TRIAL for r in records)
+    for r in records:
+        assert (r.experiment, r.d_S, r.d_B) == (experiment, 2, 2)
+        assert math.isfinite(r.empirical) and math.isfinite(r.bound)
+        assert isinstance(r.satisfied, bool)
+    path = tmp_path / "out.csv"
+    emit(records, "csv", str(path))
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == CSV_HEADER.split(",")
+    assert all(len(row) == len(rows[0]) for row in rows)
+
+
+PINNED_ROWS = Path(__file__).with_name("pinned_rows.csv")
+PINNED_CONFIGS = {
+    "thm1": {"d_B": [4]},
+    "thm2": {"d_B": [8], "trials": 3},
+    "thm3-bath": {"d_B": [4], "trials": 3},
+    "thm3-subsystem": {"d_S": 1, "d_B": [4], "trials": 3},
+    "thm4": {"d_B": [4]},
+    "counterexamples": {"d_B": [4], "trials": 1},
+    "identities": {"d_B": [2], "trials": 1},
+}
+
+
+def pinned_records(experiment):
+    """The rows of the experiment's tiny config; tests/pinned_rows.csv holds
+    emit()'s CSV of these for every experiment in PINNED_CONFIGS order."""
+    doc = {
+        "experiment": experiment, "d_S": 2, "trials": 2, "master_seed": 7,
+        "time_sampling": {"t_max_factor": 1e3, "n_samples": 50},
+        **PINNED_CONFIGS[experiment],
+    }
+    return run_experiment(ExperimentConfig.from_dict(doc))
+
+
+@pytest.mark.parametrize("experiment", list(PINNED_CONFIGS))
+def test_pinned_rows(experiment):
+    """Rows match the pinned fixture: quantity, trial, seed and satisfied
+    exactly; empirical and bound to a relative 1e-9, with an absolute 1e-12
+    for the values that measure an exact zero at rounding level."""
+    with open(PINNED_ROWS) as fh:
+        expected = [row for row in csv.DictReader(fh) if row["experiment"] == experiment]
+    records = pinned_records(experiment)
+    assert len(records) == len(expected)
+    for rec, row in zip(records, expected):
+        assert (rec.quantity, rec.trial, rec.seed) == (
+            row["quantity"], int(row["trial"]), int(row["seed"])
+        )
+        assert rec.satisfied == (row["satisfied"] == "true"), rec.quantity
+        for key in ("empirical", "bound"):
+            assert math.isclose(
+                getattr(rec, key), float(row[key]), rel_tol=1e-9, abs_tol=1e-12
+            ), (rec.quantity, key)
 
 
 @pytest.fixture
@@ -312,6 +419,11 @@ class TestCli:
 
     def test_bad_config_exits_1(self, tmp_path):
         cfg = self.write_config(tmp_path, trials=0)
+        assert main(["run", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("dims", [{"d_S": 1}, {"d_B": [1]}])
+    def test_unrunnable_counterexamples_exit_1(self, tmp_path, dims):
+        cfg = self.write_config(tmp_path, experiment="counterexamples", **dims)
         assert main(["run", "--config", str(cfg)]) == 1
 
     def test_missing_config_exits_1(self, tmp_path):
