@@ -1,9 +1,10 @@
 """Time evolution in the energy eigenbasis and time-average machinery.
 
-Evolution is exact: states are mapped to energy coefficients once, phases
-e^{-iE_k t} are applied, and the result is mapped back. The infinite-time
-average is computed exactly by dephasing whenever the spectrum passes the
-gap check; time sampling is only used for fluctuation statistics.
+Evolution is exact: one amplitude kernel, `torus_state`, applies phases to
+the energy coefficients and maps back (α = −E t for time evolution), and
+one reduction per side turns amplitude stacks into ρ_S or ρ_B stacks. The
+infinite-time average is exact through its marginals (`dephased_marginals`);
+time sampling is only used for fluctuation statistics.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import BipartiteSpace, partial_trace_bath
+from .bipartite import BipartiteSpace
 from .errors import DegenerateHamiltonianError, DimensionMismatchError
 from .hamiltonians import SpectralHamiltonian
 from .linalg import hermitize
@@ -50,15 +51,31 @@ def require_nondegenerate(h: SpectralHamiltonian) -> None:
         )
 
 
-def dephased_time_average(
-    psi0, h: SpectralHamiltonian, check_gaps: bool = True
-) -> np.ndarray:
-    """ω = Σ_k |c_k|² |E_k⟩⟨E_k|, the exact infinite-time average."""
-    if check_gaps:
-        require_nondegenerate(h)
+def dephased_time_average(psi0, h: SpectralHamiltonian) -> np.ndarray:
+    """ω = Σ_k |c_k|² |E_k⟩⟨E_k| as a dense d×d matrix: the reference form of the marginals."""
+    require_nondegenerate(h)
     c = energy_coefficients(psi0, h)
     u = h.eigenbasis
     return hermitize((u * np.abs(c) ** 2) @ u.conj().T)
+
+
+def dephased_marginals(c, h: SpectralHamiltonian, space: BipartiteSpace) -> tuple[np.ndarray, ...]:
+    """(ω_S, ω_B), the re-Hermitized marginals of ω = Σ_k |c_k|² |E_k⟩⟨E_k|.
+
+    With U[s, b, k] = ⟨s b|E_k⟩, ω_S[s, t] = Σ_{b,k} U[s,b,k] |c_k|² U*[t,b,k]
+    and ω_B is the same sum over (s, k): two matrix products, without the
+    dense d×d ω or a per-eigenstate stack.
+    """
+    cv = np.asarray(c, dtype=np.complex128)
+    if cv.shape != (h.dim,) or h.dim != space.d:
+        raise DimensionMismatchError(
+            f"coefficients {cv.shape}, Hamiltonian ({h.dim}) and space ({space.d}) disagree"
+        )
+    u = h.eigenbasis.reshape(space.d_S, space.d_B, h.dim)
+    weighted, u_conj = u * np.abs(cv) ** 2, u.conj()
+    omega_s = np.tensordot(weighted, u_conj, axes=([1, 2], [1, 2]))
+    omega_b = np.tensordot(weighted, u_conj, axes=([0, 2], [0, 2]))
+    return hermitize(omega_s), hermitize(omega_b)
 
 
 def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
@@ -78,14 +95,14 @@ def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrajectoryStats:
-    """Time-sampled statistics of D(ρ_S(t), ω_S)."""
+    """Time-sampled statistics of D(ρ_S(t), ω_S), with the sampled distances."""
 
     mean_distance: float
     max_distance: float
     exceed_fractions: dict[float, float]
-    sample_count: int
     t_max: float
     n_samples: int
+    distances: np.ndarray
 
 
 def sample_times(
@@ -97,18 +114,27 @@ def sample_times(
 
 
 def states_at_times(psi0, h: SpectralHamiltonian, times: np.ndarray) -> np.ndarray:
-    """Stack of ψ(t) for each sample time, shape (n, d): row j = ψ(t_j)."""
-    c = energy_coefficients(psi0, h)
-    phases = np.exp(-1j * np.outer(times, h.energies))
-    return (phases * c) @ h.eigenbasis.T
+    """Stack of ψ(t_j), shape (n, d): the torus states at phases α = −E t_j."""
+    return torus_state(energy_coefficients(psi0, h), h, -np.outer(times, h.energies))
+
+
+def reduce_to_system(amps: np.ndarray, space: BipartiteSpace) -> np.ndarray:
+    """ρ_S = tr_B |ψ⟩⟨ψ| of each row of an (n, d) amplitude stack: (n, d_S, d_S)."""
+    a = amps.reshape(-1, space.d_S, space.d_B)
+    return np.einsum("nsb,ntb->nst", a, a.conj())
+
+
+def reduce_to_bath(amps: np.ndarray, space: BipartiteSpace) -> np.ndarray:
+    """ρ_B = tr_S |ψ⟩⟨ψ| of each row of an (n, d) amplitude stack: (n, d_B, d_B)."""
+    a = amps.reshape(-1, space.d_S, space.d_B)
+    return np.einsum("nsb,nsc->nbc", a, a.conj())
 
 
 def reduced_states_at_times(
     psi0, h: SpectralHamiltonian, space: BipartiteSpace, times: np.ndarray
 ) -> np.ndarray:
     """Stack of ρ_S(t) for each sample time, shape (n, d_S, d_S)."""
-    amps = states_at_times(psi0, h, times).reshape(len(times), space.d_S, space.d_B)
-    return np.einsum("nsb,ntb->nst", amps, amps.conj())
+    return reduce_to_system(states_at_times(psi0, h, times), space)
 
 
 def trajectory_statistics(
@@ -126,7 +152,7 @@ def trajectory_statistics(
     if rng is None:
         raise ValueError("rng is required")
     require_nondegenerate(h)
-    omega_s = partial_trace_bath(dephased_time_average(psi0, h, check_gaps=False), space)
+    omega_s, _ = dephased_marginals(energy_coefficients(psi0, h), h, space)
     times = sample_times(t_max, n_samples, rng)
     distances = trace_distance(reduced_states_at_times(psi0, h, space, times), omega_s)
     mean = math.fsum(distances) / n_samples
@@ -138,9 +164,9 @@ def trajectory_statistics(
         mean_distance=mean,
         max_distance=float(np.max(distances)),
         exceed_fractions=exceed,
-        sample_count=n_samples,
         t_max=float(t_max),
         n_samples=n_samples,
+        distances=distances,
     )
 
 

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bipartite import BipartiteSpace, partial_trace_bath
-from .dynamics import default_t_max, dephased_time_average, energy_coefficients
+from .bipartite import BipartiteSpace
+from .dynamics import default_t_max, dephased_marginals, energy_coefficients
 from .errors import ConfigInvalidError
 from .hamiltonians import random_spectral_hamiltonian
 from .states import Subspace, haar_random_state
@@ -105,6 +105,9 @@ class ExperimentConfig:
             raise ConfigInvalidError(f"d_S: must be >= 1, got {self.d_S}")
         if not self.d_B or any(b < 1 for b in self.d_B):
             raise ConfigInvalidError(f"d_B: entries must be >= 1, got {self.d_B}")
+        # Every experiment but identities builds a Hamiltonian; the gap check needs d >= 2.
+        if self.experiment != "identities" and self.d_S * min(self.d_B) < 2:
+            raise ConfigInvalidError(f"d_B: {self.experiment} needs d_S*d_B >= 2: {self.d_B}")
         # The diagonal model compares two system basis states; the spin-bath
         # model needs a bath of at least two levels.
         if self.experiment == "counterexamples" and self.d_S < 2:
@@ -286,7 +289,7 @@ def _thm2_aggregate(cfg, space, results, shared):
 def _thm3_trial(cfg, space, rng, shared):
     h, sub = shared()
     psi = haar_random_state(sub, rng)
-    omega_s = partial_trace_bath(dephased_time_average(psi, h, check_gaps=False), space)
+    omega_s, _ = dephased_marginals(energy_coefficients(psi, h), h, space)
     return sub.d_R, [], omega_s
 
 

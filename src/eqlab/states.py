@@ -11,9 +11,6 @@ from .errors import DimensionMismatchError, NotHermitianError
 from .linalg import HERMITICITY_TOL, as_matrix, hermitize, is_hermitian
 
 STATE_NORM_TOL = 1e-12
-DENSITY_HERMITICITY_TOL = 1e-10
-DENSITY_TRACE_TOL = 1e-10
-DENSITY_EIGENVALUE_FLOOR = -1e-9
 RANK_THRESHOLD = 1e-10
 
 
@@ -34,23 +31,6 @@ def density_matrix(psi) -> np.ndarray:
     """ρ = |ψ⟩⟨ψ| for a normalized state vector."""
     v = as_state(psi)
     return np.outer(v, v.conj())
-
-
-def check_density_matrix(rho, check_positivity: bool = False) -> np.ndarray:
-    """Validate Hermiticity and unit trace; optionally the eigenvalue floor."""
-    a = as_matrix(rho, "rho")
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"density matrix must be square, got {a.shape}")
-    if not is_hermitian(a, DENSITY_HERMITICITY_TOL):
-        raise ValueError("density matrix is not Hermitian within 1e-10")
-    tr = np.trace(a)
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr!r} deviates from 1")
-    if check_positivity:
-        lo = float(np.linalg.eigvalsh(a)[0])
-        if lo < DENSITY_EIGENVALUE_FLOOR:
-            raise ValueError(f"density matrix has eigenvalue {lo} below {DENSITY_EIGENVALUE_FLOOR}")
-    return a
 
 
 @dataclass(frozen=True)
@@ -108,23 +88,40 @@ def product_state(psi_s, phi_b, space: BipartiteSpace) -> np.ndarray:
     return np.kron(vs, vb)
 
 
-def purity(rho) -> float:
-    """tr(ρ²); for Hermitian ρ this equals the squared Frobenius norm."""
-    a = as_matrix(rho, "rho")
-    return float(np.vdot(a, a).real)
+def _as_stack(rho) -> np.ndarray:
+    """Coerce to a finite complex128 matrix, or stack of them, with nonempty matrices."""
+    a = np.asarray(rho, dtype=np.complex128)
+    if a.ndim < 2 or 0 in a.shape[-2:]:
+        raise DimensionMismatchError(f"expected nonempty matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("density matrices contain non-finite entries")
+    return a
 
 
-def effective_dimension(rho) -> float:
-    """1 / tr(ρ²): how many pure states contribute appreciably."""
+def purity(rho):
+    """tr(ρ²) of a matrix, or of each matrix in a (..., d, d) stack; for
+    Hermitian ρ this equals the squared Frobenius norm. A matrix gives a
+    float, a stack an array of the stack shape."""
+    a = _as_stack(rho)
+    flat = a.reshape(*a.shape[:-2], -1)
+    purities = np.linalg.vecdot(flat, flat).real
+    return float(purities) if purities.ndim == 0 else purities
+
+
+def effective_dimension(rho):
+    """1 / tr(ρ²), of a matrix or of each matrix in a stack: how many pure
+    states contribute appreciably."""
     return 1.0 / purity(rho)
 
 
-def numerical_rank(rho, threshold: float = RANK_THRESHOLD) -> int:
-    """Number of eigenvalues above the threshold.
+def numerical_rank(rho, threshold: float = RANK_THRESHOLD):
+    """Number of eigenvalues above the threshold, of a matrix (an int) or of
+    each matrix in a (..., d, d) stack (an array).
 
     ``eigvalsh`` reads only the lower triangle, so ρ must be Hermitian.
     """
-    return int(np.sum(np.linalg.eigvalsh(as_matrix(rho, "rho")) > threshold))
+    ranks = np.sum(np.linalg.eigvalsh(_as_stack(rho)) > threshold, axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def trace_distance(rho1, rho2):
@@ -136,19 +133,13 @@ def trace_distance(rho1, rho2):
     matrices give a float; otherwise the result is an array of the broadcast
     stack shape.
     """
-    a = np.asarray(rho1, dtype=np.complex128)
-    b = np.asarray(rho2, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-2:] != b.shape[-2:] or a.shape[-1] != a.shape[-2]:
+    a, b = _as_stack(rho1), _as_stack(rho2)
+    if a.shape[-2:] != b.shape[-2:] or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    if a.shape[-1] == 0:
-        raise DimensionMismatchError("density matrices must be nonempty")
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        diff = a - b
     except ValueError as exc:
         raise DimensionMismatchError(f"stacks {a.shape} and {b.shape} do not broadcast") from exc
-    diff = a - b
-    if not np.all(np.isfinite(diff)):
-        raise ValueError("density matrices contain non-finite entries")
     if not is_hermitian(diff):
         raise NotHermitianError(f"difference is not Hermitian within {HERMITICITY_TOL}")
     distances = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(hermitize(diff))), axis=-1)

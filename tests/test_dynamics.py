@@ -5,15 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from eqlab.bipartite import BipartiteSpace
+from eqlab import dynamics
+from eqlab.bipartite import BipartiteSpace, partial_trace_bath, partial_trace_system
 from eqlab.dynamics import (
     default_t_max,
+    dephased_marginals,
     dephased_time_average,
     energy_coefficients,
     evolve,
     from_energy_coefficients,
+    reduce_to_bath,
     reduced_states_at_times,
     sample_times,
+    states_at_times,
     torus_state,
     trajectory_statistics,
 )
@@ -23,6 +27,7 @@ from eqlab.hamiltonians import (
     noninteracting_hamiltonian,
     random_spectral_hamiltonian,
 )
+from eqlab.linalg import haar_random_unitary
 from eqlab.states import (
     Subspace,
     density_matrix,
@@ -156,6 +161,50 @@ class TestDephasedTimeAverage:
         assert devs[1] < devs[0] and devs[2] < devs[1]
 
 
+def _spectral(d, basis, rng):
+    return SpectralHamiltonian(np.sort(rng.uniform(0.0, 1.0, d)), basis)
+
+
+# Built without the generators' gap-check resampling, so that d = 1 is allowed.
+FAMILIES = {
+    "random": lambda space, rng: _spectral(space.d, haar_random_unitary(space.d, rng), rng),
+    "noninteracting": lambda space, rng: noninteracting_hamiltonian(
+        _spectral(space.d_S, haar_random_unitary(space.d_S, rng), rng),
+        _spectral(space.d_B, haar_random_unitary(space.d_B, rng), rng),
+        space,
+    ),
+    "diagonal": lambda space, rng: _spectral(space.d, np.eye(space.d, dtype=np.complex128), rng),
+}
+
+
+class TestDephasedMarginals:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d_s", [1, 2, 3])
+    @pytest.mark.parametrize("d_b", [1, 4, 5])
+    def test_match_partial_traces_of_dense_form(self, monkeypatch, family, d_s, d_b):
+        # The dense form's gap check refuses d = 1 and the noninteracting
+        # spectrum, whose gaps repeat for every bath level; ω and its
+        # marginals are defined all the same, so the reference skips it.
+        monkeypatch.setattr(dynamics, "require_nondegenerate", lambda h: None)
+        rng = np.random.default_rng(110 + 10 * d_s + d_b)
+        space = BipartiteSpace(d_s, d_b)
+        h = FAMILIES[family](space, rng)
+        psi = haar_random_state(Subspace.full(space.d), rng)
+        omega = dephased_time_average(psi, h)
+        omega_s, omega_b = dephased_marginals(energy_coefficients(psi, h), h, space)
+        assert omega_s.shape == (d_s, d_s) and omega_b.shape == (d_b, d_b)
+        assert np.max(np.abs(omega_s - partial_trace_bath(omega, space))) <= 1e-12
+        assert np.max(np.abs(omega_b - partial_trace_system(omega, space))) <= 1e-12
+
+    def test_dimension_mismatch(self, instance):
+        space, h, psi = instance
+        c = energy_coefficients(psi, h)
+        with pytest.raises(DimensionMismatchError):
+            dephased_marginals(c, h, BipartiteSpace(space.d_S, space.d_B + 1))
+        with pytest.raises(DimensionMismatchError):
+            dephased_marginals(c[:-1], h, space)
+
+
 class TestTorusState:
     def test_zero_phases_reconstruct(self, instance):
         _, h, psi = instance
@@ -228,6 +277,15 @@ class TestTrajectoryStatistics:
         for t, rho in zip(times, rhos):
             v = evolve(psi, h, t).reshape(space.d_S, space.d_B)
             assert np.max(np.abs(rho - v @ v.conj().T)) <= 1e-12
+
+    def test_bath_states_match_evolve(self, instance):
+        space, h, psi = instance
+        times = np.array([0.0, 1.7, 9.2])
+        rhos_b = reduce_to_bath(states_at_times(psi, h, times), space)
+        assert rhos_b.shape == (len(times), space.d_B, space.d_B)
+        for t, rho_b in zip(times, rhos_b):
+            v = evolve(psi, h, t).reshape(space.d_S, space.d_B)
+            assert np.max(np.abs(rho_b - v.T @ v.conj())) <= 1e-12
 
 
 def test_default_t_max(instance):

@@ -87,6 +87,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalidError, match=f"^{field}: counterexamples"):
             small_config(experiment="counterexamples", **dims)
 
+    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "identities"])
+    def test_one_level_space_rejected(self, experiment):
+        # Every experiment but identities builds a Hamiltonian, and no
+        # one-level Hamiltonian passes the gap check.
+        with pytest.raises(ConfigInvalidError, match="^d_B: "):
+            small_config(experiment=experiment, d_S=1, d_B=[4, 1])
+
+    def test_identities_admit_one_level_space(self):
+        assert small_config(experiment="identities", d_S=1, d_B=[1]).d_B == (1,)
+
     def test_scalar_d_b_coerced(self):
         cfg = small_config(d_B=16)
         assert cfg.d_B == (16,)
@@ -424,6 +434,11 @@ class TestCli:
     @pytest.mark.parametrize("dims", [{"d_S": 1}, {"d_B": [1]}])
     def test_unrunnable_counterexamples_exit_1(self, tmp_path, dims):
         cfg = self.write_config(tmp_path, experiment="counterexamples", **dims)
+        assert main(["run", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("experiment", ["thm1", "thm2", "thm3-bath", "thm4"])
+    def test_one_level_space_exits_1(self, tmp_path, experiment):
+        cfg = self.write_config(tmp_path, experiment=experiment, d_S=1, d_B=[1])
         assert main(["run", "--config", str(cfg)]) == 1
 
     def test_missing_config_exits_1(self, tmp_path):

@@ -154,6 +154,24 @@ class TestPurityAndEffectiveDimension:
             assert rank <= 6
 
 
+    def test_stack_matches_matrices(self):
+        rng = np.random.default_rng(9)
+        stack = np.array([[random_mixed_state(4, n, rng) for n in (1, 2, 3)] for _ in range(2)])
+        purities, ranks = purity(stack), numerical_rank(stack)
+        assert purities.shape == ranks.shape == (2, 3)
+        assert isinstance(purity(stack[0, 0]), float)
+        assert isinstance(numerical_rank(stack[0, 0]), int)
+        assert np.max(np.abs(purities - [[purity(r) for r in row] for row in stack])) <= 1e-15
+        assert ranks.tolist() == [[numerical_rank(r) for r in row] for row in stack]
+        assert ranks.tolist() == [[1, 2, 3]] * 2
+
+    def test_rejects_vector(self):
+        with pytest.raises(DimensionMismatchError):
+            purity(np.ones(4) / 2)
+        with pytest.raises(DimensionMismatchError):
+            numerical_rank(np.ones(4) / 2)
+
+
 class TestTraceDistance:
     def test_self_distance(self):
         rho = np.eye(4) / 4
