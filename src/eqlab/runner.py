@@ -11,13 +11,13 @@ import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random import default_rng  # numpy loads it lazily; load it with eqlab, not in a trial
 
 from .bipartite import BipartiteSpace
 from .dynamics import default_t_max, dephased_marginals, energy_coefficients
@@ -189,7 +189,7 @@ def _record(cfg, d_b, d_r, trial, seed, quantity, check, wall_ms) -> ExperimentR
 
 
 def _shared_rng(cfg: ExperimentConfig, sweep_index: int) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(cfg.master_seed, sweep_index, _SHARED_STREAM))
+    return default_rng(derive_seed(cfg.master_seed, sweep_index, _SHARED_STREAM))
 
 
 def _build_hamiltonian(cfg: ExperimentConfig, space: BipartiteSpace, rng):
@@ -365,7 +365,7 @@ def _run_trial(payload: tuple) -> TrialResult:
     trial_fn, _ = REGISTRY[cfg.experiment]
     t0 = time.perf_counter()
     shared = partial(_sweep_shared, cfg_json, sweep_index)
-    d_r, checks, result = trial_fn(cfg, space, np.random.default_rng(seed), shared)
+    d_r, checks, result = trial_fn(cfg, space, default_rng(seed), shared)
     wall = (time.perf_counter() - t0) * 1e3
     records = [
         _record(cfg, space.d_B, d_r, trial_index, seed, name, chk, wall) for name, chk in checks
@@ -395,6 +395,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Experimen
     config.validate()
     cfg_json = config.canonical_json()
     records: list[ExperimentRecord] = []
+    if workers > 1:  # imported here, so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     try:
         with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
             run = pool.map if pool else map

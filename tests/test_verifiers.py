@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from eqlab.bipartite import BipartiteSpace
 from eqlab.dynamics import energy_coefficients
@@ -33,6 +34,7 @@ from eqlab.verifiers import (
     theorem2_statistics,
     theorem3_statistics,
     theorem4_tail,
+    _ks_statistic,
 )
 
 
@@ -203,6 +205,60 @@ class TestTheorem4:
             psi, h, space, n_samples=800, rng=np.random.default_rng(212)
         )
         assert 0.0 <= ks <= 0.1
+
+
+def scipy_ks(a, b) -> float:
+    return float(scipy_stats.ks_2samp(a, b).statistic)
+
+
+class TestKSStatistic:
+    """`_ks_statistic` against scipy's `ks_2samp`, which eqlab does not import."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unequal_sizes_match_scipy_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            n, m = rng.integers(1, 300, size=2)
+            a = rng.standard_normal(n)
+            b = rng.standard_normal(m) * rng.uniform(0.5, 2.0) + rng.uniform(-1.0, 1.0)
+            assert _ks_statistic(a, b) == scipy_ks(a, b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heavy_ties_match_scipy_exactly(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(100):
+            n, m = rng.integers(1, 300, size=2)
+            a = rng.integers(0, 4, size=n).astype(float)
+            b = rng.integers(0, rng.integers(1, 6), size=m).astype(float)
+            assert _ks_statistic(a, b) == scipy_ks(a, b)
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_equal_sizes_match_scipy_exactly(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            a, b = rng.random(n), rng.random(n) ** rng.uniform(0.8, 1.25)
+            assert _ks_statistic(a, b) == scipy_ks(a, b)
+
+    def test_above_scipy_exact_range(self):
+        # Above max(n, m) = 10000 scipy takes its asymptotic branch and returns
+        # the difference of the two float ECDFs unrounded. Each ECDF value in
+        # [0, 1] rounds by at most eps/2, their difference and the exact
+        # quotient by eps/2 each, so the two agree to within 2 eps.
+        rng = np.random.default_rng(9)
+        a, b = rng.random(12000), rng.random(13001) ** 1.02
+        assert abs(_ks_statistic(a, b) - scipy_ks(a, b)) <= 2 * np.finfo(float).eps
+
+    def test_disjoint_samples(self):
+        assert _ks_statistic([0.0, 1.0, 2.0], [3.0, 4.0]) == 1.0
+
+    def test_identical_samples(self):
+        a = np.random.default_rng(3).random(50)
+        assert _ks_statistic(a, a.copy()) == 0.0
+
+    def test_symmetric(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.random(37), rng.random(91) + 0.1
+        assert _ks_statistic(a, b) == _ks_statistic(b, a)
 
 
 class TestSubadditivity:
