@@ -30,6 +30,25 @@ RESAMPLE_LIMIT = 100
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
+def _checked_energies(energies, dim: int) -> np.ndarray:
+    e = np.asarray(energies, dtype=np.float64)
+    if e.shape != (dim,):
+        raise DimensionMismatchError(
+            f"energies ({e.shape}) and a {dim}-dimensional eigenbasis are inconsistent"
+        )
+    if not np.all(np.isfinite(e)):
+        raise ValueError("energies contain non-finite values")
+    if np.any(np.diff(e) < 0):
+        raise ValueError("energies must be sorted ascending")
+    return e
+
+
+def _require_unitary(u: np.ndarray) -> None:
+    """u†u = 1 within 1e-10 entrywise: a d³ product, the cost of a build at large d."""
+    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) > 1e-10:
+        raise ValueError("eigenbasis is not unitary within 1e-10")
+
+
 @dataclass(frozen=True)
 class SpectralHamiltonian:
     """H = Σ_k E_k |E_k⟩⟨E_k| stored as (energies, eigenbasis)."""
@@ -38,20 +57,21 @@ class SpectralHamiltonian:
     eigenbasis: np.ndarray
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.energies, dtype=np.float64)
         u = as_matrix(self.eigenbasis, "eigenbasis")
-        if e.ndim != 1 or u.shape != (e.size, e.size):
-            raise DimensionMismatchError(
-                f"energies ({e.shape}) and eigenbasis ({u.shape}) are inconsistent"
-            )
-        if not np.all(np.isfinite(e)):
-            raise ValueError("energies contain non-finite values")
-        if np.any(np.diff(e) < 0):
-            raise ValueError("energies must be sorted ascending")
-        if np.max(np.abs(u.conj().T @ u - np.eye(e.size))) > 1e-10:
-            raise ValueError("eigenbasis is not unitary within 1e-10")
+        if u.shape[0] != u.shape[1]:
+            raise DimensionMismatchError(f"eigenbasis must be square, got {u.shape}")
+        e = _checked_energies(self.energies, u.shape[0])
+        _require_unitary(u)
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "eigenbasis", u)
+
+    def with_energies(self, energies) -> "SpectralHamiltonian":
+        """The same eigenbasis with new energies. The basis was checked when
+        this Hamiltonian was built, so the unitarity check is not repeated."""
+        h = object.__new__(SpectralHamiltonian)
+        object.__setattr__(h, "energies", _checked_energies(energies, self.dim))
+        object.__setattr__(h, "eigenbasis", self.eigenbasis)
+        return h
 
     @property
     def dim(self) -> int:
@@ -150,11 +170,11 @@ def random_spectral_hamiltonian(
         raise ValueError(f"energy window {energy_window} is empty")
     if rng is None:
         raise ValueError("rng is required")
-    basis = haar_random_unitary(space.d, rng)
+    # Built once, so the basis is checked once; each attempt draws energies only.
+    template = SpectralHamiltonian(np.zeros(space.d), haar_random_unitary(space.d, rng))
 
     def build(r: np.random.Generator) -> SpectralHamiltonian:
-        e = np.sort(r.uniform(lo, hi, size=space.d))
-        return SpectralHamiltonian(e, basis)
+        return template.with_energies(np.sort(r.uniform(lo, hi, size=space.d)))
 
     return _resample(build, rng, "random_spectral_hamiltonian")
 
@@ -184,11 +204,10 @@ def diagonal_product_hamiltonian(
         raise ValueError(f"energy window {energy_window} is empty")
     if rng is None:
         raise ValueError("rng is required")
-    identity = np.eye(space.d, dtype=np.complex128)
+    template = SpectralHamiltonian(np.zeros(space.d), np.eye(space.d, dtype=np.complex128))
 
     def build(r: np.random.Generator) -> SpectralHamiltonian:
-        e = np.sort(r.uniform(lo, hi, size=space.d))
-        return SpectralHamiltonian(e, identity)
+        return template.with_energies(np.sort(r.uniform(lo, hi, size=space.d)))
 
     return _resample(build, rng, "diagonal_product_hamiltonian")
 

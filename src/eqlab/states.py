@@ -124,14 +124,28 @@ def numerical_rank(rho, threshold: float = RANK_THRESHOLD):
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
+def _qubit_trace_distance(diff: np.ndarray) -> np.ndarray:
+    """½ Σ|λ_i| of the Hermitian part of each 2×2 matrix of a stack, exactly.
+
+    Its eigenvalues are m ± r with m = tr Δ/2 and
+    r = √(((Δ₀₀ − Δ₁₁)/2)² + |Δ₀₁|²), so ½(|m + r| + |m − r|) = max(|m|, r).
+    """
+    d00, d11 = diff[..., 0, 0].real, diff[..., 1, 1].real
+    off = (diff[..., 0, 1] + diff[..., 1, 0].conj()) / 2
+    half_split = (d00 - d11) / 2
+    r = np.sqrt(half_split * half_split + off.real * off.real + off.imag * off.imag)
+    return np.maximum(np.abs((d00 + d11) / 2), r)
+
+
 def trace_distance(rho1, rho2):
     """½ Σ|λ_i| over the eigenvalues of the Hermitian difference ρ₁ − ρ₂.
 
     Each argument is a d×d matrix or a (..., d, d) stack of them, and the
     stacks broadcast against each other, so a stack of states is compared
-    with one reference state in a single batched ``eigvalsh`` call. Two
-    matrices give a float; otherwise the result is an array of the broadcast
-    stack shape.
+    with one reference state in one call. 2×2 differences use the exact
+    closed form max(|m|, r) of `_qubit_trace_distance`; other sizes go to
+    one batched ``eigvalsh`` call. Two matrices give a float; otherwise the
+    result is an array of the broadcast stack shape.
     """
     a, b = _as_stack(rho1), _as_stack(rho2)
     if a.shape[-2:] != b.shape[-2:] or a.shape[-1] != a.shape[-2]:
@@ -142,5 +156,8 @@ def trace_distance(rho1, rho2):
         raise DimensionMismatchError(f"stacks {a.shape} and {b.shape} do not broadcast") from exc
     if not is_hermitian(diff):
         raise NotHermitianError(f"difference is not Hermitian within {HERMITICITY_TOL}")
-    distances = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(hermitize(diff))), axis=-1)
+    if diff.shape[-1] == 2:
+        distances = _qubit_trace_distance(diff)
+    else:
+        distances = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(hermitize(diff))), axis=-1)
     return float(distances) if distances.ndim == 0 else distances

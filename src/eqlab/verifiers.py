@@ -21,13 +21,12 @@ from .dynamics import (
     default_t_max,
     dephased_marginals,
     energy_coefficients,
-    reduce_to_bath,
     reduce_to_system,
+    reduced_states,
     reduced_states_at_times,
     require_nondegenerate,
     sample_times,
-    states_at_times,
-    torus_state,
+    time_phases,
     trajectory_statistics,
 )
 from .errors import DimensionMismatchError
@@ -324,9 +323,16 @@ def torus_distances(
     samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """D(ρ_S(α), ω_S) for uniform independent phase vectors α."""
-    psis = torus_state(c, h, rng.uniform(0.0, 2 * np.pi, size=(samples, h.dim)))
-    return trace_distance(reduce_to_system(psis, space), omega_s)
+    """D(ρ_S(α), ω_S) for uniform independent phase vectors α.
+
+    The phases are drawn block by block, which gives the same numbers as one
+    (samples, d) draw.
+    """
+    def phases(start: int, stop: int) -> np.ndarray:
+        return rng.uniform(0.0, 2 * np.pi, size=(stop - start, h.dim))
+
+    rhos_s, _ = reduced_states(c, h, space, phases, samples)
+    return trace_distance(rhos_s, omega_s)
 
 
 def theorem4_tail(
@@ -441,9 +447,7 @@ def subadditivity_and_bath_checks(
     )
 
     times = sample_times(t_max, n_samples, rng)
-    amps = states_at_times(psi0, h, times)
-    rhos_s = reduce_to_system(amps, space)
-    rhos_b = reduce_to_bath(amps, space)
+    rhos_s, rhos_b = reduced_states(c, h, space, time_phases(times, h), n_samples, bath=True)
     bath_deff_check = BoundCheck.upper(float(np.max(effective_dimension(rhos_b))), space.d_S + 1e-6)
 
     # The global state is pure, so ρ_S(t) and ρ_B(t) share their nonzero spectrum.
@@ -554,8 +558,7 @@ class DiagonalCounterexampleReport:
 @dataclass(frozen=True)
 class SpinBathCounterexampleReport:
     field: float
-    energy_diff_min: float
-    energy_diff_max: float
+    energy_diff: float
     omega_distance: float
     min_eigenstate_purity: float
 
@@ -605,31 +608,24 @@ def spin_bath_counterexample(
     field: float,
     d_B: int,
     rng: np.random.Generator,
-    n_times: int = 200,
 ) -> SpinBathCounterexampleReport:
-    """Conserved energy separation between σ_z-eigenstate initializations."""
+    """Conserved energy separation between σ_z-eigenstate initializations.
+
+    ⟨ψ(t)|H|ψ(t)⟩ = Σ_k E_k |c_k|² at every t, so the separation is computed
+    once from the energy coefficients.
+    """
     h, space = spin_bath_hamiltonian(field, d_B, rng)
-    dense = h.dense()
     phi_b = haar_random_state(Subspace.full(d_B), rng)
-    psi_plus = product_state(np.array([1.0, 0.0]), phi_b, space)
-    psi_minus = product_state(np.array([0.0, 1.0]), phi_b, space)
+    c_plus = energy_coefficients(product_state(np.array([1.0, 0.0]), phi_b, space), h)
+    c_minus = energy_coefficients(product_state(np.array([0.0, 1.0]), phi_b, space), h)
+    energy_diff = float(np.sum(h.energies * (np.abs(c_plus) ** 2 - np.abs(c_minus) ** 2)))
 
-    t_max = default_t_max(h, 100.0)
-    times = sample_times(t_max, n_times, rng)
-
-    def energy_at_times(psi0) -> np.ndarray:
-        psis = states_at_times(psi0, h, times)
-        return np.einsum("nd,nd->n", psis.conj(), psis @ dense.T).real
-
-    diffs = energy_at_times(psi_plus) - energy_at_times(psi_minus)
-
-    omega_plus, _ = dephased_marginals(energy_coefficients(psi_plus, h), h, space)
-    omega_minus, _ = dephased_marginals(energy_coefficients(psi_minus, h), h, space)
+    omega_plus, _ = dephased_marginals(c_plus, h, space)
+    omega_minus, _ = dephased_marginals(c_minus, h, space)
     purities = purity(reduced_eigenstates(h, space))
     return SpinBathCounterexampleReport(
         field=field,
-        energy_diff_min=float(np.min(diffs)),
-        energy_diff_max=float(np.max(diffs)),
+        energy_diff=energy_diff,
         omega_distance=trace_distance(omega_plus, omega_minus),
         min_eigenstate_purity=float(np.min(purities)),
     )
@@ -655,11 +651,13 @@ class CounterexampleReport:
                 allowance=BASIS_DISTANCE_ALLOWANCE,
             ),
             "imbalance_lower_bound": diag.imbalance_check,
+            # Both rows hold the one conserved difference: perfbench's
+            # reference CSVs carry both names until they are re-recorded.
             "energy_diff_min": BoundCheck.lower(
-                spin.energy_diff_min, 2 * spin.field - SPIN_BATH_ENERGY_SLACK
+                spin.energy_diff, 2 * spin.field - SPIN_BATH_ENERGY_SLACK
             ),
             "energy_diff_max": BoundCheck.upper(
-                spin.energy_diff_max, 2 * spin.field + SPIN_BATH_ENERGY_SLACK
+                spin.energy_diff, 2 * spin.field + SPIN_BATH_ENERGY_SLACK
             ),
         }
 
@@ -673,5 +671,5 @@ def counterexample_demonstrations(
 ) -> CounterexampleReport:
     """Run both counterexample models with parameters derived from the space."""
     diagonal = diagonal_counterexample(space, rng, energy_window, n_times)
-    spin = spin_bath_counterexample(field, space.d_B, rng, max(2, n_times // 2))
+    spin = spin_bath_counterexample(field, space.d_B, rng)
     return CounterexampleReport(diagonal=diagonal, spin_bath=spin)

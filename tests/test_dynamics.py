@@ -8,6 +8,7 @@ import pytest
 from eqlab import dynamics
 from eqlab.bipartite import BipartiteSpace, partial_trace_bath, partial_trace_system
 from eqlab.dynamics import (
+    block_rows,
     default_t_max,
     dephased_marginals,
     dephased_time_average,
@@ -15,9 +16,10 @@ from eqlab.dynamics import (
     evolve,
     from_energy_coefficients,
     reduce_to_bath,
+    reduce_to_system,
+    reduced_states,
     reduced_states_at_times,
     sample_times,
-    states_at_times,
     torus_state,
     trajectory_statistics,
 )
@@ -281,11 +283,46 @@ class TestTrajectoryStatistics:
     def test_bath_states_match_evolve(self, instance):
         space, h, psi = instance
         times = np.array([0.0, 1.7, 9.2])
-        rhos_b = reduce_to_bath(states_at_times(psi, h, times), space)
+        amps = torus_state(energy_coefficients(psi, h), h, -np.outer(times, h.energies))
+        rhos_b = reduce_to_bath(amps, space)
         assert rhos_b.shape == (len(times), space.d_B, space.d_B)
         for t, rho_b in zip(times, rhos_b):
             v = evolve(psi, h, t).reshape(space.d_S, space.d_B)
             assert np.max(np.abs(rho_b - v.T @ v.conj())) <= 1e-12
+
+
+class TestReducedStates:
+    """The blocked kernel against the unblocked reduction of one torus_state stack."""
+
+    @pytest.mark.parametrize("d_s", [1, 2, 3])
+    @pytest.mark.parametrize("blocks", ["one row", "part of a block", "blocks and a remainder"])
+    def test_matches_unblocked_oracle(self, d_s, blocks):
+        rng = np.random.default_rng(120 + d_s)
+        space = BipartiteSpace(d_s, 5)
+        h = FAMILIES["random"](space, rng)
+        c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
+        rows = block_rows(space.d)
+        sizes = {"one row": 1, "part of a block": rows // 2, "blocks and a remainder": 2 * rows + 7}
+        n = sizes[blocks]
+        alpha = rng.uniform(0.0, 2 * np.pi, size=(n, space.d))
+        calls = []
+
+        def phases(start, stop):
+            calls.append((start, stop))
+            return alpha[start:stop]
+
+        rhos_s, rhos_b = reduced_states(c, h, space, phases, n, bath=True)
+        amps = torus_state(c, h, alpha)
+        assert np.max(np.abs(rhos_s - reduce_to_system(amps, space))) <= 1e-14
+        assert np.max(np.abs(rhos_b - reduce_to_bath(amps, space))) <= 1e-14
+        bounds = list(range(0, n, rows)) + [n]
+        assert calls == list(zip(bounds[:-1], bounds[1:]))
+        assert reduced_states(c, h, space, phases, n)[1] is None
+
+    def test_block_rows(self):
+        assert block_rows(2) == 2048
+        assert block_rows(16) == 256
+        assert block_rows(64) == block_rows(1024) == 64
 
 
 def test_default_t_max(instance):

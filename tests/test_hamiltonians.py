@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from eqlab import hamiltonians
 from eqlab.bipartite import BipartiteSpace, partial_trace_bath
+from eqlab.errors import DimensionMismatchError
 from eqlab.hamiltonians import (
     GapReport,
     SpectralHamiltonian,
@@ -198,6 +200,44 @@ class TestRandomSpectralHamiltonian:
         h = random_spectral_hamiltonian(BipartiteSpace(2, 4), (0.0, 1.0), rng)
         norms = np.linalg.norm(h.eigenbasis, axis=0)
         assert np.max(np.abs(norms - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("builder", ["random", "diagonal"])
+    def test_basis_checked_once_per_build(self, monkeypatch, builder):
+        # The first attempt's gap check fails, so the build draws energies
+        # twice; the shared basis is checked for unitarity once.
+        checks, reports = [], []
+        require_unitary, analyse = hamiltonians._require_unitary, hamiltonians.gap_analysis
+
+        def counting(u):
+            checks.append(u.shape)
+            require_unitary(u)
+
+        def failing_first(h):
+            report = analyse(h)
+            reports.append(report)
+            return report if len(reports) > 1 else GapReport(False, 0.0, ((1, 0, 1, 0),), 0.0)
+
+        monkeypatch.setattr(hamiltonians, "_require_unitary", counting)
+        monkeypatch.setattr(hamiltonians, "gap_analysis", failing_first)
+        space, seed = BipartiteSpace(2, 3), 8
+        build = {"random": random_spectral_hamiltonian, "diagonal": diagonal_product_hamiltonian}
+        h = build[builder](space, (0.0, 1.0), np.random.default_rng(seed))
+        assert len(reports) == 2 and checks == [(6, 6)]
+
+        # The same numbers as building each attempt from scratch.
+        rng = np.random.default_rng(seed)
+        basis = haar_random_unitary(6, rng) if builder == "random" else np.eye(6)
+        rng.uniform(0.0, 1.0, size=6)
+        assert np.array_equal(h.energies, np.sort(rng.uniform(0.0, 1.0, size=6)))
+        assert np.array_equal(h.eigenbasis, basis)
+
+    def test_with_energies_checks_energies(self):
+        h = random_spectral_hamiltonian(BipartiteSpace(2, 2), (0.0, 1.0), np.random.default_rng(9))
+        assert np.array_equal(h.with_energies([0.0, 0.1, 0.2, 0.3]).eigenbasis, h.eigenbasis)
+        with pytest.raises(ValueError):
+            h.with_energies([0.3, 0.2, 0.1, 0.0])
+        with pytest.raises(DimensionMismatchError):
+            h.with_energies([0.0, 0.1, 0.2])
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):

@@ -232,6 +232,40 @@ class TestTraceDistance:
         with pytest.raises(NotHermitianError):
             trace_distance(np.stack([np.eye(2) / 2, skew]), np.eye(2) / 2)
 
+    @pytest.mark.parametrize("kind", ["traceless", "trace", "diagonal", "tiny", "zero"])
+    def test_qubit_closed_form_matches_eigvalsh(self, kind):
+        rng = np.random.default_rng(13)
+        n = 2500
+        g = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        diff = (g + g.conj().swapaxes(-1, -2)) / 2
+        if kind == "traceless":
+            diff -= np.trace(diff, axis1=1, axis2=2)[:, None, None] / 2 * np.eye(2)
+        elif kind == "diagonal":
+            diff *= np.eye(2)
+        elif kind == "tiny":
+            diff *= 1e-12
+        elif kind == "zero":
+            diff *= 0.0
+        oracle = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+        scale = np.max(np.abs(diff), axis=(1, 2))
+        assert np.all(np.abs(trace_distance(diff, np.zeros((2, 2))) - oracle) <= 2e-15 * scale)
+
+    def test_qubit_stack_makes_no_eigensolve(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rng = np.random.default_rng(14)
+        stack = np.array([random_mixed_state(2, 2, rng) for _ in range(8)])
+        trace_distance(stack, np.eye(2) / 2)
+        assert calls == []
+        trace_distance(random_mixed_state(3, 2, rng), np.eye(3) / 3)
+        assert calls == [(3, 3)]
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31))
     def test_property_range(self, seed):

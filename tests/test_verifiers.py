@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,14 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from eqlab import dynamics
 from eqlab.bipartite import BipartiteSpace
-from eqlab.dynamics import energy_coefficients
+from eqlab.dynamics import (
+    block_rows,
+    dephased_marginals,
+    energy_coefficients,
+    reduce_to_system,
+    torus_state,
+)
 from eqlab.errors import DimensionMismatchError
 from eqlab.hamiltonians import (
+    SpectralHamiltonian,
     diagonal_product_hamiltonian,
     random_spectral_hamiltonian,
 )
-from eqlab.states import Subspace, haar_random_state
+from eqlab.linalg import haar_random_unitary
+from eqlab.states import Subspace, haar_random_state, trace_distance
 from eqlab.verifiers import (
     CONSTANTS,
     BoundCheck,
@@ -34,6 +44,7 @@ from eqlab.verifiers import (
     theorem2_statistics,
     theorem3_statistics,
     theorem4_tail,
+    torus_distances,
     _ks_statistic,
 )
 
@@ -207,6 +218,60 @@ class TestTheorem4:
         assert 0.0 <= ks <= 0.1
 
 
+def unblocked_torus_distances(c, h, space, omega_s, samples, rng):
+    """The reference form: one (samples, d) phase draw and amplitude stack."""
+    alpha = rng.uniform(0.0, 2 * np.pi, size=(samples, h.dim))
+    return trace_distance(reduce_to_system(torus_state(c, h, alpha), space), omega_s)
+
+
+class TestTorusDistances:
+    def test_phases_drawn_in_blocks_equal_one_draw(self, instance, monkeypatch):
+        space, h, psi = instance
+        c = energy_coefficients(psi, h)
+        omega_s, _ = dephased_marginals(c, h, space)
+        drawn = []
+
+        def recording(c, h, alpha):
+            drawn.append(alpha)
+            return torus_state(c, h, alpha)
+
+        monkeypatch.setattr(dynamics, "torus_state", recording)
+        n = 2 * block_rows(h.dim) + 5
+        rng, ref_rng = np.random.default_rng(213), np.random.default_rng(213)
+        distances = torus_distances(c, h, space, omega_s, n, rng)
+        assert len(drawn) == 3
+        assert np.array_equal(
+            np.concatenate(drawn), ref_rng.uniform(0.0, 2 * np.pi, size=(n, h.dim))
+        )
+        assert rng.random() == ref_rng.random()
+        reference = unblocked_torus_distances(c, h, space, omega_s, n, np.random.default_rng(213))
+        assert np.max(np.abs(distances - reference)) <= 1e-14
+
+    def test_memory_is_a_fraction_of_the_unblocked_stack(self):
+        # d = 512, n = 2000: the unblocked stack and its temporaries peak at
+        # ~41 MB under tracemalloc, the blocked kernel at ~2 MB (one block,
+        # the (n, 2, 2) output and the distances).
+        rng = np.random.default_rng(215)
+        space, n = BipartiteSpace(2, 256), 2000
+        energies = np.sort(rng.uniform(0.0, 1.0, space.d))
+        h = SpectralHamiltonian(energies, haar_random_unitary(space.d, rng))
+        c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
+        omega_s, _ = dephased_marginals(c, h, space)
+
+        def peak(distances):
+            tracemalloc.start()
+            try:
+                out = distances(c, h, space, omega_s, n, np.random.default_rng(216))
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        blocked, blocked_peak = peak(torus_distances)
+        reference, reference_peak = peak(unblocked_torus_distances)
+        assert np.max(np.abs(blocked - reference)) <= 1e-14
+        assert blocked_peak <= reference_peak / 4, (blocked_peak, reference_peak)
+
+
 def scipy_ks(a, b) -> float:
     return float(scipy_stats.ks_2samp(a, b).statistic)
 
@@ -331,9 +396,8 @@ class TestCounterexamples:
 
     def test_spin_bath_model(self):
         rng = np.random.default_rng(220)
-        report = spin_bath_counterexample(50.0, 8, rng, n_times=50)
-        assert 2 * 50.0 - 4 <= report.energy_diff_min
-        assert report.energy_diff_max <= 2 * 50.0 + 4
+        report = spin_bath_counterexample(50.0, 8, rng)
+        assert 2 * 50.0 - 4 <= report.energy_diff <= 2 * 50.0 + 4
         assert report.min_eigenstate_purity >= 0.99
         assert report.omega_distance > 0.9  # the subsystem never forgets sigma_z
 
@@ -341,7 +405,7 @@ class TestCounterexamples:
         # Out of the strong-field regime no conservation claim is made; the
         # report is still produced with a finite distance.
         rng = np.random.default_rng(221)
-        report = spin_bath_counterexample(0.1, 4, rng, n_times=20)
+        report = spin_bath_counterexample(0.1, 4, rng)
         assert 0.0 <= report.omega_distance <= 1.0
 
     def test_combined_report(self):
