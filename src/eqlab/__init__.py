@@ -2,23 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .bipartite import (
-    BipartiteSpace,
-    compose_index,
-    decompose_index,
-    embed_system_operator,
-    partial_trace_bath,
-    partial_trace_system,
-    swap_operator,
-)
-from .dynamics import (
-    TrajectoryStats,
-    dephased_time_average,
-    energy_coefficients,
-    evolve,
-    torus_state,
-    trajectory_statistics,
-)
+from .bipartite import BipartiteSpace, swap_operator
+from .dynamics import TrajectoryStats, energy_coefficients, torus_state, trajectory_statistics
 from .errors import (
     ConfigInvalidError,
     DegenerateHamiltonianError,
@@ -33,9 +18,6 @@ from .hamiltonians import (
     SpectralHamiltonian,
     diagonal_product_hamiltonian,
     gap_analysis,
-    hamiltonian_from_json,
-    hamiltonian_to_json,
-    noninteracting_hamiltonian,
     random_spectral_hamiltonian,
     spin_bath_hamiltonian,
 )

@@ -1,8 +1,10 @@
-"""Tensor-product structure of the total Hilbert space.
+"""Tensor-product structure of the total Hilbert space, and the SWAP operator.
 
 The global basis convention is |s⟩_S |b⟩_B ↔ i = s * d_B + b, i.e. the
-subsystem index is most significant. All file outputs and index maps rely
-on this convention.
+subsystem index is most significant. Every consumer relies on it:
+`product_state` and `Subspace.fixed_system` / `fixed_bath` place |s⟩|b⟩ at
+that index, and the reductions and marginals in `dynamics` read an amplitude
+vector as a (d_S, d_B) array.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import as_matrix, check_dimension, hermitize, kronecker_product
+from .linalg import check_dimension
 
 
 @dataclass(frozen=True)
@@ -32,55 +34,6 @@ class BipartiteSpace:
     @property
     def d(self) -> int:
         return self.d_S * self.d_B
-
-
-def compose_index(s: int, b: int, space: BipartiteSpace) -> int:
-    if not (0 <= s < space.d_S and 0 <= b < space.d_B):
-        raise IndexError(f"(s={s}, b={b}) out of range for {space}")
-    return s * space.d_B + b
-
-
-def decompose_index(i: int, space: BipartiteSpace) -> tuple[int, int]:
-    if not (0 <= i < space.d):
-        raise IndexError(f"i={i} out of range for {space}")
-    return divmod(i, space.d_B)
-
-
-def _check_global(rho, space: BipartiteSpace) -> np.ndarray:
-    a = as_matrix(rho, "rho")
-    if a.shape != (space.d, space.d):
-        raise DimensionMismatchError(
-            f"expected {space.d}x{space.d} operator, got {a.shape}"
-        )
-    return a
-
-
-def partial_trace_bath(rho, space: BipartiteSpace) -> np.ndarray:
-    """tr_B: ρ_S[s,s'] = Σ_b ρ[(s,b),(s',b)].
-
-    The output is explicitly re-Hermitized to keep downstream eigensolver
-    preconditions at 1e-12.
-    """
-    a = _check_global(rho, space)
-    t = a.reshape(space.d_S, space.d_B, space.d_S, space.d_B)
-    return hermitize(np.trace(t, axis1=1, axis2=3))
-
-
-def partial_trace_system(rho, space: BipartiteSpace) -> np.ndarray:
-    """tr_S: ρ_B[b,b'] = Σ_s ρ[(s,b),(s,b')]."""
-    a = _check_global(rho, space)
-    t = a.reshape(space.d_S, space.d_B, space.d_S, space.d_B)
-    return hermitize(np.trace(t, axis1=0, axis2=2))
-
-
-def embed_system_operator(a_s, space: BipartiteSpace) -> np.ndarray:
-    """Return A_S ⊗ 1_B under the fixed index convention."""
-    a = as_matrix(a_s, "a_s")
-    if a.shape != (space.d_S, space.d_S):
-        raise DimensionMismatchError(
-            f"expected {space.d_S}x{space.d_S} subsystem operator, got {a.shape}"
-        )
-    return kronecker_product(a, np.eye(space.d_B))
 
 
 def swap_operator(dim: int) -> np.ndarray:

@@ -6,8 +6,8 @@ one reduction per side turns amplitude stacks into ρ_S or ρ_B stacks.
 `reduced_states` runs the two over many phase vectors in row blocks of
 `block_rows(d)`, so a trajectory or a torus sample never holds its whole
 n × d amplitude stack. The infinite-time average is exact through its
-marginals (`dephased_marginals`); time sampling is only used for
-fluctuation statistics.
+marginals (`dephased_marginals`), and the d×d dephased state ω is never
+formed; time sampling is only used for fluctuation statistics.
 """
 
 from __future__ import annotations
@@ -45,32 +45,12 @@ def energy_coefficients(psi0, h: SpectralHamiltonian) -> np.ndarray:
     return h.eigenbasis.conj().T @ v
 
 
-def from_energy_coefficients(c, h: SpectralHamiltonian) -> np.ndarray:
-    return h.eigenbasis @ np.asarray(c, dtype=np.complex128)
-
-
-def evolve(psi0, h: SpectralHamiltonian, t: float) -> np.ndarray:
-    """|ψ(t)⟩ = Σ_k c_k e^{-iE_k t} |E_k⟩ in the computational basis."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    c = energy_coefficients(psi0, h)
-    return h.eigenbasis @ (np.exp(-1j * h.energies * t) * c)
-
-
 def require_nondegenerate(h: SpectralHamiltonian) -> None:
     report = h.gap_report
     if not report.passes:
         raise DegenerateHamiltonianError(
             f"Hamiltonian fails the gap check: {len(report.degenerate_pairs)} violations"
         )
-
-
-def dephased_time_average(psi0, h: SpectralHamiltonian) -> np.ndarray:
-    """ω = Σ_k |c_k|² |E_k⟩⟨E_k| as a dense d×d matrix: the reference form of the marginals."""
-    require_nondegenerate(h)
-    c = energy_coefficients(psi0, h)
-    u = h.eigenbasis
-    return hermitize((u * np.abs(c) ** 2) @ u.conj().T)
 
 
 def dephased_marginals(c, h: SpectralHamiltonian, space: BipartiteSpace) -> tuple[np.ndarray, ...]:

@@ -1,14 +1,13 @@
 """Hamiltonians in spectral form and the non-degenerate-gap condition.
 
-Includes the model families used throughout: generic random spectral
-Hamiltonians, noninteracting sums H_S + H_B, the diagonal product model
-with conserved subsystem populations, and the strong-field spin-bath model
-whose eigenstates are near-product.
+Includes the model families the experiments build: generic random spectral
+Hamiltonians, the diagonal product model with conserved subsystem
+populations, and the strong-field spin-bath model whose eigenstates are
+near-product.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,10 +75,6 @@ class SpectralHamiltonian:
     @property
     def dim(self) -> int:
         return self.energies.size
-
-    def dense(self) -> np.ndarray:
-        u = self.eigenbasis
-        return hermitize((u * self.energies) @ u.conj().T)
 
     def min_level_gap(self) -> float:
         return float(np.min(np.diff(self.energies)))
@@ -179,20 +174,6 @@ def random_spectral_hamiltonian(
     return _resample(build, rng, "random_spectral_hamiltonian")
 
 
-def noninteracting_hamiltonian(
-    h_s: SpectralHamiltonian, h_b: SpectralHamiltonian, space: BipartiteSpace
-) -> SpectralHamiltonian:
-    """H = H_S + H_B: sum energies with product eigenvectors, re-sorted."""
-    if h_s.dim != space.d_S or h_b.dim != space.d_B:
-        raise DimensionMismatchError(
-            f"factor dims ({h_s.dim}, {h_b.dim}) do not match space ({space.d_S}, {space.d_B})"
-        )
-    energies = (h_s.energies[:, None] + h_b.energies[None, :]).reshape(-1)
-    basis = kronecker_product(h_s.eigenbasis, h_b.eigenbasis)
-    order = np.argsort(energies, kind="stable")
-    return SpectralHamiltonian(energies[order], basis[:, order])
-
-
 def diagonal_product_hamiltonian(
     space: BipartiteSpace,
     energy_window: tuple[float, float] = (0.0, 1.0),
@@ -247,32 +228,3 @@ def spin_bath_hamiltonian(
         return SpectralHamiltonian(eig.eigenvalues, eig.eigenvectors)
 
     return _resample(build, rng, "spin_bath_hamiltonian"), space
-
-
-def hamiltonian_to_json(
-    h: SpectralHamiltonian, space: BipartiteSpace
-) -> str:
-    """Serialize to the documented JSON schema (interleaved re/im eigenbasis)."""
-    flat = h.eigenbasis.reshape(-1)
-    interleaved: list[float] = []
-    for z in flat:
-        interleaved.append(float(z.real))
-        interleaved.append(float(z.imag))
-    doc = {
-        "d_S": space.d_S,
-        "d_B": space.d_B,
-        "energies": [float(x) for x in h.energies],
-        "eigenbasis": interleaved,
-    }
-    return json.dumps(doc)
-
-
-def hamiltonian_from_json(text: str) -> tuple[SpectralHamiltonian, BipartiteSpace]:
-    doc = json.loads(text)
-    space = BipartiteSpace(int(doc["d_S"]), int(doc["d_B"]))
-    energies = np.asarray(doc["energies"], dtype=np.float64)
-    raw = np.asarray(doc["eigenbasis"], dtype=np.float64)
-    if raw.size != 2 * space.d * space.d:
-        raise DimensionMismatchError("eigenbasis length does not match d*d complex entries")
-    basis = (raw[0::2] + 1j * raw[1::2]).reshape(space.d, space.d)
-    return SpectralHamiltonian(energies, basis), space

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
@@ -63,6 +64,10 @@ def derive_seed(master_seed: int, sweep_index: int, trial_index: int) -> int:
     return splitmix64(z ^ splitmix64(trial_index & _MASK64))
 
 
+def _finite(x) -> bool:
+    return isinstance(x, (int, float)) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -114,17 +119,35 @@ class ExperimentConfig:
             raise ConfigInvalidError(f"d_S: counterexamples needs d_S >= 2, got {self.d_S}")
         if self.experiment == "counterexamples" and min(self.d_B) < 2:
             raise ConfigInvalidError(f"d_B: counterexamples needs entries >= 2, got {self.d_B}")
-        if self.trials < 1:
-            raise ConfigInvalidError(f"trials: must be >= 1, got {self.trials}")
+        if not isinstance(self.trials, int) or self.trials < 1:
+            raise ConfigInvalidError(f"trials: must be an integer >= 1, got {self.trials!r}")
         if self.subspace_spec not in ("full", "product-fixed-system", "product-fixed-bath"):
             raise ConfigInvalidError(f"subspace_spec: unknown value {self.subspace_spec!r}")
-        if self.epsilon <= 0:
-            raise ConfigInvalidError(f"epsilon: must be positive, got {self.epsilon}")
+        if not _finite(self.epsilon) or self.epsilon <= 0:
+            raise ConfigInvalidError(f"epsilon: must be positive and finite, got {self.epsilon!r}")
         for key in ("t_max_factor", "n_samples"):
             if key not in self.time_sampling:
                 raise ConfigInvalidError(f"time_sampling.{key}: missing")
+        t_max_factor = self.time_sampling["t_max_factor"]
+        if not _finite(t_max_factor) or t_max_factor <= 0:
+            raise ConfigInvalidError("time_sampling.t_max_factor: must be positive and finite")
         if int(self.time_sampling["n_samples"]) < 2:
             raise ConfigInvalidError("time_sampling.n_samples: must be >= 2")
+        # Every experiment's model fields are checked, whether or not it reads them.
+        ham = self.hamiltonian
+        if not isinstance(ham, dict):
+            raise ConfigInvalidError(f"hamiltonian: must be an object, got {ham!r}")
+        if ham.get("name", "random-spectral") != "random-spectral":
+            raise ConfigInvalidError(f"hamiltonian.name: unknown model {ham['name']!r}")
+        window = ham.get("window", [0.0, 1.0])
+        if not (
+            isinstance(window, (list, tuple)) and len(window) == 2
+            and all(_finite(x) for x in window) and window[0] < window[1]
+        ):
+            raise ConfigInvalidError(f"hamiltonian.window: need finite lo < hi, got {window!r}")
+        field_strength = ham.get("field", 1.0)
+        if not _finite(field_strength) or field_strength <= 0:
+            raise ConfigInvalidError(f"hamiltonian.field: must be positive, got {field_strength!r}")
         for b in self.d_B:
             BipartiteSpace(self.d_S, b)  # raises DimensionOverflow on cap breach
         if not (0 <= self.master_seed <= _MASK64):
@@ -194,9 +217,6 @@ def _shared_rng(cfg: ExperimentConfig, sweep_index: int) -> np.random.Generator:
 
 def _build_hamiltonian(cfg: ExperimentConfig, space: BipartiteSpace, rng):
     window = tuple(cfg.hamiltonian.get("window", (0.0, 1.0)))
-    name = cfg.hamiltonian.get("name", "random-spectral")
-    if name != "random-spectral":
-        raise ConfigInvalidError(f"hamiltonian.name: unknown model {name!r}")
     return random_spectral_hamiltonian(space, window, rng)
 
 
@@ -444,9 +464,3 @@ def emit(
                 fh.write("\n")
     except OSError as exc:
         raise OSError(f"failed writing {fmt} output to {path!r}: {exc}") from exc
-
-
-def load_records_json(path: str) -> list[ExperimentRecord]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return [ExperimentRecord(**row) for row in payload]

@@ -27,12 +27,6 @@ def as_state(psi, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def density_matrix(psi) -> np.ndarray:
-    """ρ = |ψ⟩⟨ψ| for a normalized state vector."""
-    v = as_state(psi)
-    return np.outer(v, v.conj())
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A d_R-dimensional subspace given by orthonormal basis columns."""

@@ -1,24 +1,18 @@
-"""Tensor-product structure: index maps, partial traces, embeddings, SWAP."""
+"""Tensor-product structure: the index convention as eqlab reads it, the
+partial-trace oracles of tests/oracles.py, and SWAP."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from eqlab.bipartite import (
-    BipartiteSpace,
-    compose_index,
-    decompose_index,
-    embed_system_operator,
-    partial_trace_bath,
-    partial_trace_system,
-    swap_operator,
-)
+from eqlab.bipartite import BipartiteSpace, swap_operator
+from eqlab.dynamics import dephased_marginals, energy_coefficients, reduce_to_bath, reduce_to_system
 from eqlab.errors import DimensionMismatchError
+from eqlab.hamiltonians import SpectralHamiltonian
 from eqlab.linalg import hermitian_eigendecomposition, kronecker_product
-from eqlab.states import Subspace, density_matrix, haar_random_state
-
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+from eqlab.states import Subspace, haar_random_state, product_state
+from oracles import density_matrix, partial_trace_bath, partial_trace_system
 
 
 def brute_force_trace_bath(rho: np.ndarray, space: BipartiteSpace) -> np.ndarray:
@@ -44,26 +38,39 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class TestIndexMaps:
-    def test_origin(self):
-        space = BipartiteSpace(4, 6)
-        assert compose_index(0, 0, space) == 0
+    """|s⟩|b⟩ ↔ s·d_B + b, as the states and the reductions read it.
+
+    d_S = 3 and d_B = 5 differ, so reading an amplitude vector as a (d_B, d_S)
+    array, or transposing it, gives a different answer and fails.
+    """
+
+    space = BipartiteSpace(3, 5)
 
     def test_convention(self):
-        space = BipartiteSpace(2, 4)
-        assert compose_index(1, 2, space) == 6
+        space = self.space
+        eye_s, eye_b = np.eye(space.d_S), np.eye(space.d_B)
+        for s in range(space.d_S):
+            for b in range(space.d_B):
+                i = s * space.d_B + b
+                assert np.array_equal(product_state(eye_s[s], eye_b[b], space), np.eye(space.d)[i])
+                assert Subspace.fixed_system(eye_s[s], space).basis[i, b] == 1.0
+                assert Subspace.fixed_bath(eye_b[b], space).basis[i, s] == 1.0
 
-    def test_round_trip_exhaustive(self):
-        space = BipartiteSpace(4, 6)
-        for i in range(space.d):
-            s, b = decompose_index(i, space)
-            assert compose_index(s, b, space) == i
-
-    def test_out_of_range(self):
-        space = BipartiteSpace(2, 3)
-        with pytest.raises(IndexError):
-            compose_index(2, 0, space)
-        with pytest.raises(IndexError):
-            decompose_index(6, space)
+    def test_reductions_recover_factors(self):
+        rng = np.random.default_rng(0)
+        space = self.space
+        psi_s = haar_random_state(Subspace.full(space.d_S), rng)
+        phi_b = haar_random_state(Subspace.full(space.d_B), rng)
+        psi = product_state(psi_s, phi_b, space)
+        rho_s, rho_b = density_matrix(psi_s), density_matrix(phi_b)
+        assert np.max(np.abs(reduce_to_system(psi[None, :], space)[0] - rho_s)) <= 1e-12
+        assert np.max(np.abs(reduce_to_bath(psi[None, :], space)[0] - rho_b)) <= 1e-12
+        # An eigenbasis containing |ψ_S⟩|φ_B⟩, with all the weight on it: ω = |ψ⟩⟨ψ|.
+        q, _ = np.linalg.qr(np.column_stack([psi, rng.standard_normal((space.d, space.d - 1))]))
+        h = SpectralHamiltonian(np.arange(space.d, dtype=np.float64), q)
+        omega_s, omega_b = dephased_marginals(energy_coefficients(psi, h), h, space)
+        assert np.max(np.abs(omega_s - rho_s)) <= 1e-12
+        assert np.max(np.abs(omega_b - rho_b)) <= 1e-12
 
     def test_invalid_space(self):
         with pytest.raises(DimensionMismatchError):
@@ -138,32 +145,6 @@ class TestPartialTraces:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             partial_trace_bath(np.eye(5), BipartiteSpace(2, 3))
-
-
-class TestEmbedding:
-    def test_identity(self):
-        space = BipartiteSpace(3, 4)
-        assert np.array_equal(embed_system_operator(np.eye(3), space), np.eye(12))
-
-    def test_sigma_z_convention(self):
-        space = BipartiteSpace(2, 3)
-        out = embed_system_operator(SIGMA_Z, space)
-        assert np.array_equal(out, np.diag([1, 1, 1, -1, -1, -1]).astype(np.complex128))
-
-    def test_expectation_value_oracle(self):
-        rng = np.random.default_rng(7)
-        space = BipartiteSpace(3, 4)
-        a_s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        rho_s = random_density(3, rng)
-        rho_b = random_density(4, rng)
-        rho = kronecker_product(rho_s, rho_b)
-        lhs = np.trace(embed_system_operator(a_s, space) @ rho)
-        rhs = np.trace(a_s @ rho_s)
-        assert abs(lhs - rhs) <= 1e-12
-
-    def test_wrong_shape(self):
-        with pytest.raises(DimensionMismatchError):
-            embed_system_operator(np.eye(3), BipartiteSpace(2, 3))
 
 
 class TestSwapOperator:

@@ -5,16 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from eqlab import dynamics
-from eqlab.bipartite import BipartiteSpace, partial_trace_bath, partial_trace_system
+from eqlab.bipartite import BipartiteSpace
 from eqlab.dynamics import (
     block_rows,
     default_t_max,
     dephased_marginals,
-    dephased_time_average,
     energy_coefficients,
-    evolve,
-    from_energy_coefficients,
     reduce_to_bath,
     reduce_to_system,
     reduced_states,
@@ -24,17 +20,17 @@ from eqlab.dynamics import (
     trajectory_statistics,
 )
 from eqlab.errors import DegenerateHamiltonianError, DimensionMismatchError
-from eqlab.hamiltonians import (
-    SpectralHamiltonian,
-    noninteracting_hamiltonian,
-    random_spectral_hamiltonian,
-)
+from eqlab.hamiltonians import SpectralHamiltonian, random_spectral_hamiltonian
 from eqlab.linalg import haar_random_unitary
-from eqlab.states import (
-    Subspace,
+from eqlab.states import Subspace, effective_dimension, haar_random_state
+from oracles import (
+    dense,
     density_matrix,
-    effective_dimension,
-    haar_random_state,
+    dephased_time_average,
+    evolve,
+    noninteracting_hamiltonian,
+    partial_trace_bath,
+    partial_trace_system,
 )
 
 
@@ -62,7 +58,7 @@ class TestEnergyCoefficients:
 
     def test_round_trip(self, instance):
         _, h, psi = instance
-        back = from_energy_coefficients(energy_coefficients(psi, h), h)
+        back = h.eigenbasis @ energy_coefficients(psi, h)
         assert np.max(np.abs(back - psi)) <= 1e-12
 
 
@@ -113,22 +109,12 @@ class TestDephasedTimeAverage:
     def test_commutes_with_hamiltonian(self, instance):
         _, h, psi = instance
         omega = dephased_time_average(psi, h)
-        dense = h.dense()
-        assert np.max(np.abs(omega @ dense - dense @ omega)) <= 1e-10
+        h_dense = dense(h)
+        assert np.max(np.abs(omega @ h_dense - h_dense @ omega)) <= 1e-10
 
     def test_unit_trace(self, instance):
         _, h, psi = instance
         assert abs(np.trace(dephased_time_average(psi, h)) - 1.0) <= 1e-10
-
-    def test_degenerate_hamiltonian_rejected(self):
-        rng = np.random.default_rng(102)
-        space = BipartiteSpace(2, 2)
-        ident2 = np.eye(2, dtype=np.complex128)
-        h_s = SpectralHamiltonian(np.array([0.0, 1.0]), ident2)
-        h = noninteracting_hamiltonian(h_s, h_s, space)
-        psi = haar_random_state(Subspace.full(4), rng)
-        with pytest.raises(DegenerateHamiltonianError):
-            dephased_time_average(psi, h)
 
     def test_time_sampled_average_converges(self):
         # The numerical mean of rho(t) approaches omega entrywise; the
@@ -183,11 +169,9 @@ class TestDephasedMarginals:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d_s", [1, 2, 3])
     @pytest.mark.parametrize("d_b", [1, 4, 5])
-    def test_match_partial_traces_of_dense_form(self, monkeypatch, family, d_s, d_b):
-        # The dense form's gap check refuses d = 1 and the noninteracting
-        # spectrum, whose gaps repeat for every bath level; ω and its
-        # marginals are defined all the same, so the reference skips it.
-        monkeypatch.setattr(dynamics, "require_nondegenerate", lambda h: None)
+    def test_match_partial_traces_of_dense_form(self, family, d_s, d_b):
+        # ω and its marginals are defined for any spectrum, so d = 1 and the
+        # noninteracting spectrum, whose gaps repeat, are compared as well.
         rng = np.random.default_rng(110 + 10 * d_s + d_b)
         space = BipartiteSpace(d_s, d_b)
         h = FAMILIES[family](space, rng)
@@ -265,6 +249,16 @@ class TestTrajectoryStatistics:
         for k, frac in stats.exceed_fractions.items():
             assert 0 <= frac <= 1
             assert frac <= 1 / k + 0.02
+
+    def test_degenerate_hamiltonian_rejected(self):
+        rng = np.random.default_rng(102)
+        space = BipartiteSpace(2, 2)
+        ident2 = np.eye(2, dtype=np.complex128)
+        h_s = SpectralHamiltonian(np.array([0.0, 1.0]), ident2)
+        h = noninteracting_hamiltonian(h_s, h_s, space)
+        psi = haar_random_state(Subspace.full(4), rng)
+        with pytest.raises(DegenerateHamiltonianError):
+            trajectory_statistics(psi, h, space, 1.0, 8, rng=rng)
 
     def test_sample_times_stratified(self):
         times = sample_times(10.0, 5, np.random.default_rng(108))

@@ -1,8 +1,10 @@
-"""What the package imports: every name is used, and a serial run stays light.
+"""What the package imports and exports: every name is used, and a serial run stays light.
 
 No linter runs on the sources, so an import left behind by a refactor would
 otherwise stay. ``__init__.py`` re-exports its imports and is exempt, and so
-are ``__future__`` imports, which are compiler directives.
+are ``__future__`` imports, which are compiler directives. For the same
+reason a public function or class must have a caller in the package or be
+documented in README.md, whose session is run here so that it stays true.
 
 Importing scipy.stats made up most of the start-up of a short ``eqlab run``,
 and the process pool added to it. A serial run needs neither, so one is run
@@ -14,6 +16,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +24,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "eqlab"
+README = SRC.parent.parent / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -48,6 +52,44 @@ def test_detects_unused_import():
         "from __future__ import annotations\nimport os\nfrom math import pi, tau as t\nprint(pi)\n"
     )
     assert unused_imports(source) == ["os (line 2)", "t (line 3)"]
+
+
+def dead_public_names(sources: dict[str, str], readme: str) -> list[str]:
+    """Public top-level functions and classes of the modules in ``sources``
+    (module name to source) that no module uses and ``readme`` does not name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set(re.findall(r"\w+", readme))
+    for tree in trees.values():
+        used.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+        used.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    )
+
+
+def test_every_public_name_is_used_or_documented():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert dead_public_names(sources, README.read_text()) == []
+
+
+def test_detects_dead_public_name():
+    sources = {
+        "a": "def used():\n    pass\ndef dead():\n    pass\nclass Qualified:\n    pass\n"
+        "class Documented:\n    pass\ndef _private():\n    pass\n",
+        "b": "from . import a\nfrom .a import used\nused()\na.Qualified()\n",
+    }
+    assert dead_public_names(sources, "`Documented` is a class") == ["a.dead"]
+
+
+def test_readme_session_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
 
 
 HEAVY_MODULES = ("scipy", "concurrent.futures.process")

@@ -21,14 +21,18 @@ from eqlab.runner import (
     CSV_HEADER,
     EXPERIMENTS,
     ExperimentConfig,
+    ExperimentRecord,
     all_bounds_satisfied,
     derive_seed,
     emit,
-    load_records_json,
     run_experiment,
     splitmix64,
 )
 from eqlab.states import Subspace, haar_random_state
+
+
+def load_records(path):
+    return [ExperimentRecord(**row) for row in json.loads(path.read_text())]
 
 
 def strip_walltime(records):
@@ -63,6 +67,18 @@ class TestSeedDerivation:
         assert 0 <= derive_seed(2**64 - 1, 5, 9) < 2**64
 
 
+# Configs whose run would crash, or whose field would mean nothing: each is
+# refused by validate(), which names the field.
+UNRUNNABLE = [
+    ("hamiltonian.window", {"hamiltonian": {"window": [1, 0]}}),
+    ("hamiltonian.field", {"experiment": "counterexamples", "hamiltonian": {"field": 0}}),
+    ("hamiltonian.name", {"experiment": "counterexamples", "hamiltonian": {"name": "foo"}}),
+    ("time_sampling.t_max_factor", {"time_sampling": {"t_max_factor": math.nan, "n_samples": 200}}),
+    ("trials", {"trials": 2.5}),
+    ("epsilon", {"epsilon": math.nan}),
+]
+
+
 class TestConfigValidation:
     def test_zero_trials(self):
         with pytest.raises(ConfigInvalidError, match="trials"):
@@ -79,6 +95,11 @@ class TestConfigValidation:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigInvalidError, match="experiment"):
             small_config(experiment="thm9")
+
+    @pytest.mark.parametrize("field, overrides", UNRUNNABLE, ids=[f for f, _ in UNRUNNABLE])
+    def test_unrunnable_field(self, field, overrides):
+        with pytest.raises(ConfigInvalidError, match=f"^{field}: "):
+            small_config(**overrides)
 
     @pytest.mark.parametrize("field, dims", [("d_S", {"d_S": 1}), ("d_B", {"d_B": [4, 1]})])
     def test_counterexamples_dimensions(self, field, dims):
@@ -367,7 +388,7 @@ class TestEmit:
     def test_json_round_trip(self, records, tmp_path):
         path = tmp_path / "out.json"
         emit(records, "json", str(path))
-        loaded = load_records_json(str(path))
+        loaded = load_records(path)
         assert [r.quantity for r in loaded] == [r.quantity for r in records]
         assert [r.empirical for r in loaded] == [r.empirical for r in records]
         assert [r.satisfied for r in loaded] == [r.satisfied for r in records]
@@ -375,7 +396,7 @@ class TestEmit:
     def test_walltime_zeroed_by_default(self, records, tmp_path):
         path = tmp_path / "out.json"
         emit(records, "json", str(path))
-        assert all(r.wall_ms == 0.0 for r in load_records_json(str(path)))
+        assert all(r.wall_ms == 0.0 for r in load_records(path))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -430,6 +451,12 @@ class TestCli:
     def test_bad_config_exits_1(self, tmp_path):
         cfg = self.write_config(tmp_path, trials=0)
         assert main(["run", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("field, overrides", UNRUNNABLE, ids=[f for f, _ in UNRUNNABLE])
+    def test_unrunnable_field_exits_1(self, tmp_path, capsys, field, overrides):
+        cfg = self.write_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
     @pytest.mark.parametrize("dims", [{"d_S": 1}, {"d_B": [1]}])
     def test_unrunnable_counterexamples_exit_1(self, tmp_path, dims):

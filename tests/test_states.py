@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqlab.bipartite import BipartiteSpace, partial_trace_bath
+from eqlab.bipartite import BipartiteSpace
 from eqlab.errors import DimensionMismatchError, NotHermitianError
 from eqlab.states import (
     Subspace,
     as_state,
-    density_matrix,
     effective_dimension,
     haar_random_state,
     numerical_rank,
@@ -20,6 +19,7 @@ from eqlab.states import (
     purity,
     trace_distance,
 )
+from oracles import density_matrix, partial_trace_bath
 
 
 def random_mixed_state(dim: int, n_terms: int, rng: np.random.Generator) -> np.ndarray:
