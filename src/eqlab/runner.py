@@ -68,6 +68,11 @@ def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
+def _integer(x) -> bool:
+    """An int that is not a bool: JSON true/false load as Python bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -91,10 +96,9 @@ class ExperimentConfig:
         if "experiment" not in doc:
             raise ConfigInvalidError("experiment: field is required")
         merged = dict(doc)
-        if "d_B" in merged and isinstance(merged["d_B"], (int, float)):
-            merged["d_B"] = (int(merged["d_B"]),)
-        elif "d_B" in merged:
-            merged["d_B"] = tuple(int(x) for x in merged["d_B"])
+        if "d_B" in merged:
+            d_b = merged["d_B"]
+            merged["d_B"] = tuple(d_b) if isinstance(d_b, (list, tuple)) else (d_b,)
         if "thresholds_K" in merged:
             merged["thresholds_K"] = tuple(float(x) for x in merged["thresholds_K"])
         cfg = cls(**merged)
@@ -106,10 +110,10 @@ class ExperimentConfig:
             raise ConfigInvalidError(
                 f"experiment: {self.experiment!r} not one of {EXPERIMENTS}"
             )
-        if self.d_S < 1:
-            raise ConfigInvalidError(f"d_S: must be >= 1, got {self.d_S}")
-        if not self.d_B or any(b < 1 for b in self.d_B):
-            raise ConfigInvalidError(f"d_B: entries must be >= 1, got {self.d_B}")
+        if not _integer(self.d_S) or self.d_S < 1:
+            raise ConfigInvalidError(f"d_S: must be an integer >= 1, got {self.d_S!r}")
+        if not self.d_B or not all(_integer(b) and b >= 1 for b in self.d_B):
+            raise ConfigInvalidError(f"d_B: entries must be integers >= 1, got {list(self.d_B)!r}")
         # Every experiment but identities builds a Hamiltonian; the gap check needs d >= 2.
         if self.experiment != "identities" and self.d_S * min(self.d_B) < 2:
             raise ConfigInvalidError(f"d_B: {self.experiment} needs d_S*d_B >= 2: {self.d_B}")
@@ -119,7 +123,7 @@ class ExperimentConfig:
             raise ConfigInvalidError(f"d_S: counterexamples needs d_S >= 2, got {self.d_S}")
         if self.experiment == "counterexamples" and min(self.d_B) < 2:
             raise ConfigInvalidError(f"d_B: counterexamples needs entries >= 2, got {self.d_B}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _integer(self.trials) or self.trials < 1:
             raise ConfigInvalidError(f"trials: must be an integer >= 1, got {self.trials!r}")
         if self.subspace_spec not in ("full", "product-fixed-system", "product-fixed-bath"):
             raise ConfigInvalidError(f"subspace_spec: unknown value {self.subspace_spec!r}")
@@ -131,8 +135,11 @@ class ExperimentConfig:
         t_max_factor = self.time_sampling["t_max_factor"]
         if not _finite(t_max_factor) or t_max_factor <= 0:
             raise ConfigInvalidError("time_sampling.t_max_factor: must be positive and finite")
-        if int(self.time_sampling["n_samples"]) < 2:
-            raise ConfigInvalidError("time_sampling.n_samples: must be >= 2")
+        n_samples = self.time_sampling["n_samples"]
+        if not _integer(n_samples) or n_samples < 2:
+            raise ConfigInvalidError(
+                f"time_sampling.n_samples: must be an integer >= 2, got {n_samples!r}"
+            )
         # Every experiment's model fields are checked, whether or not it reads them.
         ham = self.hamiltonian
         if not isinstance(ham, dict):
@@ -150,8 +157,10 @@ class ExperimentConfig:
             raise ConfigInvalidError(f"hamiltonian.field: must be positive, got {field_strength!r}")
         for b in self.d_B:
             BipartiteSpace(self.d_S, b)  # raises DimensionOverflow on cap breach
-        if not (0 <= self.master_seed <= _MASK64):
-            raise ConfigInvalidError("master_seed: must fit in 64 bits")
+        if not _integer(self.master_seed) or not 0 <= self.master_seed <= _MASK64:
+            raise ConfigInvalidError(
+                f"master_seed: must be an integer in [0, 2^64), got {self.master_seed!r}"
+            )
 
     def canonical_json(self) -> str:
         """The config as sorted-key JSON that from_dict() reads back."""
@@ -263,7 +272,7 @@ def _sweep_shared(cfg_json: str, sweep_index: int) -> tuple:
 
 
 def _n_samples(cfg: ExperimentConfig) -> int:
-    return int(cfg.time_sampling["n_samples"])
+    return cfg.time_sampling["n_samples"]
 
 
 def _t_max(cfg: ExperimentConfig, h) -> float:

@@ -227,6 +227,37 @@ class TestTorusState:
         with pytest.raises(DimensionMismatchError):
             torus_state(c, h, np.zeros(h.dim + 1))
 
+    def test_phase_factor_matches_complex_exp(self):
+        # With one level and eigenbasis [[1]], torus_state(1, h, θ) is the
+        # phase factor e^{iθ} itself, which is computed from tan(θ/2). The
+        # points near π are where tan(θ/2) is largest.
+        h = SpectralHamiltonian(np.zeros(1), np.eye(1, dtype=np.complex128))
+        rng = np.random.default_rng(109)
+        special = [0.0, -0.0, np.pi, -np.pi, 3 * np.pi, np.nextafter(np.pi, 4)]
+        theta = np.concatenate([
+            *(rng.uniform(-s, s, 20_000) for s in (1.0, 2 * np.pi, 1e3, 1e6, 1e8)),
+            special,
+            np.pi + rng.uniform(-1e-6, 1e-6, 100_000),
+        ])
+        z = torus_state(np.ones(1), h, theta[:, None])[:, 0]
+        assert np.max(np.abs(z - np.exp(1j * theta))) <= 1e-15
+        assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("d_s", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [None, 1, 70], ids=["vector", "one row", "stack"])
+    def test_matches_complex_exp_oracle(self, d_s, rows):
+        rng = np.random.default_rng(130 + d_s)
+        space = BipartiteSpace(d_s, 5)
+        h = FAMILIES["random"](space, rng)
+        c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
+        shape = (space.d,) if rows is None else (rows, space.d)
+        alpha = rng.uniform(-1e5, 1e5, size=shape)
+        expected = (np.exp(1j * alpha) * c) @ h.eigenbasis.T
+        out = torus_state(c, h, alpha)
+        assert out.shape == expected.shape
+        err = np.linalg.norm(out - expected, axis=-1)
+        assert np.all(err <= 1e-14 * np.linalg.norm(expected, axis=-1))
+
 
 class TestTrajectoryStatistics:
     def test_eigenstate_mean_zero(self, instance):

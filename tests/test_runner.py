@@ -68,15 +68,27 @@ class TestSeedDerivation:
 
 
 # Configs whose run would crash, or whose field would mean nothing: each is
-# refused by validate(), which names the field.
-UNRUNNABLE = [
-    ("hamiltonian.window", {"hamiltonian": {"window": [1, 0]}}),
-    ("hamiltonian.field", {"experiment": "counterexamples", "hamiltonian": {"field": 0}}),
-    ("hamiltonian.name", {"experiment": "counterexamples", "hamiltonian": {"name": "foo"}}),
-    ("time_sampling.t_max_factor", {"time_sampling": {"t_max_factor": math.nan, "n_samples": 200}}),
-    ("trials", {"trials": 2.5}),
-    ("epsilon", {"epsilon": math.nan}),
-]
+# refused by validate(), which names the field. A case is keyed by the field,
+# or by "field=value" where a field has more than one case. The integer
+# fields take a JSON integer only: a float would be truncated or crash the
+# seed mixer, and JSON true/false load as bools, which Python counts as ints.
+UNRUNNABLE = {
+    "hamiltonian.window": {"hamiltonian": {"window": [1, 0]}},
+    "hamiltonian.field": {"experiment": "counterexamples", "hamiltonian": {"field": 0}},
+    "hamiltonian.name": {"experiment": "counterexamples", "hamiltonian": {"name": "foo"}},
+    "time_sampling.t_max_factor": {"time_sampling": {"t_max_factor": math.nan, "n_samples": 200}},
+    "trials": {"trials": 2.5},
+    "trials=true": {"trials": True},
+    "epsilon": {"epsilon": math.nan},
+    "d_S=2.5": {"d_S": 2.5},
+    "d_S=true": {"d_S": True},
+    "d_B=8.5": {"d_B": [8.5]},
+    "d_B=true": {"d_B": [8, True]},
+    "master_seed=7.5": {"master_seed": 7.5},
+    "master_seed=true": {"master_seed": True},
+    "time_sampling.n_samples=50.7": {"time_sampling": {"t_max_factor": 1e3, "n_samples": 50.7}},
+    "time_sampling.n_samples=500.0": {"time_sampling": {"t_max_factor": 1e3, "n_samples": 500.0}},
+}
 
 
 class TestConfigValidation:
@@ -96,10 +108,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalidError, match="experiment"):
             small_config(experiment="thm9")
 
-    @pytest.mark.parametrize("field, overrides", UNRUNNABLE, ids=[f for f, _ in UNRUNNABLE])
-    def test_unrunnable_field(self, field, overrides):
+    @pytest.mark.parametrize("case", UNRUNNABLE)
+    def test_unrunnable_field(self, case):
+        field = case.split("=")[0]
         with pytest.raises(ConfigInvalidError, match=f"^{field}: "):
-            small_config(**overrides)
+            small_config(**UNRUNNABLE[case])
 
     @pytest.mark.parametrize("field, dims", [("d_S", {"d_S": 1}), ("d_B", {"d_B": [4, 1]})])
     def test_counterexamples_dimensions(self, field, dims):
@@ -452,11 +465,11 @@ class TestCli:
         cfg = self.write_config(tmp_path, trials=0)
         assert main(["run", "--config", str(cfg)]) == 1
 
-    @pytest.mark.parametrize("field, overrides", UNRUNNABLE, ids=[f for f, _ in UNRUNNABLE])
-    def test_unrunnable_field_exits_1(self, tmp_path, capsys, field, overrides):
-        cfg = self.write_config(tmp_path, **overrides)
+    @pytest.mark.parametrize("case", UNRUNNABLE)
+    def test_unrunnable_field_exits_1(self, tmp_path, capsys, case):
+        cfg = self.write_config(tmp_path, **UNRUNNABLE[case])
         assert main(["run", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert capsys.readouterr().err.startswith(f"error: {case.split('=')[0]}: ")
 
     @pytest.mark.parametrize("dims", [{"d_S": 1}, {"d_B": [1]}])
     def test_unrunnable_counterexamples_exit_1(self, tmp_path, dims):
