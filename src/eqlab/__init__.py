@@ -40,14 +40,12 @@ from .verifiers import (
     CONSTANTS,
     BoundCheck,
     ConstantsTable,
-    counterexample_demonstrations,
+    counterexample_checks,
     delta_quantity,
     haar_pair_moment_check,
     subadditivity_and_bath_checks,
     swap_trace_identity_check,
     theorem1_check,
-    theorem2_statistics,
-    theorem3_statistics,
     theorem4_tail,
 )
 

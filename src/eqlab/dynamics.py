@@ -10,6 +10,10 @@ identity, which numpy vectorises, instead of an elementwise complex exp.
 n × d amplitude stack. The infinite-time average is exact through its
 marginals (`dephased_marginals`), and the d×d dephased state ω is never
 formed; time sampling is only used for fluctuation statistics.
+
+Every function of an initial state takes its energy coefficients
+c_k = ⟨E_k|ψ₀⟩ (`energy_coefficients`), not ψ₀, so a caller computes them
+once per state.
 """
 
 from __future__ import annotations
@@ -184,31 +188,29 @@ def time_phases(times: np.ndarray, h: SpectralHamiltonian) -> Callable[[int, int
 
 
 def reduced_states_at_times(
-    psi0, h: SpectralHamiltonian, space: BipartiteSpace, times: np.ndarray
+    c, h: SpectralHamiltonian, space: BipartiteSpace, times: np.ndarray
 ) -> np.ndarray:
     """Stack of ρ_S(t) for each sample time, shape (n, d_S, d_S)."""
-    c = energy_coefficients(psi0, h)
     return reduced_states(c, h, space, time_phases(times, h), len(times))[0]
 
 
 def trajectory_statistics(
-    psi0,
+    c,
     h: SpectralHamiltonian,
     space: BipartiteSpace,
     t_max: float,
     n_samples: int,
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> TrajectoryStats:
     """Sample D(ρ_S(t), ω_S) on a stratified time grid and aggregate."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if rng is None:
-        raise ValueError("rng is required")
     require_nondegenerate(h)
-    omega_s, _ = dephased_marginals(energy_coefficients(psi0, h), h, space)
+    omega_s, _ = dephased_marginals(c, h, space)
     times = sample_times(t_max, n_samples, rng)
-    distances = trace_distance(reduced_states_at_times(psi0, h, space, times), omega_s)
+    distances = trace_distance(reduced_states_at_times(c, h, space, times), omega_s)
     mean = math.fsum(distances) / n_samples
     exceed = {
         float(k): (float(np.mean(distances > k * mean)) if mean > 0 else 0.0)

@@ -9,7 +9,7 @@ near-product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -154,43 +154,41 @@ def _resample(build, rng: np.random.Generator, what: str) -> SpectralHamiltonian
     )
 
 
-def random_spectral_hamiltonian(
-    space: BipartiteSpace,
-    energy_window: tuple[float, float] = (0.0, 1.0),
-    rng: np.random.Generator | None = None,
-) -> SpectralHamiltonian:
-    """Uniform i.i.d. energies on the window, Haar-random eigenbasis."""
+def _spectral_model(space, energy_window, rng, eigenbasis, what) -> SpectralHamiltonian:
+    """Uniform i.i.d. energies on the window in the basis ``eigenbasis()``, which
+    is drawn once the window is checked; energies are redrawn until the gap check passes."""
     lo, hi = energy_window
     if not hi > lo:
         raise ValueError(f"energy window {energy_window} is empty")
-    if rng is None:
-        raise ValueError("rng is required")
     # Built once, so the basis is checked once; each attempt draws energies only.
-    template = SpectralHamiltonian(np.zeros(space.d), haar_random_unitary(space.d, rng))
+    template = SpectralHamiltonian(np.zeros(space.d), eigenbasis())
 
     def build(r: np.random.Generator) -> SpectralHamiltonian:
         return template.with_energies(np.sort(r.uniform(lo, hi, size=space.d)))
 
-    return _resample(build, rng, "random_spectral_hamiltonian")
+    return _resample(build, rng, what)
+
+
+def random_spectral_hamiltonian(
+    space: BipartiteSpace,
+    energy_window: tuple[float, float] = (0.0, 1.0),
+    *,
+    rng: np.random.Generator,
+) -> SpectralHamiltonian:
+    """Uniform i.i.d. energies on the window, Haar-random eigenbasis."""
+    basis = partial(haar_random_unitary, space.d, rng)
+    return _spectral_model(space, energy_window, rng, basis, "random_spectral_hamiltonian")
 
 
 def diagonal_product_hamiltonian(
     space: BipartiteSpace,
     energy_window: tuple[float, float] = (0.0, 1.0),
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> SpectralHamiltonian:
     """Interacting but population-conserving model, diagonal in the product basis."""
-    lo, hi = energy_window
-    if not hi > lo:
-        raise ValueError(f"energy window {energy_window} is empty")
-    if rng is None:
-        raise ValueError("rng is required")
-    template = SpectralHamiltonian(np.zeros(space.d), np.eye(space.d, dtype=np.complex128))
-
-    def build(r: np.random.Generator) -> SpectralHamiltonian:
-        return template.with_energies(np.sort(r.uniform(lo, hi, size=space.d)))
-
-    return _resample(build, rng, "diagonal_product_hamiltonian")
+    basis = partial(np.eye, space.d, dtype=np.complex128)
+    return _spectral_model(space, energy_window, rng, basis, "diagonal_product_hamiltonian")
 
 
 def _random_hermitian_unit_radius(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -28,7 +28,7 @@ from .states import Subspace, haar_random_state
 from .verifiers import (
     KS_STATISTIC_GATE,
     BoundCheck,
-    counterexample_demonstrations,
+    counterexample_checks,
     d_eff_of_time_average,
     delta_quantity,
     ergodicity_ks_statistic,
@@ -64,13 +64,21 @@ def derive_seed(master_seed: int, sweep_index: int, trial_index: int) -> int:
     return splitmix64(z ^ splitmix64(trial_index & _MASK64))
 
 
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
-
 def _integer(x) -> bool:
     """An int that is not a bool: JSON true/false load as Python bools, which are ints."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _finite(x) -> bool:
+    return (_integer(x) or isinstance(x, float)) and math.isfinite(x)
+
+
+def _require_object(name: str, value, known: tuple[str, ...]) -> None:
+    if not isinstance(value, dict):
+        raise ConfigInvalidError(f"{name}: must be an object, got {value!r}")
+    for key in value:
+        if key not in known:
+            raise ConfigInvalidError(f"{name}.{key}: unknown field; known are {list(known)}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +107,9 @@ class ExperimentConfig:
         if "d_B" in merged:
             d_b = merged["d_B"]
             merged["d_B"] = tuple(d_b) if isinstance(d_b, (list, tuple)) else (d_b,)
-        if "thresholds_K" in merged:
-            merged["thresholds_K"] = tuple(float(x) for x in merged["thresholds_K"])
+        ks = merged.get("thresholds_K")
+        if isinstance(ks, (list, tuple)):  # validate() refuses any other type
+            merged["thresholds_K"] = tuple(float(k) if _finite(k) else k for k in ks)
         cfg = cls(**merged)
         cfg.validate()
         return cfg
@@ -129,6 +138,13 @@ class ExperimentConfig:
             raise ConfigInvalidError(f"subspace_spec: unknown value {self.subspace_spec!r}")
         if not _finite(self.epsilon) or self.epsilon <= 0:
             raise ConfigInvalidError(f"epsilon: must be positive and finite, got {self.epsilon!r}")
+        ks = self.thresholds_K
+        if not isinstance(ks, (list, tuple)) or not all(_finite(k) and k > 0 for k in ks):
+            shown = list(ks) if isinstance(ks, tuple) else ks
+            raise ConfigInvalidError(
+                f"thresholds_K: must be a list of finite numbers > 0, got {shown!r}"
+            )
+        _require_object("time_sampling", self.time_sampling, ("t_max_factor", "n_samples"))
         for key in ("t_max_factor", "n_samples"):
             if key not in self.time_sampling:
                 raise ConfigInvalidError(f"time_sampling.{key}: missing")
@@ -142,8 +158,7 @@ class ExperimentConfig:
             )
         # Every experiment's model fields are checked, whether or not it reads them.
         ham = self.hamiltonian
-        if not isinstance(ham, dict):
-            raise ConfigInvalidError(f"hamiltonian: must be an object, got {ham!r}")
+        _require_object("hamiltonian", ham, ("name", "window", "field"))
         if ham.get("name", "random-spectral") != "random-spectral":
             raise ConfigInvalidError(f"hamiltonian.name: unknown model {ham['name']!r}")
         window = ham.get("window", [0.0, 1.0])
@@ -226,7 +241,7 @@ def _shared_rng(cfg: ExperimentConfig, sweep_index: int) -> np.random.Generator:
 
 def _build_hamiltonian(cfg: ExperimentConfig, space: BipartiteSpace, rng):
     window = tuple(cfg.hamiltonian.get("window", (0.0, 1.0)))
-    return random_spectral_hamiltonian(space, window, rng)
+    return random_spectral_hamiltonian(space, window, rng=rng)
 
 
 def _build_subspace(spec: str, space: BipartiteSpace, rng) -> Subspace:
@@ -282,11 +297,10 @@ def _t_max(cfg: ExperimentConfig, h) -> float:
 def _thm1_trial(cfg, space, rng, shared):
     h = _build_hamiltonian(cfg, space, rng)
     psi0 = haar_random_state(_build_subspace(cfg.subspace_spec, space, rng), rng)
+    c = energy_coefficients(psi0, h)
     t_max = _t_max(cfg, h)
-    res = theorem1_check(
-        psi0, h, space, t_max, _n_samples(cfg), thresholds=cfg.thresholds_K, rng=rng
-    )
-    sub = subadditivity_and_bath_checks(psi0, h, space, t_max=t_max, rng=rng)
+    res = theorem1_check(c, h, space, t_max, _n_samples(cfg), cfg.thresholds_K, rng=rng)
+    sub = subadditivity_and_bath_checks(c, h, space, t_max=t_max, rng=rng)
     checks = [
         ("mean_distance_bath_bound", res.bath_check),
         ("mean_distance_total_bound", res.total_check),
@@ -342,11 +356,10 @@ def _thm3_aggregate(cfg, space, results, shared):
 def _thm4_trial(cfg, space, rng, shared):
     h, _ = shared()
     psi0 = haar_random_state(_build_subspace(cfg.subspace_spec, space, rng), rng)
+    c = energy_coefficients(psi0, h)
     n_samples = _n_samples(cfg)
-    tail = theorem4_tail(energy_coefficients(psi0, h), h, space, cfg.epsilon, n_samples, rng)
-    ks = ergodicity_ks_statistic(
-        psi0, h, space, t_max=_t_max(cfg, h), n_samples=n_samples, rng=rng
-    )
+    tail = theorem4_tail(c, h, space, cfg.epsilon, n_samples, rng)
+    ks = ergodicity_ks_statistic(c, h, space, _t_max(cfg, h), n_samples, rng=rng)
     checks = [
         ("torus_tail_frequency", tail),
         ("ks_statistic", BoundCheck.upper(ks, KS_STATISTIC_GATE)),
@@ -355,10 +368,9 @@ def _thm4_trial(cfg, space, rng, shared):
 
 
 def _counterexamples_trial(cfg, space, rng, shared):
-    report = counterexample_demonstrations(
-        space, rng, field=float(cfg.hamiltonian.get("field", 50.0)), n_times=_n_samples(cfg)
-    )
-    return space.d, list(report.checks().items()), None
+    field_strength = float(cfg.hamiltonian.get("field", 50.0))
+    checks = counterexample_checks(space, rng, field_strength, _n_samples(cfg))
+    return space.d, list(checks.items()), None
 
 
 def _identities_trial(cfg, space, rng, shared):

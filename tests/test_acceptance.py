@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from eqlab.bipartite import BipartiteSpace
-from eqlab.dynamics import energy_coefficients, reduce_to_bath, reduce_to_system
+from eqlab.dynamics import (
+    dephased_marginals,
+    energy_coefficients,
+    reduce_to_bath,
+    reduce_to_system,
+)
 from eqlab.hamiltonians import (
     diagonal_product_hamiltonian,
     random_spectral_hamiltonian,
@@ -23,6 +28,7 @@ from eqlab.runner import ExperimentConfig, derive_seed, emit, run_experiment
 from eqlab.states import Subspace, haar_random_state
 from eqlab.verifiers import (
     CONSTANTS,
+    d_eff_of_time_average,
     delta_quantity,
     diagonal_counterexample,
     ergodicity_ks_statistic,
@@ -31,8 +37,8 @@ from eqlab.verifiers import (
     subadditivity_and_bath_checks,
     swap_trace_identity_check,
     theorem1_check,
-    theorem2_statistics,
-    theorem3_statistics,
+    theorem2_summary,
+    theorem3_summary,
     theorem4_tail,
 )
 
@@ -52,12 +58,10 @@ def equilibration_runs():
         d_b = (8, 16, 32)[i % 3]
         space = BipartiteSpace(2, d_b)
         rng = np.random.default_rng(derive_seed(MASTER_SEED, 0, i))
-        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng)
-        psi = haar_random_state(Subspace.full(space.d), rng)
-        res = theorem1_check(psi, h, space, n_samples=2000, rng=rng)
-        sub = subadditivity_and_bath_checks(
-            psi, h, space, n_samples=200, rank_samples=2, rng=rng
-        )
+        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+        c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
+        res = theorem1_check(c, h, space, n_samples=2000, rng=rng)
+        sub = subadditivity_and_bath_checks(c, h, space, n_samples=200, rank_samples=2, rng=rng)
         runs.append((space, res, sub))
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"equilibration sweep took {elapsed:.1f}s (budget 120s)"
@@ -93,8 +97,11 @@ def test_criterion_02_fluctuation_fractions(equilibration_runs):
 def test_criterion_03_effective_dimension_concentration():
     rng = np.random.default_rng(derive_seed(MASTER_SEED, 1, 0))
     space = BipartiteSpace(2, 32)
-    h = random_spectral_hamiltonian(space, (0.0, 1.0), rng)
-    summary = theorem2_statistics(Subspace.full(64), h, 200, rng)
+    h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+    d_effs = [
+        d_eff_of_time_average(haar_random_state(Subspace.full(64), rng), h) for _ in range(200)
+    ]
+    summary = theorem2_summary(d_effs, 64)
     ok = summary.mean_check.satisfied and summary.tail_frequency == 0.0
     report(
         "criterion 03",
@@ -112,10 +119,12 @@ def test_criterion_04_bath_state_independence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(derive_seed(MASTER_SEED, 2, 0))
     space = BipartiteSpace(2, 64)
-    h = random_spectral_hamiltonian(space, (0.0, 1.0), rng)
+    h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
     psi_s = haar_random_state(Subspace.full(2), rng)
     sub = Subspace.fixed_system(psi_s, space)
-    summary = theorem3_statistics(sub, h, space, 100, rng)
+    cs = [energy_coefficients(haar_random_state(sub, rng), h) for _ in range(100)]
+    omegas = np.array([dephased_marginals(c, h, space)[0] for c in cs])
+    summary = theorem3_summary(omegas, delta_quantity(h, sub, space), sub.d_R, space.d_S)
     elapsed = time.perf_counter() - t0
     bound = math.sqrt(2 / (4 * 64))
     ok = summary.mean <= bound + 3 * summary.std_error
@@ -132,7 +141,7 @@ def test_criterion_04_bath_state_independence():
 def test_criterion_05a_delta_product_eigenbasis():
     rng = np.random.default_rng(derive_seed(MASTER_SEED, 3, 0))
     space = BipartiteSpace(2, 8)
-    h = diagonal_product_hamiltonian(space, (0.0, 1.0), rng)
+    h = diagonal_product_hamiltonian(space, (0.0, 1.0), rng=rng)
     delta = delta_quantity(h, Subspace.full(space.d), space)
     ok = abs(delta - 1.0) <= 1e-10
     report("criterion 05a", ok, f"delta = {delta!r} for a product eigenbasis")
@@ -142,7 +151,7 @@ def test_criterion_05a_delta_product_eigenbasis():
 def _haar_basis_delta() -> float:
     rng = np.random.default_rng(derive_seed(MASTER_SEED, 3, 1))
     space = BipartiteSpace(2, 32)
-    h = random_spectral_hamiltonian(space, (0.0, 1.0), rng)
+    h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
     return delta_quantity(h, Subspace.full(space.d), space)
 
 
@@ -179,28 +188,29 @@ def test_criterion_05b_delta_haar_eigenbasis_below_0p2():
 
 def test_criterion_06_population_conserving_counterexample():
     rng = np.random.default_rng(derive_seed(MASTER_SEED, 4, 0))
-    rep = diagonal_counterexample(BipartiteSpace(2, 16), rng, n_times=500)
-    ok = rep.max_population_drift <= 1e-10 and abs(rep.basis_omega_distance - 1.0) <= 1e-9
+    checks = diagonal_counterexample(BipartiteSpace(2, 16), rng, n_times=500)
+    drift = checks["population_drift"].empirical
+    distance_gap = checks["basis_omega_distance"].empirical  # |D(omega_0, omega_1) - 1|
+    ok = drift <= 1e-10 and distance_gap <= 1e-9
     report(
         "criterion 06",
         ok,
-        f"max population drift {rep.max_population_drift:.2e}, "
-        f"D(omega_0, omega_1) = {rep.basis_omega_distance!r}",
+        f"max population drift {drift:.2e}, |D(omega_0, omega_1) - 1| = {distance_gap!r}",
     )
-    assert rep.max_population_drift <= 1e-10
-    assert abs(rep.basis_omega_distance - 1.0) <= 1e-9
+    assert drift <= 1e-10
+    assert distance_gap <= 1e-9
 
 
 def test_criterion_07_energy_separation_counterexample():
     rng = np.random.default_rng(derive_seed(MASTER_SEED, 5, 0))
-    rep = spin_bath_counterexample(50.0, 8, rng)
-    ok = 96.0 <= rep.energy_diff <= 104.0
+    energy_diff = spin_bath_counterexample(50.0, 8, rng)["energy_diff_max"].empirical
+    ok = 96.0 <= energy_diff <= 104.0
     report(
         "criterion 07",
         ok,
-        f"conserved energy difference {rep.energy_diff:.2f} in [96, 104]",
+        f"conserved energy difference {energy_diff:.2f} in [96, 104]",
     )
-    assert 96.0 <= rep.energy_diff <= 104.0
+    assert 96.0 <= energy_diff <= 104.0
 
 
 def test_criterion_08_operator_identities():
@@ -242,10 +252,10 @@ def test_criterion_09_subadditivity_and_bath_bounds(equilibration_runs):
 def test_criterion_10_phase_sampling_ergodicity():
     rng = np.random.default_rng(derive_seed(MASTER_SEED, 7, 0))
     space = BipartiteSpace(2, 32)
-    h = random_spectral_hamiltonian(space, (0.0, 1.0), rng)
-    psi = haar_random_state(Subspace.full(space.d), rng)
-    ks = ergodicity_ks_statistic(psi, h, space, n_samples=2000, rng=rng)
-    tail = theorem4_tail(energy_coefficients(psi, h), h, space, 0.2, 2000, rng)
+    h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+    c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
+    ks = ergodicity_ks_statistic(c, h, space, n_samples=2000, rng=rng)
+    tail = theorem4_tail(c, h, space, 0.2, 2000, rng)
     tail_ok = tail.satisfied or tail.metadata["vacuous"]
     ok = ks <= 0.05 and tail_ok
     report(

@@ -38,7 +38,7 @@ from oracles import (
 def instance():
     rng = np.random.default_rng(100)
     space = BipartiteSpace(2, 8)
-    h = random_spectral_hamiltonian(space, (0.0, 1.0), rng)
+    h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
     psi = haar_random_state(Subspace.full(space.d), rng)
     return space, h, psi
 
@@ -121,7 +121,7 @@ class TestDephasedTimeAverage:
         # deviation shrinks as the averaging window grows.
         rng = np.random.default_rng(103)
         space = BipartiteSpace(4, 4)
-        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng)
+        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
         psi = haar_random_state(Subspace.full(space.d), rng)
         omega = dephased_time_average(psi, h)
         gap = h.min_level_gap()
@@ -210,7 +210,7 @@ class TestTorusState:
     def test_phase_average_recovers_omega(self):
         rng = np.random.default_rng(105)
         space = BipartiteSpace(2, 3)
-        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng)
+        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
         psi = haar_random_state(Subspace.full(space.d), rng)
         c = energy_coefficients(psi, h)
         omega = dephased_time_average(psi, h)
@@ -263,7 +263,7 @@ class TestTrajectoryStatistics:
     def test_eigenstate_mean_zero(self, instance):
         space, h, _ = instance
         stats = trajectory_statistics(
-            h.eigenbasis[:, 0], h, space, default_t_max(h), 64,
+            energy_coefficients(h.eigenbasis[:, 0], h), h, space, default_t_max(h), 64,
             rng=np.random.default_rng(106),
         )
         assert stats.mean_distance <= 1e-10
@@ -271,7 +271,8 @@ class TestTrajectoryStatistics:
     def test_random_state_bound(self, instance):
         space, h, psi = instance
         stats = trajectory_statistics(
-            psi, h, space, default_t_max(h), 2000, rng=np.random.default_rng(107)
+            energy_coefficients(psi, h), h, space, default_t_max(h), 2000,
+            rng=np.random.default_rng(107),
         )
         omega = dephased_time_average(psi, h)
         bound = 0.5 * np.sqrt(space.d_S**2 / effective_dimension(omega))
@@ -289,7 +290,7 @@ class TestTrajectoryStatistics:
         h = noninteracting_hamiltonian(h_s, h_s, space)
         psi = haar_random_state(Subspace.full(4), rng)
         with pytest.raises(DegenerateHamiltonianError):
-            trajectory_statistics(psi, h, space, 1.0, 8, rng=rng)
+            trajectory_statistics(energy_coefficients(psi, h), h, space, 1.0, 8, rng=rng)
 
     def test_sample_times_stratified(self):
         times = sample_times(10.0, 5, np.random.default_rng(108))
@@ -300,7 +301,7 @@ class TestTrajectoryStatistics:
     def test_reduced_states_match_evolve(self, instance):
         space, h, psi = instance
         times = np.array([0.0, 1.7, 9.2])
-        rhos = reduced_states_at_times(psi, h, space, times)
+        rhos = reduced_states_at_times(energy_coefficients(psi, h), h, space, times)
         for t, rho in zip(times, rhos):
             v = evolve(psi, h, t).reshape(space.d_S, space.d_B)
             assert np.max(np.abs(rho - v @ v.conj().T)) <= 1e-12

@@ -94,7 +94,7 @@ class TestSpectralHamiltonian:
     def test_dense_round_trip(self):
         rng = np.random.default_rng(1)
         space = BipartiteSpace(2, 4)
-        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng)
+        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
         eig = hermitian_eigendecomposition(dense(h))
         assert np.allclose(eig.eigenvalues, h.energies, atol=1e-8)
 
@@ -176,26 +176,26 @@ class TestGapAnalysis:
 class TestRandomSpectralHamiltonian:
     def test_gap_check_passes(self):
         rng = np.random.default_rng(5)
-        h = random_spectral_hamiltonian(BipartiteSpace(2, 2), (0.0, 1.0), rng)
+        h = random_spectral_hamiltonian(BipartiteSpace(2, 2), (0.0, 1.0), rng=rng)
         assert gap_analysis(h).passes
 
     def test_gap_report_computed_once(self):
         rng = np.random.default_rng(5)
-        h = random_spectral_hamiltonian(BipartiteSpace(2, 2), (0.0, 1.0), rng)
+        h = random_spectral_hamiltonian(BipartiteSpace(2, 2), (0.0, 1.0), rng=rng)
         assert h.gap_report is h.gap_report
         assert h.gap_report == gap_analysis(h)
         assert gap_analysis(h, tol=0.5) != h.gap_report  # an explicit call is not cached
 
     def test_determinism(self):
         space = BipartiteSpace(2, 3)
-        a = random_spectral_hamiltonian(space, (0.0, 1.0), np.random.default_rng(6))
-        b = random_spectral_hamiltonian(space, (0.0, 1.0), np.random.default_rng(6))
+        a = random_spectral_hamiltonian(space, (0.0, 1.0), rng=np.random.default_rng(6))
+        b = random_spectral_hamiltonian(space, (0.0, 1.0), rng=np.random.default_rng(6))
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.eigenbasis, b.eigenbasis)
 
     def test_column_norms(self):
         rng = np.random.default_rng(7)
-        h = random_spectral_hamiltonian(BipartiteSpace(2, 4), (0.0, 1.0), rng)
+        h = random_spectral_hamiltonian(BipartiteSpace(2, 4), (0.0, 1.0), rng=rng)
         norms = np.linalg.norm(h.eigenbasis, axis=0)
         assert np.max(np.abs(norms - 1.0)) <= 1e-10
 
@@ -219,7 +219,7 @@ class TestRandomSpectralHamiltonian:
         monkeypatch.setattr(hamiltonians, "gap_analysis", failing_first)
         space, seed = BipartiteSpace(2, 3), 8
         build = {"random": random_spectral_hamiltonian, "diagonal": diagonal_product_hamiltonian}
-        h = build[builder](space, (0.0, 1.0), np.random.default_rng(seed))
+        h = build[builder](space, (0.0, 1.0), rng=np.random.default_rng(seed))
         assert len(reports) == 2 and checks == [(6, 6)]
 
         # The same numbers as building each attempt from scratch.
@@ -230,7 +230,8 @@ class TestRandomSpectralHamiltonian:
         assert np.array_equal(h.eigenbasis, basis)
 
     def test_with_energies_checks_energies(self):
-        h = random_spectral_hamiltonian(BipartiteSpace(2, 2), (0.0, 1.0), np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        h = random_spectral_hamiltonian(BipartiteSpace(2, 2), (0.0, 1.0), rng=rng)
         assert np.array_equal(h.with_energies([0.0, 0.1, 0.2, 0.3]).eigenbasis, h.eigenbasis)
         with pytest.raises(ValueError):
             h.with_energies([0.3, 0.2, 0.1, 0.0])
@@ -240,7 +241,7 @@ class TestRandomSpectralHamiltonian:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             random_spectral_hamiltonian(
-                BipartiteSpace(2, 2), (1.0, 1.0), np.random.default_rng(0)
+                BipartiteSpace(2, 2), (1.0, 1.0), rng=np.random.default_rng(0)
             )
 
 
@@ -267,14 +268,14 @@ class TestNoninteractingHamiltonian:
 class TestDiagonalProductHamiltonian:
     def test_identity_eigenbasis(self):
         rng = np.random.default_rng(9)
-        h = diagonal_product_hamiltonian(BipartiteSpace(2, 3), (0.0, 1.0), rng)
+        h = diagonal_product_hamiltonian(BipartiteSpace(2, 3), (0.0, 1.0), rng=rng)
         assert np.array_equal(h.eigenbasis, np.eye(6))
         assert gap_analysis(h).passes
 
     def test_commutes_with_diagonal_subsystem_operators(self):
         rng = np.random.default_rng(10)
         space = BipartiteSpace(2, 4)
-        h = diagonal_product_hamiltonian(space, (0.0, 1.0), rng)
+        h = diagonal_product_hamiltonian(space, (0.0, 1.0), rng=rng)
         h_dense = dense(h)
         a = kronecker_product(np.diag(rng.standard_normal(2)), np.eye(4))
         assert np.max(np.abs(a @ h_dense - h_dense @ a)) <= 1e-12

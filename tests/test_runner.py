@@ -88,6 +88,17 @@ UNRUNNABLE = {
     "master_seed=true": {"master_seed": True},
     "time_sampling.n_samples=50.7": {"time_sampling": {"t_max_factor": 1e3, "n_samples": 50.7}},
     "time_sampling.n_samples=500.0": {"time_sampling": {"t_max_factor": 1e3, "n_samples": 500.0}},
+    "thresholds_K=a": {"thresholds_K": ["a"]},
+    "thresholds_K=5": {"thresholds_K": 5},
+    "thresholds_K=true": {"thresholds_K": [True]},
+    "thresholds_K=-1": {"thresholds_K": [-1]},
+    "epsilon=true": {"epsilon": True},
+    "hamiltonian.window=true": {"hamiltonian": {"window": [0, True]}},
+    "time_sampling=5": {"time_sampling": 5},
+    "hamiltonian.windw": {"hamiltonian": {"windw": [0, 5]}},
+    "time_sampling.n_sample": {
+        "time_sampling": {"t_max_factor": 1e3, "n_samples": 200, "n_sample": 7}
+    },
 }
 
 
@@ -138,6 +149,8 @@ class TestConfigValidation:
     def test_config_hash_stable(self):
         assert small_config().config_hash() == small_config().config_hash()
         assert small_config().config_hash() != small_config(master_seed=8).config_hash()
+        # Integer thresholds read as the floats they stand for.
+        assert small_config(thresholds_K=[2, 5, 10]).config_hash() == small_config().config_hash()
 
 
 @pytest.fixture(scope="module")
@@ -360,7 +373,7 @@ class TestSharedPerSweep:
         h, sub = runner._sweep_shared(cfg.canonical_json(), 0)
         shared = runner._shared_rng(cfg, 0)
         space = BipartiteSpace(2, 8)
-        h_ref = random_spectral_hamiltonian(space, (0.0, 1.0), shared)
+        h_ref = random_spectral_hamiltonian(space, (0.0, 1.0), rng=shared)
         psi_s = haar_random_state(Subspace.full(2), shared)
         assert np.array_equal(h.energies, h_ref.energies)
         assert np.array_equal(h.eigenbasis, h_ref.eigenbasis)

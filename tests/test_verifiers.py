@@ -31,7 +31,8 @@ from eqlab.states import Subspace, haar_random_state, trace_distance
 from eqlab.verifiers import (
     CONSTANTS,
     BoundCheck,
-    counterexample_demonstrations,
+    counterexample_checks,
+    d_eff_of_time_average,
     delta_quantity,
     diagonal_counterexample,
     ergodicity_ks_statistic,
@@ -41,19 +42,32 @@ from eqlab.verifiers import (
     subadditivity_and_bath_checks,
     swap_trace_identity_check,
     theorem1_check,
-    theorem2_statistics,
-    theorem3_statistics,
+    theorem2_summary,
+    theorem3_summary,
     theorem4_tail,
     torus_distances,
     _ks_statistic,
 )
 
 
+def thm2_summary(subspace, h, trials, rng):
+    """theorem2_summary over d_eff(ω) of `trials` Haar states of the subspace."""
+    samples = [d_eff_of_time_average(haar_random_state(subspace, rng), h) for _ in range(trials)]
+    return theorem2_summary(samples, subspace.d_R)
+
+
+def thm3_summary(subspace, h, space, trials, rng):
+    """theorem3_summary over ω_S of `trials` Haar states of the subspace."""
+    cs = [energy_coefficients(haar_random_state(subspace, rng), h) for _ in range(trials)]
+    omegas = np.array([dephased_marginals(c, h, space)[0] for c in cs])
+    return theorem3_summary(omegas, delta_quantity(h, subspace, space), subspace.d_R, space.d_S)
+
+
 @pytest.fixture(scope="module")
 def instance():
     rng = np.random.default_rng(200)
     space = BipartiteSpace(2, 16)
-    h = random_spectral_hamiltonian(space, (0.0, 1.0), rng)
+    h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
     psi = haar_random_state(Subspace.full(space.d), rng)
     return space, h, psi
 
@@ -92,15 +106,15 @@ class TestBoundCheck:
 class TestTheorem1:
     def test_eigenstate_trivial(self, instance):
         space, h, _ = instance
-        res = theorem1_check(
-            h.eigenbasis[:, 0], h, space, n_samples=64, rng=np.random.default_rng(201)
-        )
+        c = energy_coefficients(h.eigenbasis[:, 0], h)
+        res = theorem1_check(c, h, space, n_samples=64, rng=np.random.default_rng(201))
         assert res.bath_check.empirical <= 1e-10
         assert res.bath_check.satisfied and res.total_check.satisfied
 
     def test_random_state(self, instance):
         space, h, psi = instance
-        res = theorem1_check(psi, h, space, n_samples=2000, rng=np.random.default_rng(202))
+        c = energy_coefficients(psi, h)
+        res = theorem1_check(c, h, space, n_samples=2000, rng=np.random.default_rng(202))
         assert res.bath_check.satisfied and res.total_check.satisfied
         # The bath bound is tighter than (or equal to) the total bound.
         assert res.bath_check.bound <= res.total_check.bound + 1e-12
@@ -114,13 +128,13 @@ class TestTheorem2:
         # to that eigenstate: d_eff = 1 >= d_R / 2 always.
         space, h, _ = instance
         rng = np.random.default_rng(203)
-        summary = theorem2_statistics(Subspace(h.eigenbasis[:, :1]), h, 40, rng)
+        summary = thm2_summary(Subspace(h.eigenbasis[:, :1]), h, 40, rng)
         assert np.allclose(summary.d_eff_samples, 1.0, atol=1e-10)
         assert summary.mean_check.satisfied
 
     def test_full_space(self, instance):
         space, h, _ = instance
-        summary = theorem2_statistics(
+        summary = thm2_summary(
             Subspace.full(space.d), h, 60, np.random.default_rng(204)
         )
         assert summary.mean_check.satisfied
@@ -129,8 +143,8 @@ class TestTheorem2:
 
     def test_reproducible(self, instance):
         space, h, _ = instance
-        a = theorem2_statistics(Subspace.full(space.d), h, 30, np.random.default_rng(205))
-        b = theorem2_statistics(Subspace.full(space.d), h, 30, np.random.default_rng(205))
+        a = thm2_summary(Subspace.full(space.d), h, 30, np.random.default_rng(205))
+        b = thm2_summary(Subspace.full(space.d), h, 30, np.random.default_rng(205))
         assert np.array_equal(a.d_eff_samples, b.d_eff_samples)
         assert a.mean == b.mean
 
@@ -139,7 +153,7 @@ class TestDelta:
     def test_product_eigenbasis(self):
         rng = np.random.default_rng(206)
         space = BipartiteSpace(2, 8)
-        h = diagonal_product_hamiltonian(space, (0.0, 1.0), rng)
+        h = diagonal_product_hamiltonian(space, (0.0, 1.0), rng=rng)
         sub = Subspace.full(space.d)
         assert abs(delta_quantity(h, sub, space) - 1.0) <= 1e-10
 
@@ -167,7 +181,7 @@ class TestTheorem3:
         rng = np.random.default_rng(207)
         psi_s = haar_random_state(Subspace.full(space.d_S), rng)
         sub = Subspace.fixed_system(psi_s, space)
-        summary = theorem3_statistics(sub, h, space, 60, rng)
+        summary = thm3_summary(sub, h, space, 60, rng)
         assert summary.weak_check.satisfied
         assert summary.delta_check.satisfied
         assert summary.delta_check.bound <= summary.weak_check.bound + 1e-12
@@ -180,7 +194,7 @@ class TestTheorem3:
         rng = np.random.default_rng(208)
         phi_b = haar_random_state(Subspace.full(space.d_B), rng)
         sub = Subspace.fixed_bath(phi_b, space)
-        summary = theorem3_statistics(sub, h, space, 60, rng)
+        summary = thm3_summary(sub, h, space, 60, rng)
         weak = math.sqrt(space.d_S / (4 * sub.d_R))
         assert abs(weak - 0.5) <= 1e-12
         assert summary.delta_check.bound < summary.weak_check.bound
@@ -190,7 +204,7 @@ class TestTheorem3:
         space, h, _ = instance
         rng = np.random.default_rng(209)
         basis = haar_random_state(Subspace.full(space.d), rng).reshape(-1, 1)
-        summary = theorem3_statistics(Subspace(basis), h, space, 30, rng)
+        summary = thm3_summary(Subspace(basis), h, space, 30, rng)
         assert np.max(summary.distances) <= 1e-10
 
 
@@ -213,7 +227,7 @@ class TestTheorem4:
     def test_ks_statistic_small(self, instance):
         space, h, psi = instance
         ks = ergodicity_ks_statistic(
-            psi, h, space, n_samples=800, rng=np.random.default_rng(212)
+            energy_coefficients(psi, h), h, space, n_samples=800, rng=np.random.default_rng(212)
         )
         assert 0.0 <= ks <= 0.1
 
@@ -329,8 +343,9 @@ class TestKSStatistic:
 class TestSubadditivity:
     def test_eigenstate_trivial(self, instance):
         space, h, _ = instance
+        c = energy_coefficients(h.eigenbasis[:, 1], h)
         report = subadditivity_and_bath_checks(
-            h.eigenbasis[:, 1], h, space, n_samples=32, rng=np.random.default_rng(213)
+            c, h, space, n_samples=32, rng=np.random.default_rng(213)
         )
         assert report.renyi_check.satisfied
         assert report.bath_deff_check.satisfied
@@ -340,7 +355,7 @@ class TestSubadditivity:
     def test_random_state(self, instance):
         space, h, psi = instance
         report = subadditivity_and_bath_checks(
-            psi, h, space, n_samples=128, rng=np.random.default_rng(214)
+            energy_coefficients(psi, h), h, space, n_samples=128, rng=np.random.default_rng(214)
         )
         assert report.renyi_check.satisfied and report.renyi_check.margin > 0
         assert report.bath_deff_check.satisfied
@@ -352,9 +367,9 @@ class TestSubadditivity:
         rng = np.random.default_rng(215)
         psi_s = haar_random_state(Subspace.full(space.d_S), rng)
         sub = Subspace.fixed_system(psi_s, space)
-        psi = haar_random_state(sub, rng)
+        c = energy_coefficients(haar_random_state(sub, rng), h)
         report = subadditivity_and_bath_checks(
-            psi, h, space, n_samples=64, restricted_bath_dim=space.d_B, rng=rng
+            c, h, space, n_samples=64, restricted_bath_dim=space.d_B, rng=rng
         )
         if report.product_chain_check is not None:
             assert report.product_chain_check.satisfied
@@ -389,27 +404,41 @@ class TestIdentities:
 class TestCounterexamples:
     def test_diagonal_model(self):
         rng = np.random.default_rng(219)
-        report = diagonal_counterexample(BipartiteSpace(2, 8), rng, n_times=100)
-        assert report.max_population_drift <= 1e-10
-        assert abs(report.basis_omega_distance - 1.0) <= 1e-9
-        assert report.imbalance_check.satisfied
+        checks = diagonal_counterexample(BipartiteSpace(2, 8), rng, n_times=100)
+        assert list(checks) == ["population_drift", "basis_omega_distance", "imbalance_lower_bound"]
+        assert checks["population_drift"].empirical <= 1e-10
+        assert checks["basis_omega_distance"].empirical <= 1e-9  # |D(ω_0, ω_1) − 1|
+        assert all(chk.satisfied for chk in checks.values())
 
     def test_spin_bath_model(self):
         rng = np.random.default_rng(220)
-        report = spin_bath_counterexample(50.0, 8, rng)
-        assert 2 * 50.0 - 4 <= report.energy_diff <= 2 * 50.0 + 4
-        assert report.min_eigenstate_purity >= 0.99
-        assert report.omega_distance > 0.9  # the subsystem never forgets sigma_z
+        checks = spin_bath_counterexample(50.0, 8, rng)
+        low, high = checks["energy_diff_min"], checks["energy_diff_max"]
+        assert low.satisfied and high.satisfied
+        assert low.bound == high.empirical  # one conserved difference, in both rows
+        assert 2 * 50.0 - 4 <= high.empirical <= 2 * 50.0 + 4
+
+    def test_spin_bath_metadata(self):
+        # The strong field leaves the eigenstates near-product and the
+        # subsystem never forgets σ_z; both rows carry the two diagnostics.
+        rng = np.random.default_rng(220)
+        for chk in spin_bath_counterexample(50.0, 8, rng).values():
+            assert chk.metadata["min_eigenstate_purity"] >= 0.99
+            assert chk.metadata["omega_distance"] > 0.9
 
     def test_spin_bath_weak_field_control(self):
         # Out of the strong-field regime no conservation claim is made; the
-        # report is still produced with a finite distance.
+        # checks are still produced with a finite distance.
         rng = np.random.default_rng(221)
-        report = spin_bath_counterexample(0.1, 4, rng)
-        assert 0.0 <= report.omega_distance <= 1.0
+        checks = spin_bath_counterexample(0.1, 4, rng)
+        assert 0.0 <= checks["energy_diff_max"].metadata["omega_distance"] <= 1.0
 
     def test_combined_report(self):
         rng = np.random.default_rng(222)
-        report = counterexample_demonstrations(BipartiteSpace(2, 8), rng, n_times=60)
-        assert report.diagonal.max_population_drift <= 1e-10
-        assert report.spin_bath.field == 50.0
+        checks = counterexample_checks(BipartiteSpace(2, 8), rng, 50.0, 60)
+        assert list(checks) == [
+            "population_drift", "basis_omega_distance", "imbalance_lower_bound",
+            "energy_diff_min", "energy_diff_max",
+        ]
+        assert checks["population_drift"].empirical <= 1e-10
+        assert checks["energy_diff_max"].bound == 2 * 50.0 + 4
