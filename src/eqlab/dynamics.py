@@ -4,12 +4,16 @@ Evolution is exact: one amplitude kernel, `torus_state`, applies phases to
 the energy coefficients and maps back (α = −E t for time evolution), and
 one reduction per side turns amplitude stacks into ρ_S or ρ_B stacks. The
 kernel forms the phase factors e^{iα} from tan(α/2) by the half-angle
-identity, which numpy vectorises, instead of an elementwise complex exp.
-`reduced_states` runs the two over many phase vectors in row blocks of
+identity, which numpy vectorises, instead of an elementwise complex exp,
+scales them by c and maps a whole stack with one matrix product against the
+basis. ρ_S is one broadcast `np.linalg.vecdot` over the bath index,
+ρ_B one batched matrix product over the system index. `reduced_states`
+runs the kernel and the reductions over many phase vectors in row blocks of
 `block_rows(d)`, so a trajectory or a torus sample never holds its whole
 n × d amplitude stack. The infinite-time average is exact through its
-marginals (`dephased_marginals`), and the d×d dephased state ω is never
-formed; time sampling is only used for fluctuation statistics.
+marginals (`dephased_system`, `dephased_bath`), each computed only where it
+is read, and the d×d dephased state ω is never formed; time sampling is
+only used for fluctuation statistics.
 
 Every function of an initial state takes its energy coefficients
 c_k = ⟨E_k|ψ₀⟩ (`energy_coefficients`), not ψ₀, so a caller computes them
@@ -36,14 +40,15 @@ DEFAULT_THRESHOLDS = (2.0, 5.0, 10.0)
 # `reduced_states` works in blocks of 4096 amplitudes (64 KiB of complex128),
 # and never fewer than 64 rows, so a run holds one block's phases and
 # amplitudes instead of the n × d stack (131 MB at n = 2000, d = 4096).
-# Re-measured in October 2026 with the half-angle phase kernel on a 2-core
-# x86_64 host (numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread), one 10 s
-# perfbench run per setting: thm1-readme and thm4-readme peak at 43.9 and
-# 40.2 MB RSS, against 47.1 and 41.0 MB with 256 KiB blocks and 48.8 and
-# 48.9 MB unblocked, and thm4-readme's `wall_norm_s` is 0.073 s against
-# 0.088 and 0.110 s. `torus_distances` at d = 1024, n = 2000 takes 0.47 s
-# (median of 7) with 64-row blocks, 0.42 s as one unblocked product and
-# 0.73 s with 8-row blocks.
+# Re-measured in October 2026 with the vecdot reduction on a 2-core x86_64
+# host (numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread), the mean of two 10 s
+# perfbench runs per setting: thm1-readme and thm4-readme peak at 43.8 and
+# 40.2 MB RSS, against 47.0 and 41.0 MB with 256 KiB blocks and 47.9 and 48.0
+# MB unblocked, and their `wall_norm_s` is 0.048 and 0.065 s, against 0.053
+# and 0.068 s and 0.060 and 0.096 s: 64 KiB stays. `torus_distances` at
+# d = 1024, n = 2000 takes 0.47 s (median of 7) with 64-row blocks, 0.39 s
+# as one unblocked product and 0.73 s with 8-row blocks; its tracemalloc
+# peak is 5.1 MiB blocked and 125 MiB unblocked.
 BLOCK_AMPLITUDES = 4096
 MIN_BLOCK_ROWS = 64
 
@@ -62,30 +67,39 @@ def require_nondegenerate(h: SpectralHamiltonian) -> None:
         )
 
 
-def dephased_marginals(c, h: SpectralHamiltonian, space: BipartiteSpace) -> tuple[np.ndarray, ...]:
-    """(ω_S, ω_B), the re-Hermitized marginals of ω = Σ_k |c_k|² |E_k⟩⟨E_k|.
-
-    With U[s, b, k] = ⟨s b|E_k⟩, ω_S[s, t] = Σ_{b,k} U[s,b,k] |c_k|² U*[t,b,k]
-    and ω_B is the same sum over (s, k): two matrix products, without the
-    dense d×d ω or a per-eigenstate stack.
-    """
+def _weighted_eigenbasis(c, h: SpectralHamiltonian, space: BipartiteSpace):
+    """(U·|c|², U*) with U[s, b, k] = ⟨s b|E_k⟩, the factors of both marginals of ω."""
     cv = np.asarray(c, dtype=np.complex128)
     if cv.shape != (h.dim,) or h.dim != space.d:
         raise DimensionMismatchError(
             f"coefficients {cv.shape}, Hamiltonian ({h.dim}) and space ({space.d}) disagree"
         )
     u = h.eigenbasis.reshape(space.d_S, space.d_B, h.dim)
-    weighted, u_conj = u * np.abs(cv) ** 2, u.conj()
-    omega_s = np.tensordot(weighted, u_conj, axes=([1, 2], [1, 2]))
-    omega_b = np.tensordot(weighted, u_conj, axes=([0, 2], [0, 2]))
-    return hermitize(omega_s), hermitize(omega_b)
+    return u * np.abs(cv) ** 2, u.conj()
+
+
+def dephased_system(c, h: SpectralHamiltonian, space: BipartiteSpace) -> np.ndarray:
+    """ω_S, the re-Hermitized system marginal of ω = Σ_k |c_k|² |E_k⟩⟨E_k|.
+
+    ω_S[s, t] = Σ_{b,k} U[s,b,k] |c_k|² U*[t,b,k]: one matrix product of
+    cost O(d_S·d²), without the dense d×d ω or a per-eigenstate stack.
+    """
+    weighted, u_conj = _weighted_eigenbasis(c, h, space)
+    return hermitize(np.tensordot(weighted, u_conj, axes=([1, 2], [1, 2])))
+
+
+def dephased_bath(c, h: SpectralHamiltonian, space: BipartiteSpace) -> np.ndarray:
+    """ω_B, the re-Hermitized bath marginal of ω: the `dephased_system` sum
+    taken over (s, k) instead of (b, k), which costs O(d³/d_S)."""
+    weighted, u_conj = _weighted_eigenbasis(c, h, space)
+    return hermitize(np.tensordot(weighted, u_conj, axes=([0, 2], [0, 2])))
 
 
 def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
     """Ψ(α) = Σ_k e^{iα_k} c_k |E_k⟩: time evolution with free phases.
 
     ``alpha`` is one phase vector or an (n, d) stack of them; a stack gives
-    one state per row.
+    one state per row, and ``alpha`` itself is never written.
 
     The phase factors come from the half-angle identity. With C = cos(θ/2),
     S = sin(θ/2) and t = S/C = tan(θ/2), cos θ = (C² − S²)/(C² + S²) and
@@ -107,12 +121,15 @@ def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
         raise DimensionMismatchError(
             f"coefficients ({cv.size}) and phases {av.shape} must have length {h.dim}"
         )
-    t = np.tan(0.5 * av)
+    t = 0.5 * av  # a fresh buffer, so the caller's alpha is never written
+    np.tan(t, out=t)
     t2 = t * t
     den = 1.0 + t2
+    np.subtract(1.0, t2, out=t2)
+    t += t
     phased = np.empty(av.shape, dtype=np.complex128)
-    np.divide(1.0 - t2, den, out=phased.real)
-    np.divide(t + t, den, out=phased.imag)
+    np.divide(t2, den, out=phased.real)
+    np.divide(t, den, out=phased.imag)
     phased *= cv
     return phased @ h.eigenbasis.T
 
@@ -138,15 +155,23 @@ def sample_times(
 
 
 def reduce_to_system(amps: np.ndarray, space: BipartiteSpace) -> np.ndarray:
-    """ρ_S = tr_B |ψ⟩⟨ψ| of each row of an (n, d) amplitude stack: (n, d_S, d_S)."""
+    """ρ_S = tr_B |ψ⟩⟨ψ| of each row of an (n, d) amplitude stack: (n, d_S, d_S).
+
+    With a[n, s, b] = ⟨s b|ψ_n⟩, ρ[n, s, t] = Σ_b a[n,s,b] conj(a[n,t,b]):
+    one broadcast `vecdot`, which conjugates its first argument. The stack
+    may be a non-contiguous view, such as the transposed eigenbasis.
+    """
     a = amps.reshape(-1, space.d_S, space.d_B)
-    return np.einsum("nsb,ntb->nst", a, a.conj())
+    return np.linalg.vecdot(a[:, None], a[:, :, None])
 
 
 def reduce_to_bath(amps: np.ndarray, space: BipartiteSpace) -> np.ndarray:
-    """ρ_B = tr_S |ψ⟩⟨ψ| of each row of an (n, d) amplitude stack: (n, d_B, d_B)."""
+    """ρ_B = tr_S |ψ⟩⟨ψ| of each row of an (n, d) amplitude stack: (n, d_B, d_B).
+
+    ρ[n, b, c] = Σ_s a[n,s,b] conj(a[n,s,c]): one batched matrix product.
+    """
     a = amps.reshape(-1, space.d_S, space.d_B)
-    return np.einsum("nsb,nsc->nbc", a, a.conj())
+    return a.transpose(0, 2, 1) @ a.conj()
 
 
 def block_rows(d: int) -> int:
@@ -208,7 +233,7 @@ def trajectory_statistics(
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     require_nondegenerate(h)
-    omega_s, _ = dephased_marginals(c, h, space)
+    omega_s = dephased_system(c, h, space)
     times = sample_times(t_max, n_samples, rng)
     distances = trace_distance(reduced_states_at_times(c, h, space, times), omega_s)
     mean = math.fsum(distances) / n_samples

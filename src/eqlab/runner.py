@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.random import default_rng  # numpy loads it lazily; load it with eqlab, not in a trial
 
 from .bipartite import BipartiteSpace
-from .dynamics import default_t_max, dephased_marginals, energy_coefficients
+from .dynamics import default_t_max, dephased_system, energy_coefficients
 from .errors import ConfigInvalidError
 from .hamiltonians import random_spectral_hamiltonian
 from .states import Subspace, haar_random_state
@@ -70,7 +71,10 @@ def _integer(x) -> bool:
 
 
 def _finite(x) -> bool:
-    return (_integer(x) or isinstance(x, float)) and math.isfinite(x)
+    """A number that is a finite float: a JSON integer beyond float range is not."""
+    if _integer(x):
+        return abs(x) <= sys.float_info.max  # exact: Python compares int and float exactly
+    return isinstance(x, float) and math.isfinite(x)
 
 
 def _require_object(name: str, value, known: tuple[str, ...]) -> None:
@@ -169,7 +173,9 @@ class ExperimentConfig:
             raise ConfigInvalidError(f"hamiltonian.window: need finite lo < hi, got {window!r}")
         field_strength = ham.get("field", 1.0)
         if not _finite(field_strength) or field_strength <= 0:
-            raise ConfigInvalidError(f"hamiltonian.field: must be positive, got {field_strength!r}")
+            raise ConfigInvalidError(
+                f"hamiltonian.field: must be positive and finite, got {field_strength!r}"
+            )
         for b in self.d_B:
             BipartiteSpace(self.d_S, b)  # raises DimensionOverflow on cap breach
         if not _integer(self.master_seed) or not 0 <= self.master_seed <= _MASK64:
@@ -332,7 +338,7 @@ def _thm2_aggregate(cfg, space, results, shared):
 def _thm3_trial(cfg, space, rng, shared):
     h, sub = shared()
     psi = haar_random_state(sub, rng)
-    omega_s, _ = dephased_marginals(energy_coefficients(psi, h), h, space)
+    omega_s = dephased_system(energy_coefficients(psi, h), h, space)
     return sub.d_R, [], omega_s
 
 

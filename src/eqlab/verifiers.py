@@ -21,7 +21,8 @@ from .dynamics import (
     DEFAULT_THRESHOLDS,
     TrajectoryStats,
     default_t_max,
-    dephased_marginals,
+    dephased_bath,
+    dephased_system,
     energy_coefficients,
     reduce_to_system,
     reduced_states,
@@ -131,7 +132,7 @@ def theorem1_check(
     require_nondegenerate(h)
     if t_max is None:
         t_max = default_t_max(h)
-    _, omega_b = dephased_marginals(c, h, space)
+    omega_b = dephased_bath(c, h, space)
     d_eff_omega = _d_eff(c)
     d_eff_omega_b = effective_dimension(omega_b)
     stats = trajectory_statistics(c, h, space, t_max, n_samples, thresholds, rng=rng)
@@ -319,7 +320,7 @@ def theorem4_tail(
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    omega_s, omega_b = dephased_marginals(c, h, space)
+    omega_s, omega_b = dephased_system(c, h, space), dephased_bath(c, h, space)
     threshold = math.sqrt(space.d_S / effective_dimension(omega_b)) + epsilon
     distances = torus_distances(c, h, space, omega_s, samples, rng)
     freq = float(np.mean(distances > threshold))
@@ -370,7 +371,7 @@ def ergodicity_ks_statistic(
     if t_max is None:
         t_max = default_t_max(h)
     time_d = trajectory_statistics(c, h, space, t_max, n_samples, rng=rng).distances
-    omega_s, _ = dephased_marginals(c, h, space)
+    omega_s = dephased_system(c, h, space)
     torus_d = torus_distances(c, h, space, omega_s, n_samples, rng)
     return _ks_statistic(time_d, torus_d)
 
@@ -403,7 +404,7 @@ def subadditivity_and_bath_checks(
     require_nondegenerate(h)
     if t_max is None:
         t_max = default_t_max(h)
-    _, omega_b = dephased_marginals(c, h, space)
+    omega_b = dephased_bath(c, h, space)
     d_eff_omega = _d_eff(c)
     renyi_check = BoundCheck.lower(1.0 / d_eff_omega, purity(omega_b) / space.d_S)
     omega_chain_check = BoundCheck.lower(
@@ -526,7 +527,7 @@ def diagonal_counterexample(
         rhos = reduced_states_at_times(c, h, space, times)
         pops = np.real(np.diagonal(rhos, axis1=1, axis2=2))
         drift = float(np.max(np.abs(pops - np.abs(np.asarray(psi_s)) ** 2)))
-        omega_s, _ = dephased_marginals(c, h, space)
+        omega_s = dephased_system(c, h, space)
         return omega_s, drift
 
     basis = np.eye(space.d_S, dtype=np.complex128)
@@ -573,8 +574,8 @@ def spin_bath_counterexample(
     c_minus = energy_coefficients(product_state(np.array([0.0, 1.0]), phi_b, space), h)
     energy_diff = float(np.sum(h.energies * (np.abs(c_plus) ** 2 - np.abs(c_minus) ** 2)))
 
-    omega_plus, _ = dephased_marginals(c_plus, h, space)
-    omega_minus, _ = dephased_marginals(c_minus, h, space)
+    omega_plus = dephased_system(c_plus, h, space)
+    omega_minus = dephased_system(c_minus, h, space)
     metadata = {
         "omega_distance": trace_distance(omega_plus, omega_minus),
         "min_eigenstate_purity": float(np.min(purity(reduced_eigenstates(h, space)))),

@@ -2,10 +2,10 @@
 
 eqlab never builds a d×d global operator on a run path: ρ_S(t), ρ_B(t), ω_S
 and ω_B come from the amplitude kernel `torus_state`, the reductions
-`reduce_to_system` / `reduce_to_bath` and `dephased_marginals`. The functions
-here build the same objects the direct way (the density matrix, its partial
-traces, the dephased state, the evolved state) so that the tests have an
-independent reference. Each is checked against brute force or a closed form
+`reduce_to_system` / `reduce_to_bath` and `dephased_system` /
+`dephased_bath`. The functions here build the same objects the direct way
+(the density matrix, its partial traces, the dephased state, the evolved
+state) so that the tests have an independent reference. Each is checked against brute force or a closed form
 in the test module of the eqlab module it stands beside.
 """
 

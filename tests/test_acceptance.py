@@ -14,7 +14,7 @@ import pytest
 
 from eqlab.bipartite import BipartiteSpace
 from eqlab.dynamics import (
-    dephased_marginals,
+    dephased_system,
     energy_coefficients,
     reduce_to_bath,
     reduce_to_system,
@@ -123,7 +123,7 @@ def test_criterion_04_bath_state_independence():
     psi_s = haar_random_state(Subspace.full(2), rng)
     sub = Subspace.fixed_system(psi_s, space)
     cs = [energy_coefficients(haar_random_state(sub, rng), h) for _ in range(100)]
-    omegas = np.array([dephased_marginals(c, h, space)[0] for c in cs])
+    omegas = np.array([dephased_system(c, h, space) for c in cs])
     summary = theorem3_summary(omegas, delta_quantity(h, sub, space), sub.d_R, space.d_S)
     elapsed = time.perf_counter() - t0
     bound = math.sqrt(2 / (4 * 64))

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from eqlab.bipartite import BipartiteSpace, swap_operator
-from eqlab.dynamics import dephased_marginals, energy_coefficients, reduce_to_bath, reduce_to_system
+from eqlab.dynamics import (
+    dephased_bath,
+    dephased_system,
+    energy_coefficients,
+    reduce_to_bath,
+    reduce_to_system,
+)
 from eqlab.errors import DimensionMismatchError
 from eqlab.hamiltonians import SpectralHamiltonian
 from eqlab.linalg import hermitian_eigendecomposition, kronecker_product
@@ -68,7 +74,8 @@ class TestIndexMaps:
         # An eigenbasis containing |ψ_S⟩|φ_B⟩, with all the weight on it: ω = |ψ⟩⟨ψ|.
         q, _ = np.linalg.qr(np.column_stack([psi, rng.standard_normal((space.d, space.d - 1))]))
         h = SpectralHamiltonian(np.arange(space.d, dtype=np.float64), q)
-        omega_s, omega_b = dephased_marginals(energy_coefficients(psi, h), h, space)
+        c = energy_coefficients(psi, h)
+        omega_s, omega_b = dephased_system(c, h, space), dephased_bath(c, h, space)
         assert np.max(np.abs(omega_s - rho_s)) <= 1e-12
         assert np.max(np.abs(omega_b - rho_b)) <= 1e-12
 

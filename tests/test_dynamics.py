@@ -9,7 +9,8 @@ from eqlab.bipartite import BipartiteSpace
 from eqlab.dynamics import (
     block_rows,
     default_t_max,
-    dephased_marginals,
+    dephased_bath,
+    dephased_system,
     energy_coefficients,
     reduce_to_bath,
     reduce_to_system,
@@ -177,7 +178,8 @@ class TestDephasedMarginals:
         h = FAMILIES[family](space, rng)
         psi = haar_random_state(Subspace.full(space.d), rng)
         omega = dephased_time_average(psi, h)
-        omega_s, omega_b = dephased_marginals(energy_coefficients(psi, h), h, space)
+        c = energy_coefficients(psi, h)
+        omega_s, omega_b = dephased_system(c, h, space), dephased_bath(c, h, space)
         assert omega_s.shape == (d_s, d_s) and omega_b.shape == (d_b, d_b)
         assert np.max(np.abs(omega_s - partial_trace_bath(omega, space))) <= 1e-12
         assert np.max(np.abs(omega_b - partial_trace_system(omega, space))) <= 1e-12
@@ -185,10 +187,11 @@ class TestDephasedMarginals:
     def test_dimension_mismatch(self, instance):
         space, h, psi = instance
         c = energy_coefficients(psi, h)
-        with pytest.raises(DimensionMismatchError):
-            dephased_marginals(c, h, BipartiteSpace(space.d_S, space.d_B + 1))
-        with pytest.raises(DimensionMismatchError):
-            dephased_marginals(c[:-1], h, space)
+        for marginal in (dephased_system, dephased_bath):
+            with pytest.raises(DimensionMismatchError):
+                marginal(c, h, BipartiteSpace(space.d_S, space.d_B + 1))
+            with pytest.raises(DimensionMismatchError):
+                marginal(c[:-1], h, space)
 
 
 class TestTorusState:
@@ -258,6 +261,15 @@ class TestTorusState:
         err = np.linalg.norm(out - expected, axis=-1)
         assert np.all(err <= 1e-14 * np.linalg.norm(expected, axis=-1))
 
+    @pytest.mark.parametrize("rows", [None, 9], ids=["vector", "stack"])
+    def test_alpha_not_written(self, instance, rows):
+        _, h, psi = instance
+        shape = (h.dim,) if rows is None else (rows, h.dim)
+        alpha = np.random.default_rng(133).uniform(-10.0, 10.0, size=shape)
+        kept = alpha.copy()
+        torus_state(energy_coefficients(psi, h), h, alpha)
+        assert np.array_equal(alpha, kept)
+
 
 class TestTrajectoryStatistics:
     def test_eigenstate_mean_zero(self, instance):
@@ -315,6 +327,28 @@ class TestTrajectoryStatistics:
         for t, rho_b in zip(times, rhos_b):
             v = evolve(psi, h, t).reshape(space.d_S, space.d_B)
             assert np.max(np.abs(rho_b - v.T @ v.conj())) <= 1e-12
+
+
+class TestReductions:
+    """`reduce_to_system` / `reduce_to_bath` of multi-row stacks against the
+    partial traces of each row's dense |ψ⟩⟨ψ|."""
+
+    @pytest.mark.parametrize("d_s", [1, 2, 3, 5])
+    @pytest.mark.parametrize("d_b", [1, 2, 7])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed view"])
+    def test_match_dense_partial_traces(self, d_s, d_b, layout):
+        rng = np.random.default_rng(140 + 10 * d_s + d_b)
+        space, n = BipartiteSpace(d_s, d_b), 6
+        psis = np.array([haar_random_state(Subspace.full(space.d), rng) for _ in range(n)])
+        # The transposed view is the layout `reduced_eigenstates` passes (eigenbasis.T).
+        amps = psis if layout == "contiguous" else np.ascontiguousarray(psis.T).T
+        assert amps.flags.c_contiguous == (layout == "contiguous" or space.d == 1)
+        rhos_s, rhos_b = reduce_to_system(amps, space), reduce_to_bath(amps, space)
+        assert rhos_s.shape == (n, d_s, d_s) and rhos_b.shape == (n, d_b, d_b)
+        for psi, rho_s, rho_b in zip(psis, rhos_s, rhos_b):
+            rho = density_matrix(psi)
+            assert np.max(np.abs(rho_s - partial_trace_bath(rho, space))) <= 1e-14
+            assert np.max(np.abs(rho_b - partial_trace_system(rho, space))) <= 1e-14
 
 
 class TestReducedStates:

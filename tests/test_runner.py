@@ -99,6 +99,14 @@ UNRUNNABLE = {
     "time_sampling.n_sample": {
         "time_sampling": {"t_max_factor": 1e3, "n_samples": 200, "n_sample": 7}
     },
+    # JSON integers beyond float range, which math.isfinite cannot convert.
+    "epsilon=1e400": {"epsilon": 10**400},
+    "hamiltonian.window=1e400": {"hamiltonian": {"window": [0, 10**400]}},
+    "thresholds_K=1e400": {"thresholds_K": [2, 10**400]},
+    "time_sampling.t_max_factor=1e400": {
+        "time_sampling": {"t_max_factor": 10**400, "n_samples": 200}
+    },
+    "hamiltonian.field=1e400": {"experiment": "counterexamples", "hamiltonian": {"field": 10**400}},
 }
 
 

@@ -15,7 +15,7 @@ from eqlab import dynamics
 from eqlab.bipartite import BipartiteSpace
 from eqlab.dynamics import (
     block_rows,
-    dephased_marginals,
+    dephased_system,
     energy_coefficients,
     reduce_to_system,
     torus_state,
@@ -59,7 +59,7 @@ def thm2_summary(subspace, h, trials, rng):
 def thm3_summary(subspace, h, space, trials, rng):
     """theorem3_summary over ω_S of `trials` Haar states of the subspace."""
     cs = [energy_coefficients(haar_random_state(subspace, rng), h) for _ in range(trials)]
-    omegas = np.array([dephased_marginals(c, h, space)[0] for c in cs])
+    omegas = np.array([dephased_system(c, h, space) for c in cs])
     return theorem3_summary(omegas, delta_quantity(h, subspace, space), subspace.d_R, space.d_S)
 
 
@@ -242,7 +242,7 @@ class TestTorusDistances:
     def test_phases_drawn_in_blocks_equal_one_draw(self, instance, monkeypatch):
         space, h, psi = instance
         c = energy_coefficients(psi, h)
-        omega_s, _ = dephased_marginals(c, h, space)
+        omega_s = dephased_system(c, h, space)
         drawn = []
 
         def recording(c, h, alpha):
@@ -263,14 +263,14 @@ class TestTorusDistances:
 
     def test_memory_is_a_fraction_of_the_unblocked_stack(self):
         # d = 512, n = 2000: the unblocked stack and its temporaries peak at
-        # ~41 MB under tracemalloc, the blocked kernel at ~2 MB (one block,
+        # ~66 MB under tracemalloc, the blocked kernel at ~3 MB (one block,
         # the (n, 2, 2) output and the distances).
         rng = np.random.default_rng(215)
         space, n = BipartiteSpace(2, 256), 2000
         energies = np.sort(rng.uniform(0.0, 1.0, space.d))
         h = SpectralHamiltonian(energies, haar_random_unitary(space.d, rng))
         c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
-        omega_s, _ = dephased_marginals(c, h, space)
+        omega_s = dephased_system(c, h, space)
 
         def peak(distances):
             tracemalloc.start()
