@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .bipartite import BipartiteSpace, swap_operator
-from .dynamics import TrajectoryStats, energy_coefficients, torus_state, trajectory_statistics
+from .dynamics import energy_coefficients, torus_state
 from .errors import (
     ConfigInvalidError,
     DegenerateHamiltonianError,
@@ -43,10 +43,9 @@ from .verifiers import (
     counterexample_checks,
     delta_quantity,
     haar_pair_moment_check,
-    subadditivity_and_bath_checks,
     swap_trace_identity_check,
     theorem1_check,
-    theorem4_tail,
+    theorem4_check,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

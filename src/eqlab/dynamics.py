@@ -9,11 +9,12 @@ scales them by c and maps a whole stack with one matrix product against the
 basis. ρ_S is one broadcast `np.linalg.vecdot` over the bath index,
 ρ_B one batched matrix product over the system index. `reduced_states`
 runs the kernel and the reductions over many phase vectors in row blocks of
-`block_rows(d)`, so a trajectory or a torus sample never holds its whole
-n × d amplitude stack. The infinite-time average is exact through its
-marginals (`dephased_system`, `dephased_bath`), each computed only where it
-is read, and the d×d dephased state ω is never formed; time sampling is
-only used for fluctuation statistics.
+`block_rows(d)` into one ρ_S or one ρ_B stack, so a trajectory or a torus
+sample never holds its whole n × d amplitude stack. The infinite-time
+average is exact through its marginals (`dephased_system`, `dephased_bath`),
+each computed only where it is read, and the d×d dephased state ω is never
+formed; time sampling (`sample_times`) is only used for the fluctuation
+statistics of `eqlab.verifiers`.
 
 Every function of an initial state takes its energy coefficients
 c_k = ⟨E_k|ψ₀⟩ (`energy_coefficients`), not ψ₀, so a caller computes them
@@ -22,9 +23,7 @@ once per state.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +31,9 @@ from .bipartite import BipartiteSpace
 from .errors import DegenerateHamiltonianError, DimensionMismatchError
 from .hamiltonians import SpectralHamiltonian
 from .linalg import hermitize
-from .states import as_state, trace_distance
+from .states import as_state
 
 DEFAULT_T_MAX_FACTOR = 1e3
-DEFAULT_N_SAMPLES = 2000
-DEFAULT_THRESHOLDS = (2.0, 5.0, 10.0)
 # `reduced_states` works in blocks of 4096 amplitudes (64 KiB of complex128),
 # and never fewer than 64 rows, so a run holds one block's phases and
 # amplitudes instead of the n × d stack (131 MB at n = 2000, d = 4096).
@@ -134,18 +131,6 @@ def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
     return phased @ h.eigenbasis.T
 
 
-@dataclass(frozen=True)
-class TrajectoryStats:
-    """Time-sampled statistics of D(ρ_S(t), ω_S), with the sampled distances."""
-
-    mean_distance: float
-    max_distance: float
-    exceed_fractions: dict[float, float]
-    t_max: float
-    n_samples: int
-    distances: np.ndarray
-
-
 def sample_times(
     t_max: float, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -186,25 +171,21 @@ def reduced_states(
     phases: Callable[[int, int], np.ndarray],
     n: int,
     bath: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """(ρ_S, ρ_B) of Ψ(α_j) = `torus_state(c, h, α_j)` for j = 0 … n−1.
+) -> np.ndarray:
+    """ρ_S, or ρ_B when ``bath`` is set, of Ψ(α_j) = `torus_state(c, h, α_j)`
+    for j = 0 … n−1: shape (n, d_S, d_S), or (n, d_B, d_B).
 
     ``phases(start, stop)`` returns the (stop − start, d) phase rows α_start …
     α_{stop−1}; it is called once per block, in row order, so a generator
-    drawn block by block gives the same rows as one (n, d) draw. ρ_S has
-    shape (n, d_S, d_S); ρ_B, computed only when ``bath`` is set, has shape
-    (n, d_B, d_B) and is None otherwise.
+    drawn block by block gives the same rows as one (n, d) draw.
     """
-    rhos_s = np.empty((n, space.d_S, space.d_S), dtype=np.complex128)
-    rhos_b = np.empty((n, space.d_B, space.d_B), dtype=np.complex128) if bath else None
+    side, reduce = (space.d_B, reduce_to_bath) if bath else (space.d_S, reduce_to_system)
+    rhos = np.empty((n, side, side), dtype=np.complex128)
     rows = block_rows(h.dim)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        amps = torus_state(c, h, phases(start, stop))
-        rhos_s[start:stop] = reduce_to_system(amps, space)
-        if bath:
-            rhos_b[start:stop] = reduce_to_bath(amps, space)
-    return rhos_s, rhos_b
+        rhos[start:stop] = reduce(torus_state(c, h, phases(start, stop)), space)
+    return rhos
 
 
 def time_phases(times: np.ndarray, h: SpectralHamiltonian) -> Callable[[int, int], np.ndarray]:
@@ -216,39 +197,7 @@ def reduced_states_at_times(
     c, h: SpectralHamiltonian, space: BipartiteSpace, times: np.ndarray
 ) -> np.ndarray:
     """Stack of ρ_S(t) for each sample time, shape (n, d_S, d_S)."""
-    return reduced_states(c, h, space, time_phases(times, h), len(times))[0]
-
-
-def trajectory_statistics(
-    c,
-    h: SpectralHamiltonian,
-    space: BipartiteSpace,
-    t_max: float,
-    n_samples: int,
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-    *,
-    rng: np.random.Generator,
-) -> TrajectoryStats:
-    """Sample D(ρ_S(t), ω_S) on a stratified time grid and aggregate."""
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    require_nondegenerate(h)
-    omega_s = dephased_system(c, h, space)
-    times = sample_times(t_max, n_samples, rng)
-    distances = trace_distance(reduced_states_at_times(c, h, space, times), omega_s)
-    mean = math.fsum(distances) / n_samples
-    exceed = {
-        float(k): (float(np.mean(distances > k * mean)) if mean > 0 else 0.0)
-        for k in thresholds
-    }
-    return TrajectoryStats(
-        mean_distance=mean,
-        max_distance=float(np.max(distances)),
-        exceed_fractions=exceed,
-        t_max=float(t_max),
-        n_samples=n_samples,
-        distances=distances,
-    )
+    return reduced_states(c, h, space, time_phases(times, h), len(times))
 
 
 def default_t_max(h: SpectralHamiltonian, factor: float = DEFAULT_T_MAX_FACTOR) -> float:

@@ -27,18 +27,15 @@ from .errors import ConfigInvalidError
 from .hamiltonians import random_spectral_hamiltonian
 from .states import Subspace, haar_random_state
 from .verifiers import (
-    KS_STATISTIC_GATE,
-    BoundCheck,
     counterexample_checks,
     d_eff_of_time_average,
     delta_quantity,
-    ergodicity_ks_statistic,
+    exceed_fraction_name,
     identity_checks,
-    subadditivity_and_bath_checks,
     theorem1_check,
     theorem2_summary,
     theorem3_summary,
-    theorem4_tail,
+    theorem4_check,
 )
 
 CSV_HEADER = (
@@ -148,6 +145,9 @@ class ExperimentConfig:
             raise ConfigInvalidError(
                 f"thresholds_K: must be a list of finite numbers > 0, got {shown!r}"
             )
+        names = [exceed_fraction_name(k) for k in ks]
+        if len(set(names)) < len(names):
+            raise ConfigInvalidError(f"thresholds_K: row names must be distinct, got {names}")
         _require_object("time_sampling", self.time_sampling, ("t_max_factor", "n_samples"))
         for key in ("t_max_factor", "n_samples"):
             if key not in self.time_sampling:
@@ -304,24 +304,15 @@ def _thm1_trial(cfg, space, rng, shared):
     h = _build_hamiltonian(cfg, space, rng)
     psi0 = haar_random_state(_build_subspace(cfg.subspace_spec, space, rng), rng)
     c = energy_coefficients(psi0, h)
-    t_max = _t_max(cfg, h)
-    res = theorem1_check(c, h, space, t_max, _n_samples(cfg), cfg.thresholds_K, rng=rng)
-    sub = subadditivity_and_bath_checks(c, h, space, t_max=t_max, rng=rng)
-    checks = [
-        ("mean_distance_bath_bound", res.bath_check),
-        ("mean_distance_total_bound", res.total_check),
-        ("renyi_subadditivity", sub.renyi_check),
-        ("bath_deff_max", sub.bath_deff_check),
-    ]
-    checks += [
-        (f"exceed_fraction_K{k:g}", chk) for k, chk in sorted(res.exceed_checks.items())
-    ]
-    return space.d, checks, None
+    checks = theorem1_check(
+        c, h, space, _t_max(cfg, h), _n_samples(cfg), cfg.thresholds_K, rng=rng
+    )
+    return space.d, list(checks.items()), None
 
 
 def _thm2_trial(cfg, space, rng, shared):
     h, sub = shared()
-    d_eff = d_eff_of_time_average(haar_random_state(sub, rng), h)
+    d_eff = d_eff_of_time_average(energy_coefficients(haar_random_state(sub, rng), h))
     return sub.d_R, [("d_eff_omega", Row(d_eff, sub.d_R / 4, d_eff >= sub.d_R / 4))], d_eff
 
 
@@ -363,14 +354,8 @@ def _thm4_trial(cfg, space, rng, shared):
     h, _ = shared()
     psi0 = haar_random_state(_build_subspace(cfg.subspace_spec, space, rng), rng)
     c = energy_coefficients(psi0, h)
-    n_samples = _n_samples(cfg)
-    tail = theorem4_tail(c, h, space, cfg.epsilon, n_samples, rng)
-    ks = ergodicity_ks_statistic(c, h, space, _t_max(cfg, h), n_samples, rng=rng)
-    checks = [
-        ("torus_tail_frequency", tail),
-        ("ks_statistic", BoundCheck.upper(ks, KS_STATISTIC_GATE)),
-    ]
-    return space.d, checks, None
+    checks = theorem4_check(c, h, space, cfg.epsilon, _t_max(cfg, h), _n_samples(cfg), rng=rng)
+    return space.d, list(checks.items()), None
 
 
 def _counterexamples_trial(cfg, space, rng, shared):

@@ -11,7 +11,6 @@ from .errors import DimensionMismatchError, NotHermitianError
 from .linalg import HERMITICITY_TOL, as_matrix, hermitize, is_hermitian
 
 STATE_NORM_TOL = 1e-12
-RANK_THRESHOLD = 1e-10
 
 
 def as_state(psi, dim: int | None = None) -> np.ndarray:
@@ -106,16 +105,6 @@ def effective_dimension(rho):
     """1 / tr(ρ²), of a matrix or of each matrix in a stack: how many pure
     states contribute appreciably."""
     return 1.0 / purity(rho)
-
-
-def numerical_rank(rho, threshold: float = RANK_THRESHOLD):
-    """Number of eigenvalues above the threshold, of a matrix (an int) or of
-    each matrix in a (..., d, d) stack (an array).
-
-    ``eigvalsh`` reads only the lower triangle, so ρ must be Hermitian.
-    """
-    ranks = np.sum(np.linalg.eigvalsh(_as_stack(rho)) > threshold, axis=-1)
-    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def _qubit_trace_distance(diff: np.ndarray) -> np.ndarray:

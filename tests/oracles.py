@@ -6,7 +6,9 @@ and ω_B come from the amplitude kernel `torus_state`, the reductions
 `dephased_bath`. The functions here build the same objects the direct way
 (the density matrix, its partial traces, the dephased state, the evolved
 state) so that the tests have an independent reference. Each is checked against brute force or a closed form
-in the test module of the eqlab module it stands beside.
+in the test module of the eqlab module it stands beside. `numerical_rank`
+counts the eigenvalues of a state above a threshold; no eqlab run path
+needs a rank.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from eqlab.dynamics import energy_coefficients
 from eqlab.errors import DimensionMismatchError
 from eqlab.hamiltonians import SpectralHamiltonian
 from eqlab.linalg import as_matrix, hermitize, kronecker_product
-from eqlab.states import as_state
+from eqlab.states import _as_stack, as_state
+
+RANK_THRESHOLD = 1e-10
 
 
 def density_matrix(psi) -> np.ndarray:
@@ -89,3 +93,13 @@ def noninteracting_hamiltonian(
     basis = kronecker_product(h_s.eigenbasis, h_b.eigenbasis)
     order = np.argsort(energies, kind="stable")
     return SpectralHamiltonian(energies[order], basis[:, order])
+
+
+def numerical_rank(rho, threshold: float = RANK_THRESHOLD):
+    """Number of eigenvalues above the threshold, of a matrix (an int) or of
+    each matrix in a (..., d, d) stack (an array).
+
+    ``eigvalsh`` reads only the lower triangle, so ρ must be Hermitian.
+    """
+    ranks = np.sum(np.linalg.eigvalsh(_as_stack(rho)) > threshold, axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks

@@ -17,13 +17,14 @@ from eqlab.dynamics import (
     reduced_states,
     reduced_states_at_times,
     sample_times,
+    time_phases,
     torus_state,
-    trajectory_statistics,
 )
 from eqlab.errors import DegenerateHamiltonianError, DimensionMismatchError
 from eqlab.hamiltonians import SpectralHamiltonian, random_spectral_hamiltonian
 from eqlab.linalg import haar_random_unitary
 from eqlab.states import Subspace, effective_dimension, haar_random_state
+from eqlab.verifiers import theorem1_check, theorem4_check, time_distances
 from oracles import (
     dense,
     density_matrix,
@@ -272,27 +273,31 @@ class TestTorusState:
 
 
 class TestTrajectoryStatistics:
+    """Time-sampled distances D(ρ_S(t), ω_S) from `time_distances`."""
+
     def test_eigenstate_mean_zero(self, instance):
         space, h, _ = instance
-        stats = trajectory_statistics(
-            energy_coefficients(h.eigenbasis[:, 0], h), h, space, default_t_max(h), 64,
-            rng=np.random.default_rng(106),
+        c = energy_coefficients(h.eigenbasis[:, 0], h)
+        distances = time_distances(
+            c, h, space, dephased_system(c, h, space), default_t_max(h), 64,
+            np.random.default_rng(106),
         )
-        assert stats.mean_distance <= 1e-10
+        assert np.mean(distances) <= 1e-10
 
     def test_random_state_bound(self, instance):
         space, h, psi = instance
-        stats = trajectory_statistics(
-            energy_coefficients(psi, h), h, space, default_t_max(h), 2000,
-            rng=np.random.default_rng(107),
+        c = energy_coefficients(psi, h)
+        distances = time_distances(
+            c, h, space, dephased_system(c, h, space), default_t_max(h), 2000,
+            np.random.default_rng(107),
         )
+        mean = np.mean(distances)
         omega = dephased_time_average(psi, h)
         bound = 0.5 * np.sqrt(space.d_S**2 / effective_dimension(omega))
-        assert 0 <= stats.mean_distance <= stats.max_distance <= 1
-        assert stats.mean_distance <= bound
-        for k, frac in stats.exceed_fractions.items():
-            assert 0 <= frac <= 1
-            assert frac <= 1 / k + 0.02
+        assert 0 <= mean <= np.max(distances) <= 1
+        assert mean <= bound
+        for k in (2.0, 5.0, 10.0):
+            assert np.mean(distances > k * mean) <= 1 / k + 0.02
 
     def test_degenerate_hamiltonian_rejected(self):
         rng = np.random.default_rng(102)
@@ -300,9 +305,11 @@ class TestTrajectoryStatistics:
         ident2 = np.eye(2, dtype=np.complex128)
         h_s = SpectralHamiltonian(np.array([0.0, 1.0]), ident2)
         h = noninteracting_hamiltonian(h_s, h_s, space)
-        psi = haar_random_state(Subspace.full(4), rng)
+        c = energy_coefficients(haar_random_state(Subspace.full(4), rng), h)
         with pytest.raises(DegenerateHamiltonianError):
-            trajectory_statistics(energy_coefficients(psi, h), h, space, 1.0, 8, rng=rng)
+            theorem1_check(c, h, space, 1.0, 8, rng=rng)
+        with pytest.raises(DegenerateHamiltonianError):
+            theorem4_check(c, h, space, 0.2, 1.0, 8, rng=rng)
 
     def test_sample_times_stratified(self):
         times = sample_times(10.0, 5, np.random.default_rng(108))
@@ -371,13 +378,28 @@ class TestReducedStates:
             calls.append((start, stop))
             return alpha[start:stop]
 
-        rhos_s, rhos_b = reduced_states(c, h, space, phases, n, bath=True)
+        rhos_s = reduced_states(c, h, space, phases, n)
+        rhos_b = reduced_states(c, h, space, phases, n, bath=True)
         amps = torus_state(c, h, alpha)
+        assert rhos_s.shape == (n, d_s, d_s) and rhos_b.shape == (n, 5, 5)
         assert np.max(np.abs(rhos_s - reduce_to_system(amps, space))) <= 1e-14
         assert np.max(np.abs(rhos_b - reduce_to_bath(amps, space))) <= 1e-14
         bounds = list(range(0, n, rows)) + [n]
-        assert calls == list(zip(bounds[:-1], bounds[1:]))
-        assert reduced_states(c, h, space, phases, n)[1] is None
+        assert calls == 2 * list(zip(bounds[:-1], bounds[1:]))
+
+    @pytest.mark.parametrize("state", ["eigenstate", "random"])
+    def test_system_and_bath_share_their_spectrum(self, instance, state):
+        # The global state is pure, so ρ_S(t) and ρ_B(t) have the same nonzero
+        # eigenvalues: the d_S largest of ρ_B(t) are those of ρ_S(t), and the
+        # rest vanish. This holds the rank of ρ_B(t) to at most d_S.
+        space, h, psi = instance
+        c = energy_coefficients(h.eigenbasis[:, 3] if state == "eigenstate" else psi, h)
+        times = sample_times(default_t_max(h), 50, np.random.default_rng(109))
+        phases = time_phases(times, h)
+        spec_s = np.linalg.eigvalsh(reduced_states(c, h, space, phases, len(times)))
+        spec_b = np.linalg.eigvalsh(reduced_states(c, h, space, phases, len(times), bath=True))
+        assert np.max(np.abs(spec_b[:, -space.d_S:] - spec_s)) <= 1e-12
+        assert np.max(np.abs(spec_b[:, :-space.d_S])) <= 1e-12
 
     def test_block_rows(self):
         assert block_rows(2) == 2048

@@ -92,6 +92,9 @@ UNRUNNABLE = {
     "thresholds_K=5": {"thresholds_K": 5},
     "thresholds_K=true": {"thresholds_K": [True]},
     "thresholds_K=-1": {"thresholds_K": [-1]},
+    # Thresholds whose rows would share the name exceed_fraction_K2.
+    "thresholds_K=[2.0000001,2.0000002,2]": {"thresholds_K": [2.0000001, 2.0000002, 2]},
+    "thresholds_K=[2,2]": {"thresholds_K": [2, 2]},
     "epsilon=true": {"epsilon": True},
     "hamiltonian.window=true": {"hamiltonian": {"window": [0, True]}},
     "time_sampling=5": {"time_sampling": 5},
@@ -491,6 +494,16 @@ class TestCli:
         cfg = self.write_config(tmp_path, **UNRUNNABLE[case])
         assert main(["run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {case.split('=')[0]}: ")
+
+    def test_epsilon_fourth_power_beyond_float_range(self, tmp_path):
+        # ε⁴ = 1e400 is no float: the tail bound e^{−c″ε⁴d_eff} reads 0, and
+        # no distance exceeds the threshold ε, so the row holds.
+        cfg = self.write_config(tmp_path, experiment="thm4", d_B=[4], trials=1, epsilon=1e100)
+        assert main(["run", "--config", str(cfg)]) in (0, 2)
+        with open(tmp_path / "results.csv") as fh:
+            rows = {row["quantity"]: row for row in csv.DictReader(fh)}
+        tail = rows["torus_tail_frequency"]
+        assert (tail["empirical"], tail["bound"], tail["satisfied"]) == ("0", "0", "true")
 
     @pytest.mark.parametrize("dims", [{"d_S": 1}, {"d_B": [1]}])
     def test_unrunnable_counterexamples_exit_1(self, tmp_path, dims):

@@ -14,12 +14,11 @@ from eqlab.states import (
     as_state,
     effective_dimension,
     haar_random_state,
-    numerical_rank,
     product_state,
     purity,
     trace_distance,
 )
-from oracles import density_matrix, partial_trace_bath
+from oracles import density_matrix, numerical_rank, partial_trace_bath
 
 
 def random_mixed_state(dim: int, n_terms: int, rng: np.random.Generator) -> np.ndarray:

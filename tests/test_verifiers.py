@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from eqlab import dynamics
 from eqlab.bipartite import BipartiteSpace
 from eqlab.dynamics import (
     block_rows,
+    dephased_bath,
     dephased_system,
     energy_coefficients,
     reduce_to_system,
@@ -27,24 +29,23 @@ from eqlab.hamiltonians import (
     random_spectral_hamiltonian,
 )
 from eqlab.linalg import haar_random_unitary
-from eqlab.states import Subspace, haar_random_state, trace_distance
+from eqlab.states import Subspace, effective_dimension, haar_random_state, trace_distance
 from eqlab.verifiers import (
+    BATH_SAMPLES,
     CONSTANTS,
     BoundCheck,
     counterexample_checks,
     d_eff_of_time_average,
     delta_quantity,
     diagonal_counterexample,
-    ergodicity_ks_statistic,
     haar_pair_moment_check,
     reduced_eigenstates,
     spin_bath_counterexample,
-    subadditivity_and_bath_checks,
     swap_trace_identity_check,
     theorem1_check,
     theorem2_summary,
     theorem3_summary,
-    theorem4_tail,
+    theorem4_check,
     torus_distances,
     _ks_statistic,
 )
@@ -52,7 +53,10 @@ from eqlab.verifiers import (
 
 def thm2_summary(subspace, h, trials, rng):
     """theorem2_summary over d_eff(ω) of `trials` Haar states of the subspace."""
-    samples = [d_eff_of_time_average(haar_random_state(subspace, rng), h) for _ in range(trials)]
+    samples = [
+        d_eff_of_time_average(energy_coefficients(haar_random_state(subspace, rng), h))
+        for _ in range(trials)
+    ]
     return theorem2_summary(samples, subspace.d_R)
 
 
@@ -108,18 +112,46 @@ class TestTheorem1:
         space, h, _ = instance
         c = energy_coefficients(h.eigenbasis[:, 0], h)
         res = theorem1_check(c, h, space, n_samples=64, rng=np.random.default_rng(201))
-        assert res.bath_check.empirical <= 1e-10
-        assert res.bath_check.satisfied and res.total_check.satisfied
+        assert res["mean_distance_bath_bound"].empirical <= 1e-10
+        assert res["mean_distance_bath_bound"].satisfied
+        assert res["mean_distance_total_bound"].satisfied
 
     def test_random_state(self, instance):
         space, h, psi = instance
         c = energy_coefficients(psi, h)
         res = theorem1_check(c, h, space, n_samples=2000, rng=np.random.default_rng(202))
-        assert res.bath_check.satisfied and res.total_check.satisfied
+        assert list(res) == [
+            "mean_distance_bath_bound",
+            "mean_distance_total_bound",
+            "renyi_subadditivity",
+            "bath_deff_max",
+            "exceed_fraction_K2",
+            "exceed_fraction_K5",
+            "exceed_fraction_K10",
+        ]
+        bath, total = res["mean_distance_bath_bound"], res["mean_distance_total_bound"]
+        assert bath.satisfied and total.satisfied
         # The bath bound is tighter than (or equal to) the total bound.
-        assert res.bath_check.bound <= res.total_check.bound + 1e-12
-        for chk in res.exceed_checks.values():
-            assert chk.satisfied
+        assert bath.bound <= total.bound + 1e-12
+        assert all(chk.satisfied for chk in res.values())
+        bath_deff = res["bath_deff_max"]
+        assert bath_deff.bound == space.d_S + 1e-6 and bath_deff.metadata["allowance"] == 1e-6
+
+    def test_thresholds_sorted(self, instance):
+        space, h, psi = instance
+        c = energy_coefficients(psi, h)
+        res = theorem1_check(c, h, space, n_samples=64, thresholds=(10.0, 2.5, 4.0),
+                             rng=np.random.default_rng(203))
+        exceed = [name for name in res if name.startswith("exceed_fraction_K")]
+        assert exceed == ["exceed_fraction_K2.5", "exceed_fraction_K4", "exceed_fraction_K10"]
+        assert res["exceed_fraction_K2.5"].metadata["threshold"] == 2.5
+
+    def test_draws_n_samples_then_bath_times(self, instance):
+        space, h, psi = instance
+        rng, ref = np.random.default_rng(205), np.random.default_rng(205)
+        theorem1_check(energy_coefficients(psi, h), h, space, n_samples=300, rng=rng)
+        ref.random(300 + BATH_SAMPLES)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestTheorem2:
@@ -213,23 +245,49 @@ class TestTheorem4:
         space, h, _ = instance
         c = np.zeros(h.dim, dtype=np.complex128)
         c[0] = 1.0
-        chk = theorem4_tail(c, h, space, 0.2, 100, np.random.default_rng(210))
+        res = theorem4_check(c, h, space, 0.2, n_samples=100, rng=np.random.default_rng(210))
+        chk = res["torus_tail_frequency"]
         assert chk.empirical == 0.0
         assert "assumption" in chk.metadata
 
     def test_random_state_tail(self, instance):
         space, h, psi = instance
         c = energy_coefficients(psi, h)
-        chk = theorem4_tail(c, h, space, 0.2, 1000, np.random.default_rng(211))
+        res = theorem4_check(c, h, space, 0.2, n_samples=1000, rng=np.random.default_rng(211))
+        chk = res["torus_tail_frequency"]
         assert chk.satisfied or chk.metadata["vacuous"]
         assert 0.0 <= chk.empirical <= 1.0
 
     def test_ks_statistic_small(self, instance):
         space, h, psi = instance
-        ks = ergodicity_ks_statistic(
-            energy_coefficients(psi, h), h, space, n_samples=800, rng=np.random.default_rng(212)
+        res = theorem4_check(
+            energy_coefficients(psi, h), h, space, 0.2, n_samples=800,
+            rng=np.random.default_rng(212),
         )
-        assert 0.0 <= ks <= 0.1
+        assert list(res) == ["torus_tail_frequency", "ks_statistic"]
+        assert 0.0 <= res["ks_statistic"].empirical <= 0.1
+        assert res["ks_statistic"].bound == 0.05
+
+    @pytest.mark.parametrize("epsilon", [1e77, 1e100])
+    def test_tail_bound_underflows_to_zero(self, instance, epsilon):
+        # The bound e^{−c″ε⁴d_eff} is 0: its exponent is below −10³⁰⁰ at
+        # ε = 1e77, and ε⁴ is beyond float range at ε = 1e100. No distance
+        # exceeds a threshold above ε, so the row holds.
+        space, h, psi = instance
+        c = energy_coefficients(psi, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = theorem4_check(c, h, space, epsilon, n_samples=16, rng=np.random.default_rng(213))
+        chk = res["torus_tail_frequency"]
+        assert (chk.empirical, chk.bound, chk.satisfied) == (0.0, 0.0, True)
+
+    def test_draws_tail_times_and_torus(self, instance):
+        space, h, psi = instance
+        n = 70
+        rng, ref = np.random.default_rng(214), np.random.default_rng(214)
+        theorem4_check(energy_coefficients(psi, h), h, space, 0.2, n_samples=n, rng=rng)
+        ref.random(2 * n * h.dim + n)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def unblocked_torus_distances(c, h, space, omega_s, samples, rng):
@@ -344,35 +402,33 @@ class TestSubadditivity:
     def test_eigenstate_trivial(self, instance):
         space, h, _ = instance
         c = energy_coefficients(h.eigenbasis[:, 1], h)
-        report = subadditivity_and_bath_checks(
-            c, h, space, n_samples=32, rng=np.random.default_rng(213)
-        )
-        assert report.renyi_check.satisfied
-        assert report.bath_deff_check.satisfied
-        assert report.omega_chain_check.satisfied
-        assert report.rank_check.satisfied
+        res = theorem1_check(c, h, space, n_samples=32, rng=np.random.default_rng(213))
+        assert res["renyi_subadditivity"].satisfied
+        assert res["bath_deff_max"].satisfied
+        omega_b_deff = effective_dimension(dephased_bath(c, h, space))
+        assert omega_b_deff >= d_eff_of_time_average(c) / space.d_S
 
     def test_random_state(self, instance):
         space, h, psi = instance
-        report = subadditivity_and_bath_checks(
-            energy_coefficients(psi, h), h, space, n_samples=128, rng=np.random.default_rng(214)
-        )
-        assert report.renyi_check.satisfied and report.renyi_check.margin > 0
-        assert report.bath_deff_check.satisfied
-        assert report.omega_chain_check.satisfied
-        assert report.rank_check.satisfied
+        c = energy_coefficients(psi, h)
+        res = theorem1_check(c, h, space, n_samples=128, rng=np.random.default_rng(214))
+        renyi = res["renyi_subadditivity"]
+        assert renyi.satisfied and renyi.margin > 0
+        assert res["bath_deff_max"].satisfied
+        omega_b_deff = effective_dimension(dephased_bath(c, h, space))
+        assert omega_b_deff >= d_eff_of_time_average(c) / space.d_S
 
     def test_product_chain(self, instance):
+        # For a state in |ψ⟩_S ⊗ H_B (d_R = d_B) with d_eff(ω) ≥ d_R/4, the chain
+        # d_eff(ω_B) ≥ d_eff(ω)/d_S gives d_eff(ω_B) ≥ d_R/(4 d_S).
         space, h, _ = instance
         rng = np.random.default_rng(215)
         psi_s = haar_random_state(Subspace.full(space.d_S), rng)
         sub = Subspace.fixed_system(psi_s, space)
         c = energy_coefficients(haar_random_state(sub, rng), h)
-        report = subadditivity_and_bath_checks(
-            c, h, space, n_samples=64, restricted_bath_dim=space.d_B, rng=rng
-        )
-        if report.product_chain_check is not None:
-            assert report.product_chain_check.satisfied
+        assert d_eff_of_time_average(c) >= sub.d_R / 4
+        omega_b_deff = effective_dimension(dephased_bath(c, h, space))
+        assert omega_b_deff >= sub.d_R / (4 * space.d_S)
 
 
 class TestIdentities:
