@@ -40,6 +40,8 @@ def _apply_override(doc: dict, key: str, value: object) -> None:
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ConfigInvalidError(f"--workers: must be >= 1, got {args.workers}")
     try:
         with open(args.config) as fh:
             doc = json.load(fh)
@@ -94,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="path to a JSON config document")
     run.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a config field (dotted paths allowed)")
-    run.add_argument("--workers", type=int, default=1, help="worker processes for trials")
+    run.add_argument("--workers", type=int, default=1, help="worker processes for trials (>= 1)")
     run.add_argument("--walltime", action="store_true",
                      help="emit measured wall times (breaks byte-identical reruns)")
     run.set_defaults(func=_cmd_run)

@@ -27,14 +27,14 @@ from .errors import ConfigInvalidError
 from .hamiltonians import random_spectral_hamiltonian
 from .states import Subspace, haar_random_state
 from .verifiers import (
+    BoundCheck,
     counterexample_checks,
-    d_eff_of_time_average,
-    delta_quantity,
     exceed_fraction_name,
     identity_checks,
     theorem1_check,
-    theorem2_summary,
-    theorem3_summary,
+    theorem2_check,
+    theorem2_sweep_check,
+    theorem3_sweep_check,
     theorem4_check,
 )
 
@@ -46,6 +46,10 @@ AGGREGATE_TRIAL = -1
 _SHARED_STREAM = 0xFFFFFFFF  # trial slot reserved for per-sweep shared objects
 
 _MASK64 = (1 << 64) - 1
+
+# A `hamiltonian` field left out is run at its default here, which is not
+# written into the config: config_hash() covers the document as given.
+HAMILTONIAN_DEFAULTS = {"name": "random-spectral", "window": (0.0, 1.0), "field": 50.0}
 
 
 def splitmix64(x: int) -> int:
@@ -88,7 +92,9 @@ class ExperimentConfig:
     d_S: int = 2
     d_B: tuple[int, ...] = (32,)
     subspace_spec: str = "full"
-    hamiltonian: dict = field(default_factory=lambda: {"name": "random-spectral", "window": [0.0, 1.0]})
+    hamiltonian: dict = field(default_factory=lambda: {
+        "name": HAMILTONIAN_DEFAULTS["name"], "window": list(HAMILTONIAN_DEFAULTS["window"])
+    })
     trials: int = 10
     time_sampling: dict = field(default_factory=lambda: {"t_max_factor": 1e3, "n_samples": 2000})
     thresholds_K: tuple[float, ...] = (2.0, 5.0, 10.0)
@@ -162,16 +168,16 @@ class ExperimentConfig:
             )
         # Every experiment's model fields are checked, whether or not it reads them.
         ham = self.hamiltonian
-        _require_object("hamiltonian", ham, ("name", "window", "field"))
-        if ham.get("name", "random-spectral") != "random-spectral":
+        _require_object("hamiltonian", ham, tuple(HAMILTONIAN_DEFAULTS))
+        if _hamiltonian(self, "name") != "random-spectral":
             raise ConfigInvalidError(f"hamiltonian.name: unknown model {ham['name']!r}")
-        window = ham.get("window", [0.0, 1.0])
+        window = _hamiltonian(self, "window")
         if not (
             isinstance(window, (list, tuple)) and len(window) == 2
             and all(_finite(x) for x in window) and window[0] < window[1]
         ):
             raise ConfigInvalidError(f"hamiltonian.window: need finite lo < hi, got {window!r}")
-        field_strength = ham.get("field", 1.0)
+        field_strength = _hamiltonian(self, "field")
         if not _finite(field_strength) or field_strength <= 0:
             raise ConfigInvalidError(
                 f"hamiltonian.field: must be positive and finite, got {field_strength!r}"
@@ -216,15 +222,6 @@ def _csv_cell(value):
     return "%.17g" % value if isinstance(value, float) else value
 
 
-class Row(NamedTuple):
-    """Output columns given as they are, not as a BoundCheck: a lower check
-    reported with its quantity in the empirical column, or a diagnostic."""
-
-    empirical: float
-    bound: float
-    satisfied: bool
-
-
 class TrialResult(NamedTuple):
     """One trial's d_R, its output rows and its payload for the aggregate."""
 
@@ -234,7 +231,7 @@ class TrialResult(NamedTuple):
 
 
 def _record(cfg, d_b, d_r, trial, seed, quantity, check, wall_ms) -> ExperimentRecord:
-    """The output row of a named BoundCheck or Row."""
+    """The output row of a named BoundCheck."""
     return ExperimentRecord(
         cfg.experiment, cfg.d_S, d_b, d_r, trial, seed, quantity,
         float(check.empirical), float(check.bound), bool(check.satisfied), wall_ms,
@@ -245,8 +242,13 @@ def _shared_rng(cfg: ExperimentConfig, sweep_index: int) -> np.random.Generator:
     return default_rng(derive_seed(cfg.master_seed, sweep_index, _SHARED_STREAM))
 
 
+def _hamiltonian(cfg: ExperimentConfig, key: str):
+    """A `hamiltonian` field of the config, or its default."""
+    return cfg.hamiltonian.get(key, HAMILTONIAN_DEFAULTS[key])
+
+
 def _build_hamiltonian(cfg: ExperimentConfig, space: BipartiteSpace, rng):
-    window = tuple(cfg.hamiltonian.get("window", (0.0, 1.0)))
+    window = tuple(_hamiltonian(cfg, "window"))
     return random_spectral_hamiltonian(space, window, rng=rng)
 
 
@@ -287,9 +289,10 @@ def _sweep_shared(cfg_json: str, sweep_index: int) -> tuple:
 # The experiment registry. A trial function maps (cfg, space, rng, shared) to
 # (d_R, named checks, payload); an aggregate function maps (cfg, space, the
 # sweep's TrialResults in trial order, shared) to (trial, quantity, check)
-# rows, where trial is AGGREGATE_TRIAL for the sweep's own rows. shared()
-# returns the sweep's memoised (H, subspace). Verifiers are called through
-# this module's names.
+# rows, where trial is AGGREGATE_TRIAL for the sweep's own rows. Every check
+# is a verifier's BoundCheck, taken as it is; the one gate set here is
+# fraction_satisfied's 1.0. shared() returns the sweep's memoised
+# (H, subspace). Verifiers are called through this module's names.
 
 
 def _n_samples(cfg: ExperimentConfig) -> int:
@@ -310,44 +313,30 @@ def _thm1_trial(cfg, space, rng, shared):
     return space.d, list(checks.items()), None
 
 
+def _sweep_rows(checks: dict[str, BoundCheck]) -> list:
+    return [(AGGREGATE_TRIAL, name, check) for name, check in checks.items()]
+
+
 def _thm2_trial(cfg, space, rng, shared):
     h, sub = shared()
-    d_eff = d_eff_of_time_average(energy_coefficients(haar_random_state(sub, rng), h))
-    return sub.d_R, [("d_eff_omega", Row(d_eff, sub.d_R / 4, d_eff >= sub.d_R / 4))], d_eff
+    checks = theorem2_check(energy_coefficients(haar_random_state(sub, rng), h), sub.d_R)
+    return sub.d_R, list(checks.items()), checks["d_eff_omega"].empirical
 
 
 def _thm2_aggregate(cfg, space, results, shared):
-    d_r = results[0].d_r
-    summary = theorem2_summary([r.payload for r in results], d_r)
-    mean_row = Row(summary.mean, d_r / 2, summary.mean_check.satisfied)
-    return [
-        (AGGREGATE_TRIAL, "mean_d_eff", mean_row),
-        (AGGREGATE_TRIAL, "tail_frequency", summary.tail_check),
-    ]
+    return _sweep_rows(theorem2_sweep_check([r.payload for r in results], results[0].d_r))
 
 
 def _thm3_trial(cfg, space, rng, shared):
     h, sub = shared()
-    psi = haar_random_state(sub, rng)
-    omega_s = dephased_system(energy_coefficients(psi, h), h, space)
-    return sub.d_R, [], omega_s
+    c = energy_coefficients(haar_random_state(sub, rng), h)
+    return sub.d_R, [], dephased_system(c, h, space)
 
 
 def _thm3_aggregate(cfg, space, results, shared):
     h, sub = shared()
-    omegas = np.array([r.payload for r in results])
-    summary = theorem3_summary(omegas, delta_quantity(h, sub, space), sub.d_R, space.d_S)
-    weak = summary.weak_check
-    rows = [
-        (AGGREGATE_TRIAL, "mean_distance_weak_bound", weak),
-        (AGGREGATE_TRIAL, "mean_distance_delta_bound", summary.delta_check),
-        (AGGREGATE_TRIAL, "delta", summary.delta_range_check),
-    ]
-    rows += [
-        (trial, "distance_to_mean", Row(d, weak.bound, True))
-        for trial, d in enumerate(summary.distances)
-    ]
-    return rows
+    checks, per_state = theorem3_sweep_check(np.array([r.payload for r in results]), h, sub, space)
+    return _sweep_rows(checks) + [(t, "distance_to_mean", chk) for t, chk in enumerate(per_state)]
 
 
 def _thm4_trial(cfg, space, rng, shared):
@@ -359,7 +348,7 @@ def _thm4_trial(cfg, space, rng, shared):
 
 
 def _counterexamples_trial(cfg, space, rng, shared):
-    field_strength = float(cfg.hamiltonian.get("field", 50.0))
+    field_strength = float(_hamiltonian(cfg, "field"))
     checks = counterexample_checks(space, rng, field_strength, _n_samples(cfg))
     return space.d, list(checks.items()), None
 
@@ -370,9 +359,7 @@ def _identities_trial(cfg, space, rng, shared):
 
 def _fraction_satisfied(cfg, space, results, shared):
     passed = [all(r.satisfied for r in res.records) for res in results]
-    return [
-        (AGGREGATE_TRIAL, "fraction_satisfied", Row(float(np.mean(passed)), 1.0, all(passed)))
-    ]
+    return _sweep_rows({"fraction_satisfied": BoundCheck.at_least(np.mean(passed), 1.0)})
 
 
 REGISTRY = {
@@ -425,6 +412,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Experimen
     objects once, for its trials and then for the sweep's aggregate rows.
     """
     config.validate()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cfg_json = config.canonical_json()
     records: list[ExperimentRecord] = []
     if workers > 1:  # imported here, so that a serial run never loads multiprocessing

@@ -4,13 +4,15 @@ Checks that bound a true expectation are tested on sample means with a
 one-sided 3-standard-error allowance. Tail bounds that exceed 1 at desk
 scale are flagged vacuous in the check metadata rather than claimed
 meaningful. A check of one initial state takes its energy coefficients c.
-Each per-trial experiment has one verifier (`theorem1_check`,
-`theorem4_check`, `counterexample_checks`, `identity_checks`) that computes
+Every experiment's rows come from verifiers here, each of which computes
 every shared quantity once and returns its rows as a dict of `BoundCheck`s
-keyed by CSV quantity name, in output order. Sampled distances to ω_S come
-from `time_distances` (stratified times) and `torus_distances` (uniform
-phases). Sweeps over many states run only in `eqlab.runner.REGISTRY`,
-whose aggregates call `theorem2_summary` and `theorem3_summary`.
+keyed by CSV quantity name, in output order: one per trial
+(`theorem1_check`, `theorem2_check`, `theorem4_check`,
+`counterexample_checks`, `identity_checks`) and one per sweep over many
+states (`theorem2_sweep_check`; `theorem3_sweep_check`, which also returns
+one diagnostic per state), which `eqlab.runner.REGISTRY`'s aggregates call.
+Sampled distances to ω_S come from `time_distances` (stratified times) and
+`torus_distances` (uniform phases).
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ CONSTANTS = ConstantsTable()
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Uniform result carrier: satisfied iff empirical <= bound."""
+    """Uniform result carrier: satisfied iff margin >= 0."""
 
     empirical: float
     bound: float
@@ -71,13 +73,16 @@ class BoundCheck:
     @classmethod
     def upper(cls, empirical: float, bound: float, **metadata) -> "BoundCheck":
         margin = bound - empirical
-        return cls(
-            empirical=float(empirical),
-            bound=float(bound),
-            satisfied=margin >= 0,
-            margin=float(margin),
-            metadata=metadata,
-        )
+        return cls(float(empirical), float(bound), margin >= 0, float(margin), metadata)
+
+    @classmethod
+    def at_least(
+        cls, quantity: float, lower_bound: float, allowance: float = 0.0, **metadata
+    ) -> "BoundCheck":
+        """Check quantity + allowance >= lower_bound, with the quantity in
+        `empirical` and margin = quantity + allowance − lower_bound."""
+        margin = quantity + allowance - lower_bound
+        return cls(float(quantity), float(lower_bound), margin >= 0, float(margin), metadata)
 
     @classmethod
     def lower(cls, quantity: float, lower_bound: float, **metadata) -> "BoundCheck":
@@ -85,6 +90,13 @@ class BoundCheck:
         satisfied/margin invariant still reads empirical <= bound."""
         metadata = {"orientation": "lower", **metadata}
         return cls.upper(lower_bound, quantity, **metadata)
+
+    @classmethod
+    def diagnostic(cls, value: float, reference: float, **metadata) -> "BoundCheck":
+        """A reported value beside a reference, outside the pass/fail set:
+        always satisfied, with an infinite margin."""
+        metadata = {"diagnostic": True, **metadata}
+        return cls(float(value), float(reference), True, math.inf, metadata)
 
 
 def _standard_error(samples: np.ndarray) -> float:
@@ -195,36 +207,32 @@ def theorem1_check(
 # Theorem 2: concentration of the effective dimension
 
 
-@dataclass(frozen=True)
-class Theorem2Summary:
-    d_eff_samples: np.ndarray
-    mean: float
-    std_error: float
-    tail_frequency: float
-    mean_check: BoundCheck
-    tail_check: BoundCheck
+def _d_eff_tail_edge(d_r: int) -> float:
+    """Theorem 2's tail event is d_eff(ω) < d_R/4."""
+    return d_r / 4
 
 
-def theorem2_summary(d_eff_samples, d_r: int) -> Theorem2Summary:
-    """Mean and tail checks of Theorem 2 over sampled d_eff(ω) values."""
+def theorem2_check(c, d_r: int) -> dict[str, BoundCheck]:
+    """Theorem 2's row of one state in a subspace of dimension d_R:
+    `d_eff_omega`, d_eff(ω) against the edge d_R/4 of the tail event."""
+    return {"d_eff_omega": BoundCheck.at_least(d_eff_of_time_average(c), _d_eff_tail_edge(d_r))}
+
+
+def theorem2_sweep_check(d_eff_samples, d_r: int) -> dict[str, BoundCheck]:
+    """Theorem 2's rows over sampled d_eff(ω) values, in output order: their
+    mean against d_R/2 and the frequency of the tail event against 2e^{−c√d_R}."""
     samples = np.asarray(d_eff_samples, dtype=np.float64)
     trials = samples.size
     mean = float(np.mean(samples))
     se = _standard_error(samples)
-    tail_freq = float(np.mean(samples < d_r / 4))
+    tail_freq = float(np.mean(samples < _d_eff_tail_edge(d_r)))
     tail_bound = 2 * math.exp(-CONSTANTS.c * math.sqrt(d_r))
-    return Theorem2Summary(
-        d_eff_samples=samples,
-        mean=mean,
-        std_error=se,
-        tail_frequency=tail_freq,
-        mean_check=BoundCheck.lower(
-            mean + 3 * se, d_r / 2, allowance="3 standard errors", trials=trials
-        ),
-        tail_check=BoundCheck.upper(
+    return {
+        "mean_d_eff": BoundCheck.at_least(mean, d_r / 2, 3 * se, std_error=se, trials=trials),
+        "tail_frequency": BoundCheck.upper(
             tail_freq, tail_bound, vacuous=tail_bound > 1, trials=trials
         ),
-    )
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -254,64 +262,31 @@ def delta_quantity(
 DELTA_ALLOWANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class Theorem3Summary:
-    distances: np.ndarray
-    mean: float
-    std_error: float
-    delta: float
-    weak_check: BoundCheck
-    delta_check: BoundCheck
-    delta_range_check: BoundCheck
-    tail_frequency: float
-    tail_check: BoundCheck
-    mean_bias_note: str
+def theorem3_sweep_check(
+    omegas: np.ndarray, h: SpectralHamiltonian, subspace: Subspace, space: BipartiteSpace
+) -> tuple[dict[str, BoundCheck], list[BoundCheck]]:
+    """Theorem 3's rows over the equilibrium states ω_S^Ψ, shape (n, d_S, d_S),
+    of n states drawn from the subspace: the sweep's rows in output order, and
+    each state's D(ω_S^Ψ, Ω_S) as a diagnostic against the weak bound.
 
-
-def theorem3_summary(
-    omegas: np.ndarray,
-    delta: float,
-    d_r: int,
-    d_s: int,
-) -> Theorem3Summary:
-    """Theorem 3 checks over per-state equilibrium states ω_S^Ψ, shape (n, d_S, d_S).
-
-    Ω_S is estimated by the empirical mean of the same states; the induced
-    O(1/√n) bias is noted in the summary.
+    Ω_S is estimated by the mean of the same states, which biases the
+    distances by O(1/√n).
     """
     trials = len(omegas)
+    delta = delta_quantity(h, subspace, space)
     distances = trace_distance(omegas, hermitize(np.mean(omegas, axis=0)))
     mean = float(np.mean(distances))
     se = _standard_error(distances)
-    weak_bound = math.sqrt(d_s / (4 * d_r))
-    delta_bound = math.sqrt(d_s * delta / (4 * d_r))
-    epsilon = d_r ** (-1 / 3)
-    tail_threshold = 0.5 * math.sqrt(d_s * delta / d_r) + epsilon
-    tail_freq = float(np.mean(distances > tail_threshold))
-    tail_bound = 2 * math.exp(-CONSTANTS.c_prime * epsilon**2 * d_r)
-    return Theorem3Summary(
-        distances=distances,
-        mean=mean,
-        std_error=se,
-        delta=delta,
-        weak_check=BoundCheck.upper(
-            mean, weak_bound + 3 * se, allowance="3 standard errors", trials=trials
+    d_s, d_r = space.d_S, subspace.d_R
+    weak = BoundCheck.upper(mean, math.sqrt(d_s / (4 * d_r)) + 3 * se, std_error=se, trials=trials)
+    checks = {
+        "mean_distance_weak_bound": weak,
+        "mean_distance_delta_bound": BoundCheck.upper(
+            mean, math.sqrt(d_s * delta / (4 * d_r)) + 3 * se, std_error=se, trials=trials
         ),
-        delta_check=BoundCheck.upper(
-            mean, delta_bound + 3 * se, allowance="3 standard errors", trials=trials
-        ),
-        delta_range_check=BoundCheck.upper(
-            delta, 1.0 + DELTA_ALLOWANCE, allowance=DELTA_ALLOWANCE
-        ),
-        tail_frequency=tail_freq,
-        tail_check=BoundCheck.upper(
-            tail_freq, tail_bound, vacuous=tail_bound > 1, epsilon=epsilon
-        ),
-        mean_bias_note=(
-            "reference state is the sample mean over the same trials; "
-            f"bias is O(1/sqrt(trials)) with trials={trials}"
-        ),
-    )
+        "delta": BoundCheck.upper(delta, 1.0 + DELTA_ALLOWANCE, allowance=DELTA_ALLOWANCE),
+    }
+    return checks, [BoundCheck.diagnostic(d, weak.bound) for d in distances]
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ from eqlab.verifiers import (
     spin_bath_counterexample,
     swap_trace_identity_check,
     theorem1_check,
-    theorem2_summary,
-    theorem3_summary,
+    theorem2_sweep_check,
+    theorem3_sweep_check,
     theorem4_check,
 )
 
@@ -99,18 +99,19 @@ def test_criterion_03_effective_dimension_concentration():
         d_eff_of_time_average(energy_coefficients(haar_random_state(Subspace.full(64), rng), h))
         for _ in range(200)
     ]
-    summary = theorem2_summary(d_effs, 64)
-    ok = summary.mean_check.satisfied and summary.tail_frequency == 0.0
+    checks = theorem2_sweep_check(d_effs, 64)
+    mean, tail = checks["mean_d_eff"], checks["tail_frequency"]
+    ok = mean.satisfied and tail.empirical == 0.0
     report(
         "criterion 03",
         ok,
-        f"mean d_eff = {summary.mean:.2f} (>= 32 - 3SE), tail frequency "
-        f"{summary.tail_frequency}, exponential tail bound {summary.tail_check.bound:.3f}"
-        f"{' (vacuous)' if summary.tail_check.metadata['vacuous'] else ''}",
+        f"mean d_eff = {mean.empirical:.2f} (>= 32 - 3SE), tail frequency "
+        f"{tail.empirical}, exponential tail bound {tail.bound:.3f}"
+        f"{' (vacuous)' if tail.metadata['vacuous'] else ''}",
     )
-    assert summary.mean + 3 * summary.std_error >= 32
-    assert summary.tail_frequency == 0.0
-    assert summary.tail_check.metadata["vacuous"] == (summary.tail_check.bound > 1)
+    assert mean.empirical + 3 * mean.metadata["std_error"] >= 32
+    assert tail.empirical == 0.0
+    assert tail.metadata["vacuous"] == (tail.bound > 1)
 
 
 def test_criterion_04_bath_state_independence():
@@ -122,14 +123,14 @@ def test_criterion_04_bath_state_independence():
     sub = Subspace.fixed_system(psi_s, space)
     cs = [energy_coefficients(haar_random_state(sub, rng), h) for _ in range(100)]
     omegas = np.array([dephased_system(c, h, space) for c in cs])
-    summary = theorem3_summary(omegas, delta_quantity(h, sub, space), sub.d_R, space.d_S)
+    weak = theorem3_sweep_check(omegas, h, sub, space)[0]["mean_distance_weak_bound"]
     elapsed = time.perf_counter() - t0
     bound = math.sqrt(2 / (4 * 64))
-    ok = summary.mean <= bound + 3 * summary.std_error
+    ok = weak.empirical <= bound + 3 * weak.metadata["std_error"]
     report(
         "criterion 04",
         ok,
-        f"mean distance {summary.mean:.4f} <= {bound:.4f} + 3SE in {elapsed:.1f}s",
+        f"mean distance {weak.empirical:.4f} <= {bound:.4f} + 3SE in {elapsed:.1f}s",
     )
     assert abs(bound - 0.0884) <= 5e-4
     assert ok

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eqlab
 from eqlab import dynamics, hamiltonians, runner, verifiers
 from eqlab.bipartite import BipartiteSpace
 from eqlab.cli import main
@@ -227,6 +228,19 @@ class TestRunExperiment:
         )
         records = run_experiment(cfg)
         assert all(r.satisfied for r in records)
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_refused(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(small_config(trials=1), workers=workers)
+
+    def test_field_default(self):
+        # A config that leaves hamiltonian.field out runs at the named default.
+        base = {"experiment": "counterexamples", "d_B": [4], "trials": 1}
+        field = runner.HAMILTONIAN_DEFAULTS["field"]
+        left_out = run_experiment(small_config(**base))
+        given = run_experiment(small_config(**base, hamiltonian={"field": field}))
+        assert strip_walltime(left_out) == strip_walltime(given)
 
     def test_identities(self):
         cfg = small_config(experiment="identities", d_B=[4], trials=1)
@@ -515,6 +529,13 @@ class TestCli:
         cfg = self.write_config(tmp_path, experiment=experiment, d_S=1, d_B=[1])
         assert main(["run", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one_exits_1(self, tmp_path, capsys, workers):
+        cfg = self.write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--workers", workers]) == 1
+        assert capsys.readouterr().err.startswith("error: --workers: ")
+        assert not (tmp_path / "results.csv").exists()
+
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -537,3 +558,42 @@ def test_seed_column_reproduces_trial():
     expected = derive_seed(cfg.master_seed, 0, 1)
     assert all(r.seed == expected for r in trial_rows)
     assert isinstance(np.random.default_rng(expected), np.random.Generator)
+
+
+# perfbench/child.py relies on these: it reads eqlab.__version__ and the
+# config hash of each perfbench config for its manifest, and hooks
+# runner._run_trial, looked up by name at call time, before it calls
+# cli.main(argv). The hashes are those of the committed reference runs.
+PERFBENCH_CONFIG_HASHES = {
+    "counterexamples-small": "5f1a71c9de22a985",
+    "thm1-readme": "27f6cd188d8f6a89",
+    "thm2-d256": "d6aeccba930ecd48",
+    "thm4-readme": "58e0e3cd835abef7",
+}
+PERFBENCH_CONFIGS = Path(__file__).parents[1] / "perfbench" / "configs"
+
+
+class TestPerfbenchContract:
+    @pytest.mark.parametrize("name", PERFBENCH_CONFIG_HASHES)
+    def test_config_hash(self, name):
+        doc = json.loads((PERFBENCH_CONFIGS / f"{name}.json").read_text())
+        assert ExperimentConfig.from_dict(doc).config_hash() == PERFBENCH_CONFIG_HASHES[name]
+
+    def test_version_is_str(self):
+        assert isinstance(eqlab.__version__, str)
+
+    def test_run_trial_hook(self, tmp_path, monkeypatch):
+        calls = []
+        run_trial = runner._run_trial
+
+        def hook(payload):
+            calls.append(payload[1:])
+            return run_trial(payload)
+
+        monkeypatch.setattr(runner, "_run_trial", hook)
+        assert main([
+            "run", "--config", str(PERFBENCH_CONFIGS / "thm2-d256.json"),
+            "--set", "d_B=[4,8]", "--set", "trials=2",
+            "--set", f"output_path={tmp_path / 'results'}",
+        ]) == 0
+        assert calls == [(0, 0), (0, 1), (1, 0), (1, 1)]

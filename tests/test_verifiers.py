@@ -43,28 +43,30 @@ from eqlab.verifiers import (
     spin_bath_counterexample,
     swap_trace_identity_check,
     theorem1_check,
-    theorem2_summary,
-    theorem3_summary,
+    theorem2_check,
+    theorem2_sweep_check,
+    theorem3_sweep_check,
     theorem4_check,
     torus_distances,
     _ks_statistic,
 )
 
 
-def thm2_summary(subspace, h, trials, rng):
-    """theorem2_summary over d_eff(ω) of `trials` Haar states of the subspace."""
-    samples = [
-        d_eff_of_time_average(energy_coefficients(haar_random_state(subspace, rng), h))
-        for _ in range(trials)
-    ]
-    return theorem2_summary(samples, subspace.d_R)
+def thm2_sweep(subspace, h, trials, rng):
+    """d_eff(ω) of `trials` Haar states of the subspace, and
+    theorem2_sweep_check over them."""
+    samples = []
+    for _ in range(trials):
+        c = energy_coefficients(haar_random_state(subspace, rng), h)
+        samples.append(theorem2_check(c, subspace.d_R)["d_eff_omega"].empirical)
+    return np.array(samples), theorem2_sweep_check(samples, subspace.d_R)
 
 
-def thm3_summary(subspace, h, space, trials, rng):
-    """theorem3_summary over ω_S of `trials` Haar states of the subspace."""
+def thm3_sweep(subspace, h, space, trials, rng):
+    """theorem3_sweep_check over ω_S of `trials` Haar states of the subspace."""
     cs = [energy_coefficients(haar_random_state(subspace, rng), h) for _ in range(trials)]
     omegas = np.array([dephased_system(c, h, space) for c in cs])
-    return theorem3_summary(omegas, delta_quantity(h, subspace, space), subspace.d_R, space.d_S)
+    return theorem3_sweep_check(omegas, h, subspace, space)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +101,34 @@ class TestBoundCheck:
         chk = BoundCheck.upper(empirical, bound)
         assert chk.satisfied == (chk.margin >= 0)
         assert chk.margin == chk.bound - chk.empirical
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+    )
+    def test_at_least_invariant(self, quantity, lower_bound, allowance):
+        chk = BoundCheck.at_least(quantity, lower_bound, allowance)
+        assert chk.satisfied == (chk.margin >= 0)
+        assert chk.empirical == quantity and chk.bound == lower_bound
+        assert chk.margin == quantity + allowance - lower_bound
+
+    def test_at_least_matches_swapped_lower(self):
+        # The margin of a mean checked with an allowance is bit-equal to the
+        # swapped-role check of mean + allowance.
+        mean, se, bound = 31.123456789, 0.4567891234, 32.0
+        chk = BoundCheck.at_least(mean, bound, 3 * se)
+        swapped = BoundCheck.lower(mean + 3 * se, bound)
+        assert (chk.margin, chk.satisfied) == (swapped.margin, swapped.satisfied)
+        assert not BoundCheck.at_least(2.0, 3.0).satisfied
+        assert BoundCheck.at_least(3.0, 3.0).satisfied
+
+    def test_diagnostic(self):
+        chk = BoundCheck.diagnostic(5.0, 1.0, trials=3)
+        assert (chk.empirical, chk.bound, chk.satisfied) == (5.0, 1.0, True)
+        assert chk.margin == math.inf
+        assert chk.metadata == {"diagnostic": True, "trials": 3}
 
     def test_lower_orientation(self):
         chk = BoundCheck.lower(5.0, 3.0)
@@ -160,25 +190,42 @@ class TestTheorem2:
         # to that eigenstate: d_eff = 1 >= d_R / 2 always.
         space, h, _ = instance
         rng = np.random.default_rng(203)
-        summary = thm2_summary(Subspace(h.eigenbasis[:, :1]), h, 40, rng)
-        assert np.allclose(summary.d_eff_samples, 1.0, atol=1e-10)
-        assert summary.mean_check.satisfied
+        samples, checks = thm2_sweep(Subspace(h.eigenbasis[:, :1]), h, 40, rng)
+        assert np.allclose(samples, 1.0, atol=1e-10)
+        assert checks["mean_d_eff"].satisfied
 
     def test_full_space(self, instance):
         space, h, _ = instance
-        summary = thm2_summary(
-            Subspace.full(space.d), h, 60, np.random.default_rng(204)
-        )
-        assert summary.mean_check.satisfied
-        assert summary.tail_frequency == 0.0
-        assert summary.tail_check.metadata["vacuous"] == (summary.tail_check.bound > 1)
+        _, checks = thm2_sweep(Subspace.full(space.d), h, 60, np.random.default_rng(204))
+        assert list(checks) == ["mean_d_eff", "tail_frequency"]
+        tail = checks["tail_frequency"]
+        assert checks["mean_d_eff"].satisfied
+        assert tail.empirical == 0.0
+        assert tail.metadata["vacuous"] == (tail.bound > 1)
 
     def test_reproducible(self, instance):
         space, h, _ = instance
-        a = thm2_summary(Subspace.full(space.d), h, 30, np.random.default_rng(205))
-        b = thm2_summary(Subspace.full(space.d), h, 30, np.random.default_rng(205))
-        assert np.array_equal(a.d_eff_samples, b.d_eff_samples)
-        assert a.mean == b.mean
+        a = thm2_sweep(Subspace.full(space.d), h, 30, np.random.default_rng(205))
+        b = thm2_sweep(Subspace.full(space.d), h, 30, np.random.default_rng(205))
+        assert np.array_equal(a[0], b[0])
+        assert a[1]["mean_d_eff"].empirical == b[1]["mean_d_eff"].empirical
+
+    def test_tail_edge(self):
+        # d_eff_omega fails exactly on the tail event d_eff < d_R/4 that
+        # tail_frequency counts.
+        c = np.full(16, 0.25)  # d_eff(ω) = 16
+        assert theorem2_check(c, 64)["d_eff_omega"].satisfied
+        assert not theorem2_check(c, 65)["d_eff_omega"].satisfied
+        checks = theorem2_sweep_check([16.0, 15.0, 17.0, 16.0], 64)
+        assert checks["tail_frequency"].empirical == 0.25
+
+    def test_mean_metadata(self):
+        samples = np.array([30.0, 31.0, 33.0, 34.0])
+        mean = theorem2_sweep_check(samples, 64)["mean_d_eff"]
+        se = np.std(samples, ddof=1) / 2
+        assert (mean.empirical, mean.bound) == (32.0, 32.0)
+        assert mean.metadata == {"std_error": se, "trials": 4}
+        assert mean.margin == 32.0 + 3 * se - 32.0
 
 
 class TestDelta:
@@ -213,11 +260,15 @@ class TestTheorem3:
         rng = np.random.default_rng(207)
         psi_s = haar_random_state(Subspace.full(space.d_S), rng)
         sub = Subspace.fixed_system(psi_s, space)
-        summary = thm3_summary(sub, h, space, 60, rng)
-        assert summary.weak_check.satisfied
-        assert summary.delta_check.satisfied
-        assert summary.delta_check.bound <= summary.weak_check.bound + 1e-12
-        assert "trials=60" in summary.mean_bias_note
+        checks, per_state = thm3_sweep(sub, h, space, 60, rng)
+        assert list(checks) == ["mean_distance_weak_bound", "mean_distance_delta_bound", "delta"]
+        weak, delta = checks["mean_distance_weak_bound"], checks["mean_distance_delta_bound"]
+        assert weak.satisfied
+        assert delta.satisfied
+        assert delta.bound <= weak.bound + 1e-12
+        assert weak.metadata["trials"] == 60
+        assert len(per_state) == 60
+        assert all(chk.metadata["diagnostic"] and chk.bound == weak.bound for chk in per_state)
 
     def test_subsystem_independence_setup(self, instance):
         # d_R = d_S makes the weak bound 1/2 (uninformative); the delta bound
@@ -226,18 +277,19 @@ class TestTheorem3:
         rng = np.random.default_rng(208)
         phi_b = haar_random_state(Subspace.full(space.d_B), rng)
         sub = Subspace.fixed_bath(phi_b, space)
-        summary = thm3_summary(sub, h, space, 60, rng)
+        checks, _ = thm3_sweep(sub, h, space, 60, rng)
         weak = math.sqrt(space.d_S / (4 * sub.d_R))
         assert abs(weak - 0.5) <= 1e-12
-        assert summary.delta_check.bound < summary.weak_check.bound
-        assert summary.delta_check.satisfied
+        delta = checks["mean_distance_delta_bound"]
+        assert delta.bound < checks["mean_distance_weak_bound"].bound
+        assert delta.satisfied
 
     def test_one_dimensional_subspace(self, instance):
         space, h, _ = instance
         rng = np.random.default_rng(209)
         basis = haar_random_state(Subspace.full(space.d), rng).reshape(-1, 1)
-        summary = thm3_summary(Subspace(basis), h, space, 30, rng)
-        assert np.max(summary.distances) <= 1e-10
+        _, per_state = thm3_sweep(Subspace(basis), h, space, 30, rng)
+        assert max(chk.empirical for chk in per_state) <= 1e-10
 
 
 class TestTheorem4:
