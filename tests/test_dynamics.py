@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,30 @@ class TestEnergyCoefficients:
         _, h, psi = instance
         back = h.eigenbasis @ energy_coefficients(psi, h)
         assert np.max(np.abs(back - psi)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 16, 256])
+    def test_matches_dense_adjoint(self, d):
+        rng = np.random.default_rng(110 + d)
+        h = SpectralHamiltonian(np.sort(rng.uniform(0.0, 1.0, d)), haar_random_unitary(d, rng))
+        psi = haar_random_state(Subspace.full(d), rng)
+        reference = h.eigenbasis.conj().T @ psi
+        assert np.max(np.abs(energy_coefficients(psi, h) - reference)) <= 1e-15
+
+    def test_memory_is_o_of_d(self):
+        # U†ψ copies the conjugate of U: 16 MiB at d = 1024. (ψ*U)* holds
+        # a few d-vectors.
+        d = 1024
+        k = np.arange(d)
+        dft = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
+        h = SpectralHamiltonian(np.linspace(0.0, 1.0, d), dft)
+        psi = haar_random_state(Subspace.full(d), np.random.default_rng(111))
+        tracemalloc.start()
+        try:
+            energy_coefficients(psi, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
 
 
 class TestEvolve:

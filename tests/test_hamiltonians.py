@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from eqlab import hamiltonians
+from eqlab import hamiltonians, runner
 from eqlab.bipartite import BipartiteSpace
 from eqlab.errors import DimensionMismatchError
 from eqlab.hamiltonians import (
@@ -145,6 +147,7 @@ class TestGapAnalysis:
         h = trivial_hamiltonian(np.sort(e))
         assert gap_analysis(h) == loop_gap_analysis(h)
         assert gap_analysis(h, tol=0.05) == loop_gap_analysis(h, tol=0.05)
+        assert gap_analysis(h, tol=0.0) == loop_gap_analysis(h, tol=0.0)
 
     @pytest.mark.parametrize(
         "energies, min_sep",
@@ -163,6 +166,76 @@ class TestGapAnalysis:
         assert report.min_gap_separation == min_sep
         if energies[0] == energies[1]:
             assert (1, 0, 1, 0) in report.degenerate_pairs
+
+    @pytest.mark.parametrize(
+        "energies",
+        [
+            np.arange(9.0),  # gap j repeats 9 - j times
+            [0.0, 1.0, 2.0, 3.0, 5.5, 6.5, 7.5],  # clusters of 3, 4 and 6 equal gaps
+            [0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 4.0],  # degenerate levels inside the clusters
+            np.cumsum([0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0]),
+        ],
+        ids=["ladder", "clusters", "degenerate", "steps"],
+    )
+    @pytest.mark.parametrize("tol", [None, 0.0, 0.5, 1.0])
+    def test_matches_loop_oracle_on_clusters(self, energies, tol):
+        h = trivial_hamiltonian(energies)
+        report = gap_analysis(h, tol)
+        assert report == loop_gap_analysis(h, tol)
+        assert not report.passes
+
+    @pytest.mark.parametrize("tol", [0.0, 0.01, 0.02])
+    def test_matches_loop_oracle_where_ties_straddle_tol(self, tol):
+        # On a grid of step 0.01 the float gaps and their separations land
+        # just below, on and just above multiples of 0.01, so chains of
+        # near-ties cross tol in both directions.
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            e = np.sort(np.round(rng.uniform(0.0, 0.3, size=12), 2))
+            h = trivial_hamiltonian(e)
+            assert gap_analysis(h, tol) == loop_gap_analysis(h, tol)
+
+    def test_matches_loop_oracle_on_a_coarse_grid_at_d200(self):
+        rng = np.random.default_rng(32)
+        h = trivial_hamiltonian(np.sort(np.round(rng.uniform(0.0, 1.0, size=200), 2)))
+        report = gap_analysis(h)
+        assert len(report.degenerate_pairs) > 10_000
+        assert report == loop_gap_analysis(h)
+
+    def test_matches_loop_oracle_on_the_first_thm2_d256_draw(self, monkeypatch):
+        # The shared Hamiltonian of thm2 at d_S = 2, d_B = 128, master_seed 7:
+        # its first energy draw fails the check with two violations.
+        drawn = []
+
+        def recording(h, tol=None):
+            drawn.append(h)
+            return gap_analysis(h, tol)
+
+        monkeypatch.setattr(hamiltonians, "gap_analysis", recording)
+        cfg = runner.ExperimentConfig.from_dict(
+            {"experiment": "thm2", "d_S": 2, "d_B": [128], "trials": 1, "master_seed": 7}
+        )
+        runner._build_hamiltonian(cfg, BipartiteSpace(2, 128), runner._shared_rng(cfg, 0))
+        first = drawn[0]
+        report = gap_analysis(first)
+        assert len(report.degenerate_pairs) == 2
+        assert report == loop_gap_analysis(first)
+
+    def test_memory_per_gap(self):
+        # A random spectrum at d = 1024 has violations, so the membership
+        # test and the stable argsort of the tied gaps run too. 48 bytes per
+        # gap is ~400 MB at d = 4096.
+        d = 1024
+        e = np.sort(np.random.default_rng(33).uniform(0.0, 1.0, d))
+        h = trivial_hamiltonian(np.zeros(d)).with_energies(e)
+        tracemalloc.start()
+        try:
+            report = gap_analysis(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.passes
+        assert peak <= 48 * d * (d - 1) // 2, peak / (d * (d - 1) // 2)
 
     def test_noninteracting_always_fails(self):
         rng = np.random.default_rng(4)

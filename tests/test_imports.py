@@ -92,7 +92,7 @@ def test_readme_session_runs():
     exec(compile(blocks[0], str(README), "exec"), {})
 
 
-HEAVY_MODULES = ("scipy", "concurrent.futures.process")
+HEAVY_MODULES = ("scipy", "concurrent.futures.process", "numpy.ma")
 
 SERIAL_RUN = """
 import sys
@@ -101,22 +101,28 @@ status = eqlab.cli.main(["run", "--config", sys.argv[1]])
 print(status, [m for m in {heavy!r} if m in sys.modules])
 """
 
+# thm2 at d = 256 and master_seed 7: the first draw of its shared Hamiltonian
+# fails the gap check, so the violation path runs too. numpy.ma is loaded
+# by the first call of np.unique or np.isin and costs 13-25 ms.
+SERIAL_CONFIGS = (
+    {"experiment": "thm1", "d_S": 2, "d_B": [4], "trials": 1},
+    {"experiment": "thm2", "d_S": 2, "d_B": [128], "trials": 1},
+)
+
 
 def test_serial_run_loads_no_heavy_module(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "experiment": "thm1",
-        "d_S": 2,
-        "d_B": [4],
-        "trials": 1,
-        "time_sampling": {"t_max_factor": 1e3, "n_samples": 50},
-        "master_seed": 7,
-        "output_path": str(tmp_path / "results"),
-    }))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", SERIAL_RUN.format(heavy=HEAVY_MODULES), str(config)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    assert done.stdout.splitlines()[-1] == "0 []"
+    for fields in SERIAL_CONFIGS:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            **fields,
+            "time_sampling": {"t_max_factor": 1e3, "n_samples": 50},
+            "master_seed": 7,
+            "output_path": str(tmp_path / "results"),
+        }))
+        done = subprocess.run(
+            [sys.executable, "-c", SERIAL_RUN.format(heavy=HEAVY_MODULES), str(config)],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "0 []", fields["experiment"]

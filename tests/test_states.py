@@ -56,6 +56,22 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace(np.ones((3, 2), dtype=np.complex128))
 
+    def test_rejects_basis_just_off_orthonormal(self):
+        basis = np.eye(4, dtype=np.complex128)
+        basis[1, 0] = 1e-9
+        with pytest.raises(ValueError):
+            Subspace(basis)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 256])
+    def test_full_matches_checked_identity(self, d):
+        full, checked = Subspace.full(d).basis, Subspace(np.eye(d)).basis
+        assert full.dtype == checked.dtype == np.complex128
+        assert np.array_equal(full, checked)
+
+    def test_full_rejects_dimension_zero(self):
+        with pytest.raises(DimensionMismatchError):
+            Subspace.full(0)
+
     def test_fixed_system_and_bath_shapes(self):
         space = BipartiteSpace(2, 3)
         psi_s = np.array([1.0, 0.0])
