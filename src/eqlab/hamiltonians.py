@@ -109,8 +109,8 @@ def _tril_pairs(flat: np.ndarray, d: int) -> tuple[list[int], list[int]]:
 
 
 def _stable_order_at(gaps: np.ndarray, ranked: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The gaps that a stable argsort of ``gaps`` puts at the positions
-    ``at`` of ``ranked``, the sorted nonzero gaps.
+    """The indices into ``gaps`` that a stable argsort of ``gaps`` puts at
+    the positions ``at`` of ``ranked``, the sorted gaps above tol.
 
     Only the gaps whose value occurs at those positions are argsorted: a
     value's run of ties starts at its ``searchsorted`` position in ``ranked``,
