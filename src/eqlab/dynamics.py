@@ -1,20 +1,21 @@
 """Time evolution in the energy eigenbasis and time-average machinery.
 
-Evolution is exact: one amplitude kernel, `torus_state`, applies phases to
-the energy coefficients and maps back (α = −E t for time evolution), and
-one reduction per side turns amplitude stacks into ρ_S or ρ_B stacks. The
-kernel forms the phase factors e^{iα} from tan(α/2) by the half-angle
-identity, which numpy vectorises, instead of an elementwise complex exp,
-scales them by c and maps a whole stack with one matrix product against the
-basis. ρ_S is one broadcast `np.linalg.vecdot` over the bath index,
-ρ_B one batched matrix product over the system index. `reduced_states`
-runs the kernel and the reductions over many phase vectors in row blocks of
-`block_rows(d)` into one ρ_S or one ρ_B stack, so a trajectory or a torus
-sample never holds its whole n × d amplitude stack. The infinite-time
-average is exact through its marginals (`dephased_system`, `dephased_bath`),
-each computed only where it is read, and the d×d dephased state ω is never
-formed; time sampling (`sample_times`) is only used for the fluctuation
-statistics of `eqlab.verifiers`.
+Evolution is exact: Ψ(α) = Σ_k e^{iα_k} c_k |E_k⟩ (α = −E t for time
+evolution) applies phase factors to the energy coefficients and maps back,
+and one reduction per side turns amplitude stacks into ρ_S or ρ_B stacks.
+`_phase_factors` forms e^{iα} from tan(α/2) by the half-angle identity,
+which numpy vectorises, instead of an elementwise complex exp; the factors
+are scaled by c and a whole stack is mapped with one matrix product against
+the basis (`torus_state`). ρ_S is one broadcast `np.vecdot` over the bath
+index, ρ_B one batched matrix product over the system index.
+`reduced_states` runs these steps over many phase vectors in row blocks of
+`block_rows(d)`, into one ρ_S or ρ_B stack per coefficient vector, and forms
+each block's phase factors once for every vector that samples them, so a
+trajectory or a torus sample never holds its whole n × d amplitude stack.
+The infinite-time average is exact through its marginals (`dephased_system`,
+`dephased_bath`), each computed only where it is read, and the d×d dephased
+state ω is never formed; time sampling (`sample_times`) is only used for the
+fluctuation statistics of `eqlab.verifiers`.
 
 Every function of an initial state takes its energy coefficients
 c_k = ⟨E_k|ψ₀⟩ (`energy_coefficients`), not ψ₀, so a caller computes them
@@ -35,17 +36,18 @@ from .states import as_state
 
 DEFAULT_T_MAX_FACTOR = 1e3
 # `reduced_states` works in blocks of 4096 amplitudes (64 KiB of complex128),
-# and never fewer than 64 rows, so a run holds one block's phases and
-# amplitudes instead of the n × d stack (131 MB at n = 2000, d = 4096).
-# Re-measured in October 2026 with the vecdot reduction on a 2-core x86_64
-# host (numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread), the mean of two 10 s
-# perfbench runs per setting: thm1-readme and thm4-readme peak at 43.8 and
-# 40.2 MB RSS, against 47.0 and 41.0 MB with 256 KiB blocks and 47.9 and 48.0
-# MB unblocked, and their `wall_norm_s` is 0.048 and 0.065 s, against 0.053
-# and 0.068 s and 0.060 and 0.096 s: 64 KiB stays. `torus_distances` at
-# d = 1024, n = 2000 takes 0.47 s (median of 7) with 64-row blocks, 0.39 s
-# as one unblocked product and 0.73 s with 8-row blocks; its tracemalloc
-# peak is 5.1 MiB blocked and 125 MiB unblocked.
+# and never fewer than 64 rows, so a run holds one block's work buffers,
+# allocated once per call, instead of the n × d stack (131 MB at n = 2000,
+# d = 4096). Re-measured in October 2026 with the reused buffers on a 2-core
+# x86_64 host (numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread), medians of
+# five alternating 10 s perfbench runs per setting: `wall_norm_s` of
+# thm1-readme is 0.0378, 0.0385 and 0.0380 s with 64, 128 and 256 KiB
+# blocks, and of thm4-readme 0.061, 0.062 and 0.056 s at 39.9, 40.1 and
+# 40.7 MB peak RSS. Only thm4-readme gains from larger blocks: 64 KiB stays.
+# `torus_distances` at d = 1024, n = 2000 takes 0.43 s (median of 7) with
+# 64-row blocks at a 5.1 MiB tracemalloc peak; with buffers allocated per
+# block it took 0.47 s at 4.1 MiB, as one unblocked product 0.39 s at
+# 125 MiB, and with 8-row blocks 0.73 s.
 BLOCK_AMPLITUDES = 4096
 MIN_BLOCK_ROWS = 64
 
@@ -99,11 +101,9 @@ def dephased_bath(c, h: SpectralHamiltonian, space: BipartiteSpace) -> np.ndarra
     return hermitize(np.tensordot(weighted, u_conj, axes=([0, 2], [0, 2])))
 
 
-def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
-    """Ψ(α) = Σ_k e^{iα_k} c_k |E_k⟩: time evolution with free phases.
-
-    ``alpha`` is one phase vector or an (n, d) stack of them; a stack gives
-    one state per row, and ``alpha`` itself is never written.
+def _phase_factors(alpha: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{iα} into the complex array ``out``, with ``work`` a float array of
+    shape (3, *alpha.shape) for t, t² and 1 + t²; ``alpha`` is never written.
 
     The phase factors come from the half-angle identity. With C = cos(θ/2),
     S = sin(θ/2) and t = S/C = tan(θ/2), cos θ = (C² − S²)/(C² + S²) and
@@ -114,10 +114,31 @@ def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
     2.8e-16 and the largest deviation of |e^{iθ}| from 1 is 4.4e-16. Nothing
     overflows: π/2 is not a float64, so |tan(θ/2)| ≤ 1.7·10¹⁶ and t² ≤ 3·10³²
     for every finite θ, and there 1 ∓ t² rounds to ∓t², giving −1 exactly.
-    The speed comes from numpy's SIMD dispatch of float64 ``tan``: about
-    4 ns per element with AVX512, against ~49 ns for the complex exp, on a
-    2-core x86_64 host with numpy 2.4. Without AVX512 numpy calls libm's
-    ``tan``, which is slower but as accurate, so results agree to rounding.
+    The speed comes from numpy's SIMD dispatch of float64 ``tan`` with
+    AVX512, whose cost depends on the argument's range: on a 2-core x86_64
+    host with numpy 2.4.6, in 4096-element blocks, 2–2.7 ns per element for
+    |θ/2| < 2¹⁶ but 7–7.7 ns above, where trajectory phases −E t fall for t
+    up to 10³ / (minimum gap); the complex exp takes ~26 ns. Without AVX512
+    numpy calls libm's ``tan``, slower but as accurate: results agree to rounding.
+    """
+    t, t2, den = work
+    np.multiply(alpha, 0.5, out=t)
+    np.tan(t, out=t)
+    np.multiply(t, t, out=t2)
+    np.add(t2, 1.0, out=den)
+    np.subtract(1.0, t2, out=t2)
+    t += t
+    np.divide(t2, den, out=out.real)
+    np.divide(t, den, out=out.imag)
+    return out
+
+
+def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
+    """Ψ(α) = Σ_k e^{iα_k} c_k |E_k⟩: time evolution with free phases.
+
+    ``alpha`` is one phase vector or an (n, d) stack of them; a stack gives
+    one state per row, and ``alpha`` itself is never written. The phase
+    factors come from `_phase_factors`, as in `reduced_states`.
     """
     cv = np.asarray(c, dtype=np.complex128)
     av = np.asarray(alpha, dtype=np.float64)
@@ -125,15 +146,7 @@ def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
         raise DimensionMismatchError(
             f"coefficients ({cv.size}) and phases {av.shape} must have length {h.dim}"
         )
-    t = 0.5 * av  # a fresh buffer, so the caller's alpha is never written
-    np.tan(t, out=t)
-    t2 = t * t
-    den = 1.0 + t2
-    np.subtract(1.0, t2, out=t2)
-    t += t
-    phased = np.empty(av.shape, dtype=np.complex128)
-    np.divide(t2, den, out=phased.real)
-    np.divide(t, den, out=phased.imag)
+    phased = _phase_factors(av, np.empty((3, *av.shape)), np.empty(av.shape, dtype=np.complex128))
     phased *= cv
     return phased @ h.eigenbasis.T
 
@@ -146,24 +159,26 @@ def sample_times(
     return (np.arange(n_samples) + jitter) * (t_max / n_samples)
 
 
-def reduce_to_system(amps: np.ndarray, space: BipartiteSpace) -> np.ndarray:
+def reduce_to_system(amps: np.ndarray, space: BipartiteSpace, out=None) -> np.ndarray:
     """ρ_S = tr_B |ψ⟩⟨ψ| of each row of an (n, d) amplitude stack: (n, d_S, d_S).
 
     With a[n, s, b] = ⟨s b|ψ_n⟩, ρ[n, s, t] = Σ_b a[n,s,b] conj(a[n,t,b]):
-    one broadcast `vecdot`, which conjugates its first argument. The stack
-    may be a non-contiguous view, such as the transposed eigenbasis.
+    one broadcast `vecdot`, which conjugates its first argument, written into
+    ``out`` when given. The stack may be a non-contiguous view, such as the
+    transposed eigenbasis.
     """
     a = amps.reshape(-1, space.d_S, space.d_B)
-    return np.linalg.vecdot(a[:, None], a[:, :, None])
+    return np.vecdot(a[:, None], a[:, :, None], out=out)
 
 
-def reduce_to_bath(amps: np.ndarray, space: BipartiteSpace) -> np.ndarray:
+def reduce_to_bath(amps: np.ndarray, space: BipartiteSpace, out=None) -> np.ndarray:
     """ρ_B = tr_S |ψ⟩⟨ψ| of each row of an (n, d) amplitude stack: (n, d_B, d_B).
 
-    ρ[n, b, c] = Σ_s a[n,s,b] conj(a[n,s,c]): one batched matrix product.
+    ρ[n, b, c] = Σ_s a[n,s,b] conj(a[n,s,c]): one batched matrix product,
+    written into ``out`` when given.
     """
     a = amps.reshape(-1, space.d_S, space.d_B)
-    return a.transpose(0, 2, 1) @ a.conj()
+    return np.matmul(a.transpose(0, 2, 1), a.conj(), out=out)
 
 
 def block_rows(d: int) -> int:
@@ -182,28 +197,47 @@ def reduced_states(
     """ρ_S, or ρ_B when ``bath`` is set, of Ψ(α_j) = `torus_state(c, h, α_j)`
     for j = 0 … n−1: shape (n, d_S, d_S), or (n, d_B, d_B).
 
+    ``c`` is one coefficient vector or an (m, d) stack of them, which all
+    sample the same phases; a stack gives shape (m, n, side, side). Each
+    block's phase factors e^{iα} are formed once and every row of ``c``
+    reuses them, and the work buffers are allocated once per call.
     ``phases(start, stop)`` returns the (stop − start, d) phase rows α_start …
     α_{stop−1}; it is called once per block, in row order, so a generator
     drawn block by block gives the same rows as one (n, d) draw.
     """
+    cs = np.asarray(c, dtype=np.complex128)
+    if cs.ndim not in (1, 2) or cs.shape[-1] != h.dim or h.dim != space.d:
+        raise DimensionMismatchError(
+            f"coefficients {cs.shape}, Hamiltonian ({h.dim}) and space ({space.d}) disagree"
+        )
     side, reduce = (space.d_B, reduce_to_bath) if bath else (space.d_S, reduce_to_system)
-    rhos = np.empty((n, side, side), dtype=np.complex128)
-    rows = block_rows(h.dim)
+    rhos = np.empty((*cs.shape[:-1], n, side, side), dtype=np.complex128)
+    rows = max(1, min(block_rows(h.dim), n))
+    work = np.empty((3, rows, h.dim))
+    factors, scaled, amps = np.empty((3, rows, h.dim), dtype=np.complex128)
+    basis_t = h.eigenbasis.T
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        rhos[start:stop] = reduce(torus_state(c, h, phases(start, stop)), space)
+        k = stop - start
+        _phase_factors(phases(start, stop), work[:, :k], factors[:k])
+        for cv, out in zip(cs.reshape(-1, h.dim), rhos.reshape(-1, n, side, side)):
+            np.multiply(factors[:k], cv, out=scaled[:k])
+            np.matmul(scaled[:k], basis_t, out=amps[:k])
+            reduce(amps[:k], space, out=out[start:stop])
     return rhos
 
 
 def time_phases(times: np.ndarray, h: SpectralHamiltonian) -> Callable[[int, int], np.ndarray]:
     """Phase rows α_j = −E t_j of the sample times, for `reduced_states`."""
-    return lambda start, stop: -np.outer(times[start:stop], h.energies)
+    minus_e = -h.energies
+    return lambda start, stop: np.multiply.outer(times[start:stop], minus_e)
 
 
 def reduced_states_at_times(
     c, h: SpectralHamiltonian, space: BipartiteSpace, times: np.ndarray
 ) -> np.ndarray:
-    """Stack of ρ_S(t) for each sample time, shape (n, d_S, d_S)."""
+    """Stack of ρ_S(t) for each sample time, shape (n, d_S, d_S), or
+    (m, n, d_S, d_S) for an (m, d) stack of coefficient vectors."""
     return reduced_states(c, h, space, time_phases(times, h), len(times))
 
 

@@ -47,6 +47,16 @@ def instance():
     return space, h, psi
 
 
+@pytest.fixture(scope="module")
+def dft_1024():
+    """A d = 1024 Hamiltonian with evenly spaced levels and the unitary DFT
+    as its eigenbasis, for the memory guards."""
+    d = 1024
+    k = np.arange(d)
+    dft = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
+    return SpectralHamiltonian(np.linspace(0.0, 1.0, d), dft)
+
+
 class TestEnergyCoefficients:
     def test_eigenstate(self, instance):
         _, h, _ = instance
@@ -73,14 +83,11 @@ class TestEnergyCoefficients:
         reference = h.eigenbasis.conj().T @ psi
         assert np.max(np.abs(energy_coefficients(psi, h) - reference)) <= 1e-15
 
-    def test_memory_is_o_of_d(self):
+    def test_memory_is_o_of_d(self, dft_1024):
         # U†ψ copies the conjugate of U: 16 MiB at d = 1024. (ψ*U)* holds
         # a few d-vectors.
-        d = 1024
-        k = np.arange(d)
-        dft = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
-        h = SpectralHamiltonian(np.linspace(0.0, 1.0, d), dft)
-        psi = haar_random_state(Subspace.full(d), np.random.default_rng(111))
+        h = dft_1024
+        psi = haar_random_state(Subspace.full(h.dim), np.random.default_rng(111))
         tracemalloc.start()
         try:
             energy_coefficients(psi, h)
@@ -384,20 +391,28 @@ class TestReductions:
             assert np.max(np.abs(rho_b - partial_trace_system(rho, space))) <= 1e-14
 
 
+BLOCKS = ["one row", "part of a block", "blocks and a remainder"]
+
+
+def block_case(blocks, d):
+    """The sample count n of a `BLOCKS` case at dimension d."""
+    rows = block_rows(d)
+    return {"one row": 1, "part of a block": rows // 2, "blocks and a remainder": 2 * rows + 7}[blocks]
+
+
 class TestReducedStates:
     """The blocked kernel against the unblocked reduction of one torus_state stack."""
 
     @pytest.mark.parametrize("d_s", [1, 2, 3])
-    @pytest.mark.parametrize("blocks", ["one row", "part of a block", "blocks and a remainder"])
+    @pytest.mark.parametrize("blocks", BLOCKS)
     def test_matches_unblocked_oracle(self, d_s, blocks):
         rng = np.random.default_rng(120 + d_s)
         space = BipartiteSpace(d_s, 5)
         h = FAMILIES["random"](space, rng)
         c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
-        rows = block_rows(space.d)
-        sizes = {"one row": 1, "part of a block": rows // 2, "blocks and a remainder": 2 * rows + 7}
-        n = sizes[blocks]
+        rows, n = block_rows(space.d), block_case(blocks, space.d)
         alpha = rng.uniform(0.0, 2 * np.pi, size=(n, space.d))
+        kept = alpha.copy()
         calls = []
 
         def phases(start, stop):
@@ -406,12 +421,57 @@ class TestReducedStates:
 
         rhos_s = reduced_states(c, h, space, phases, n)
         rhos_b = reduced_states(c, h, space, phases, n, bath=True)
+        assert np.array_equal(alpha, kept)
         amps = torus_state(c, h, alpha)
         assert rhos_s.shape == (n, d_s, d_s) and rhos_b.shape == (n, 5, 5)
         assert np.max(np.abs(rhos_s - reduce_to_system(amps, space))) <= 1e-14
         assert np.max(np.abs(rhos_b - reduce_to_bath(amps, space))) <= 1e-14
         bounds = list(range(0, n, rows)) + [n]
         assert calls == 2 * list(zip(bounds[:-1], bounds[1:]))
+
+    @pytest.mark.parametrize("d_s", [1, 2, 3])
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_stacked_coefficients_equal_per_vector_calls(self, d_s, blocks):
+        rng = np.random.default_rng(150 + d_s)
+        space = BipartiteSpace(d_s, 5)
+        h = FAMILIES["random"](space, rng)
+        cs = np.array([
+            energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h) for _ in range(3)
+        ])
+        n = block_case(blocks, space.d)
+        alpha = rng.uniform(-1e5, 1e5, size=(n, space.d))
+
+        def phases(start, stop):
+            return alpha[start:stop]
+
+        for bath, side in ((False, d_s), (True, 5)):
+            stacked = reduced_states(cs, h, space, phases, n, bath=bath)
+            assert stacked.shape == (3, n, side, side)
+            singles = [reduced_states(c, h, space, phases, n, bath=bath) for c in cs]
+            assert np.array_equal(stacked, np.array(singles))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 10)], ids=["short", "three axes"])
+    def test_coefficient_shape_checked(self, instance, shape):
+        space, h, _ = instance
+        with pytest.raises(DimensionMismatchError):
+            reduced_states_at_times(np.ones(shape), h, space, np.zeros(3))
+
+    def test_memory_is_one_block(self, dft_1024):
+        # Work buffers for one 64-row block (three float and three complex
+        # arrays of 64 × 1024), its phase rows and the (n, 2, 2) result:
+        # about 5.3 MiB, against 31 MiB for the n × d amplitude stack alone.
+        h = dft_1024
+        space = BipartiteSpace(2, 512)
+        rng = np.random.default_rng(151)
+        c = energy_coefficients(haar_random_state(Subspace.full(h.dim), rng), h)
+        times = sample_times(default_t_max(h), 2000, rng)
+        tracemalloc.start()
+        try:
+            reduced_states_at_times(c, h, space, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak
 
     @pytest.mark.parametrize("state", ["eigenstate", "random"])
     def test_system_and_bath_share_their_spectrum(self, instance, state):

@@ -16,10 +16,13 @@ from eqlab import dynamics
 from eqlab.bipartite import BipartiteSpace
 from eqlab.dynamics import (
     block_rows,
+    default_t_max,
     dephased_bath,
     dephased_system,
     energy_coefficients,
     reduce_to_system,
+    reduced_states_at_times,
+    sample_times,
     torus_state,
 )
 from eqlab.errors import DimensionMismatchError
@@ -29,10 +32,19 @@ from eqlab.hamiltonians import (
     random_spectral_hamiltonian,
 )
 from eqlab.linalg import haar_random_unitary
-from eqlab.states import Subspace, effective_dimension, haar_random_state, trace_distance
+from eqlab.states import (
+    Subspace,
+    effective_dimension,
+    haar_random_state,
+    product_state,
+    trace_distance,
+)
 from eqlab.verifiers import (
+    BASIS_DISTANCE_ALLOWANCE,
     BATH_SAMPLES,
     CONSTANTS,
+    IMBALANCE_ALLOWANCE,
+    POPULATION_DRIFT_ALLOWANCE,
     BoundCheck,
     counterexample_checks,
     d_eff_of_time_average,
@@ -354,12 +366,13 @@ class TestTorusDistances:
         c = energy_coefficients(psi, h)
         omega_s = dephased_system(c, h, space)
         drawn = []
+        phase_factors = dynamics._phase_factors
 
-        def recording(c, h, alpha):
-            drawn.append(alpha)
-            return torus_state(c, h, alpha)
+        def recording(alpha, work, out):
+            drawn.append(alpha.copy())
+            return phase_factors(alpha, work, out)
 
-        monkeypatch.setattr(dynamics, "torus_state", recording)
+        monkeypatch.setattr(dynamics, "_phase_factors", recording)
         n = 2 * block_rows(h.dim) + 5
         rng, ref_rng = np.random.default_rng(213), np.random.default_rng(213)
         distances = torus_distances(c, h, space, omega_s, n, rng)
@@ -509,7 +522,48 @@ class TestIdentities:
         assert dev <= 5 / math.sqrt(10_000)
 
 
+def per_state_diagonal_counterexample(space, rng, n_times):
+    """The reference form of `diagonal_counterexample`: the same draws, and
+    one single-vector trajectory call per initial state."""
+    h = diagonal_product_hamiltonian(space, rng=rng)
+    phi_b = haar_random_state(Subspace.full(space.d_B), rng)
+    times = sample_times(default_t_max(h, 100.0), n_times, rng)
+    psis = [*np.eye(space.d_S, dtype=np.complex128)[:2]]
+    psis += [haar_random_state(Subspace.full(space.d_S), rng) for _ in range(2)]
+    drifts, omegas = [], []
+    for psi_s in psis:
+        c = energy_coefficients(product_state(psi_s, phi_b, space), h)
+        rhos = reduced_states_at_times(c, h, space, times)
+        pops = np.real(np.diagonal(rhos, axis1=1, axis2=2))
+        drifts.append(float(np.max(np.abs(pops - np.abs(psi_s) ** 2))))
+        omegas.append(dephased_system(c, h, space))
+    imbalance = 0.5 * float(np.sum(np.abs(np.abs(psis[2]) ** 2 - np.abs(psis[3]) ** 2)))
+    return {
+        "population_drift": BoundCheck.upper(
+            max(drifts), POPULATION_DRIFT_ALLOWANCE, allowance=POPULATION_DRIFT_ALLOWANCE
+        ),
+        "basis_omega_distance": BoundCheck.upper(
+            abs(trace_distance(omegas[0], omegas[1]) - 1.0),
+            BASIS_DISTANCE_ALLOWANCE,
+            allowance=BASIS_DISTANCE_ALLOWANCE,
+        ),
+        "imbalance_lower_bound": BoundCheck.lower(
+            trace_distance(omegas[2], omegas[3]) + IMBALANCE_ALLOWANCE,
+            imbalance,
+            allowance=IMBALANCE_ALLOWANCE,
+        ),
+    }
+
+
 class TestCounterexamples:
+    @pytest.mark.parametrize("d_b", [2, 16])
+    @pytest.mark.parametrize("seed", [221, 222, 223])
+    def test_diagonal_model_matches_per_state_oracle(self, d_b, seed):
+        space = BipartiteSpace(2, d_b)
+        checks = diagonal_counterexample(space, np.random.default_rng(seed), n_times=500)
+        oracle = per_state_diagonal_counterexample(space, np.random.default_rng(seed), 500)
+        assert checks == oracle
+
     def test_diagonal_model(self):
         rng = np.random.default_rng(219)
         checks = diagonal_counterexample(BipartiteSpace(2, 8), rng, n_times=100)
