@@ -1,10 +1,10 @@
 """Tensor-product structure of the total Hilbert space, and the SWAP operator.
 
 The global basis convention is |s⟩_S |b⟩_B ↔ i = s * d_B + b, i.e. the
-subsystem index is most significant. Every consumer relies on it:
-`product_state` and `Subspace.fixed_system` / `fixed_bath` place |s⟩|b⟩ at
-that index, and the reductions and marginals in `dynamics` read an amplitude
-vector as a (d_S, d_B) array.
+subsystem index is most significant. Every consumer reads an amplitude
+vector as a (d_S, d_B) array: `product_state` and the `Subspace.fixed_system`
+/ `fixed_bath` draws write ψ ⊗ φ into it, `Subspace.projector_diagonal`
+contracts its pinned axis, and `dynamics` traces out one axis.
 """
 
 from __future__ import annotations

@@ -164,8 +164,7 @@ def reduce_to_system(amps: np.ndarray, space: BipartiteSpace, out=None) -> np.nd
 
     With a[n, s, b] = ⟨s b|ψ_n⟩, ρ[n, s, t] = Σ_b a[n,s,b] conj(a[n,t,b]):
     one broadcast `vecdot`, which conjugates its first argument, written into
-    ``out`` when given. The stack may be a non-contiguous view, such as the
-    transposed eigenbasis.
+    ``out`` when given.
     """
     a = amps.reshape(-1, space.d_S, space.d_B)
     return np.vecdot(a[:, None], a[:, :, None], out=out)

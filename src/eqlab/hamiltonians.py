@@ -64,12 +64,13 @@ class SpectralHamiltonian:
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "eigenbasis", u)
 
-    def with_energies(self, energies) -> "SpectralHamiltonian":
-        """The same eigenbasis with new energies. The basis was checked when
-        this Hamiltonian was built, so the unitarity check is not repeated."""
-        h = object.__new__(SpectralHamiltonian)
-        object.__setattr__(h, "energies", _checked_energies(energies, self.dim))
-        object.__setattr__(h, "eigenbasis", self.eigenbasis)
+    @classmethod
+    def trusted(cls, energies, eigenbasis: np.ndarray) -> "SpectralHamiltonian":
+        """H on a basis unitary by construction (a Householder QR factor, or I):
+        only the energies are checked, not the d³ unitarity (1.46 s at d = 2048)."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "energies", _checked_energies(energies, eigenbasis.shape[0]))
+        object.__setattr__(h, "eigenbasis", eigenbasis)
         return h
 
     @property
@@ -190,16 +191,15 @@ def _resample(build, rng: np.random.Generator, what: str) -> SpectralHamiltonian
 
 
 def _spectral_model(space, energy_window, rng, eigenbasis, what) -> SpectralHamiltonian:
-    """Uniform i.i.d. energies on the window in the basis ``eigenbasis()``, which
-    is drawn once the window is checked; energies are redrawn until the gap check passes."""
+    """Uniform i.i.d. energies on the window in the trusted basis ``eigenbasis()``, drawn
+    once the window is checked; energies are redrawn until the gap check passes."""
     lo, hi = energy_window
     if not hi > lo:
         raise ValueError(f"energy window {energy_window} is empty")
-    # Built once, so the basis is checked once; each attempt draws energies only.
-    template = SpectralHamiltonian(np.zeros(space.d), eigenbasis())
+    basis = eigenbasis()
 
     def build(r: np.random.Generator) -> SpectralHamiltonian:
-        return template.with_energies(np.sort(r.uniform(lo, hi, size=space.d)))
+        return SpectralHamiltonian.trusted(np.sort(r.uniform(lo, hi, size=space.d)), basis)
 
     return _resample(build, rng, what)
 

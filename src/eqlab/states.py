@@ -8,7 +8,7 @@ import numpy as np
 
 from .bipartite import BipartiteSpace
 from .errors import DimensionMismatchError, NotHermitianError
-from .linalg import HERMITICITY_TOL, as_matrix, hermitize, is_hermitian
+from .linalg import HERMITICITY_TOL, hermitize, is_hermitian
 
 STATE_NORM_TOL = 1e-12
 
@@ -28,57 +28,59 @@ def as_state(psi, dim: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A d_R-dimensional subspace given by orthonormal basis columns."""
+    """A subspace R of H_S ⊗ H_B stored by what defines it, never by a basis:
+    the whole space, or |ψ⟩_S ⊗ H_B or H_S ⊗ |φ⟩_B with the pinned vector and
+    the side it pins."""
 
-    basis: np.ndarray = field(repr=False)
+    ambient_dim: int
+    pinned: np.ndarray | None = field(default=None, repr=False)
+    side: str | None = None  # "system" or "bath": the factor that `pinned` fixes
 
     def __post_init__(self) -> None:
-        b = as_matrix(self.basis, "basis")
-        gram = b.conj().T @ b
-        if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-10:
-            raise ValueError("subspace basis columns are not orthonormal within 1e-10")
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
+        if self.ambient_dim < 1:
+            raise DimensionMismatchError(f"dimension must be >= 1, got {self.ambient_dim}")
 
     @property
     def d_R(self) -> int:
-        return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
+        return self.ambient_dim if self.pinned is None else self.ambient_dim // self.pinned.size
 
     @classmethod
     def full(cls, dim: int) -> "Subspace":
-        """The whole space, basis I. The Gram matrix of I is I, so the d³
-        orthonormality check (~1.4 s at d = 2048) is skipped."""
-        basis = np.eye(dim, dtype=np.complex128)
-        if basis.size == 0:
-            raise DimensionMismatchError("basis must be nonempty")
-        sub = object.__new__(cls)
-        object.__setattr__(sub, "basis", basis)
-        return sub
+        return cls(dim)
 
     @classmethod
     def fixed_system(cls, psi_s, space: BipartiteSpace) -> "Subspace":
         """|ψ⟩_S ⊗ H_B: the bath is free, the subsystem state is pinned."""
-        v = as_state(psi_s, space.d_S)
-        return cls(np.kron(v.reshape(-1, 1), np.eye(space.d_B, dtype=np.complex128)))
+        return cls(space.d, as_state(psi_s, space.d_S), "system")
 
     @classmethod
     def fixed_bath(cls, phi_b, space: BipartiteSpace) -> "Subspace":
         """H_S ⊗ |φ⟩_B: the subsystem is free, the bath state is pinned."""
-        v = as_state(phi_b, space.d_B)
-        return cls(np.kron(np.eye(space.d_S, dtype=np.complex128), v.reshape(-1, 1)))
+        return cls(space.d, as_state(phi_b, space.d_B), "bath")
+
+    def embed(self, z: np.ndarray) -> np.ndarray:
+        """The state of H with coordinates z in R: z, ψ ⊗ z or z ⊗ φ."""
+        if self.pinned is None:
+            return z
+        return np.kron(self.pinned, z) if self.side == "system" else np.kron(z, self.pinned)
+
+    def projector_diagonal(self, u: np.ndarray) -> np.ndarray:
+        """p_k = ⟨u_k|Π_R|u_k⟩ for each column u_k of the (d, n) array u: 1 on
+        the full space, else the squared norm of ⟨ψ b|u_k⟩ over b (or of
+        ⟨s φ|u_k⟩ over s), u read as (d_S, d_B, n): O(d·n) work, a d_R × n array."""
+        if self.pinned is None:
+            return np.ones(u.shape[1])
+        v, n = self.pinned.conj(), u.shape[1]
+        w = v @ u.reshape(v.size, -1) if self.side == "system" else v @ u.reshape(-1, v.size, n)
+        return np.sum(np.abs(w.reshape(self.d_R, n)) ** 2, axis=0)
 
 
 def haar_random_state(subspace: Subspace, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform pure state within the given subspace."""
+    """Haar-uniform pure state within the given subspace: a normalised
+    complex Gaussian z of dimension d_R, placed in H by `subspace.embed`."""
     z = rng.standard_normal(subspace.d_R) + 1j * rng.standard_normal(subspace.d_R)
     z /= np.linalg.norm(z)
-    return subspace.basis @ z
+    return subspace.embed(z)
 
 
 def product_state(psi_s, phi_b, space: BipartiteSpace) -> np.ndarray:

@@ -3,17 +3,24 @@
 eqlab never builds a d×d global operator on a run path: ρ_S(t), ρ_B(t), ω_S
 and ω_B come from the amplitude kernel `torus_state`, the reductions
 `reduce_to_system` / `reduce_to_bath` and `dephased_system` /
-`dephased_bath`. The functions here build the same objects the direct way
-(the density matrix, its partial traces, the dephased state, the evolved
-state) so that the tests have an independent reference. Each is checked against brute force or a closed form
-in the test module of the eqlab module it stands beside. `numerical_rank`
-counts the eigenvalues of a state above a threshold; no eqlab run path
-needs a rank.
+`dephased_bath`, and a subspace is stored by its pinned vector. The
+functions here build the same objects the direct way (the density matrix,
+its partial traces, the dephased state, the evolved state, a subspace's
+orthonormal basis and projector) so that the tests have an independent
+reference. Each is checked against brute force or a closed form in the test
+module of the eqlab module it stands beside. `DenseSubspace` has the draw
+(`embed`) and weight (`projector_diagonal`) interface of `eqlab.states.Subspace`,
+so `haar_random_state`, `delta_quantity` and the runner accept it in its
+place, and `DenseSubspace.of` gives the dense form of a structured subspace;
+`random_subspace` and `SHAPES` give the cases the two are compared on.
+`numerical_rank` counts the eigenvalues of a state above a threshold; no
+eqlab run path needs a rank.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,9 +29,24 @@ from eqlab.dynamics import energy_coefficients
 from eqlab.errors import DimensionMismatchError
 from eqlab.hamiltonians import SpectralHamiltonian
 from eqlab.linalg import as_matrix, hermitize, kronecker_product
-from eqlab.states import _as_stack, as_state
+from eqlab.states import Subspace, _as_stack, as_state, haar_random_state
 
 RANK_THRESHOLD = 1e-10
+# (d_S, d_B) shapes on which a structured form is compared with its dense
+# oracle: d_S = 1, d_S < d_B, d_S > d_B, d_S = d_B and coprime sides.
+SHAPES = [(1, 4), (2, 8), (8, 2), (4, 4), (3, 5)]
+
+
+def shape_id(shape: tuple[int, int]) -> str:
+    return f"{shape[0]}x{shape[1]}"
+
+
+def random_subspace(kind: str, space: BipartiteSpace, rng: np.random.Generator) -> Subspace:
+    """`Subspace.full`, or `fixed_system` / `fixed_bath` on a Haar-random pinned vector."""
+    if kind == "full":
+        return Subspace.full(space.d)
+    side = space.d_S if kind == "fixed_system" else space.d_B
+    return getattr(Subspace, kind)(haar_random_state(Subspace.full(side), rng), space)
 
 
 def density_matrix(psi) -> np.ndarray:
@@ -103,3 +125,58 @@ def numerical_rank(rho, threshold: float = RANK_THRESHOLD):
     """
     ranks = np.sum(np.linalg.eigvalsh(_as_stack(rho)) > threshold, axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
+
+
+@dataclass(frozen=True)
+class DenseSubspace:
+    """A d_R-dimensional subspace given by orthonormal basis columns (d × d_R)."""
+
+    basis: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        b = as_matrix(self.basis, "basis")
+        gram = b.conj().T @ b
+        if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-10:
+            raise ValueError("subspace basis columns are not orthonormal within 1e-10")
+        object.__setattr__(self, "basis", b)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def d_R(self) -> int:
+        return self.basis.shape[1]
+
+    def projector(self) -> np.ndarray:
+        return self.basis @ self.basis.conj().T
+
+    def embed(self, z: np.ndarray) -> np.ndarray:
+        return self.basis @ z
+
+    def projector_diagonal(self, u: np.ndarray) -> np.ndarray:
+        """p_k = ‖Q†u_k‖² for each column u_k of u, Q the basis."""
+        return np.sum(np.abs(self.basis.conj().T @ u) ** 2, axis=0)
+
+    @classmethod
+    def full(cls, dim: int) -> "DenseSubspace":
+        return cls(np.eye(dim, dtype=np.complex128))
+
+    @classmethod
+    def of(cls, sub: Subspace, space: BipartiteSpace) -> "DenseSubspace":
+        """The dense form of a structured subspace of the space."""
+        if sub.pinned is None:
+            return cls.full(space.d)
+        return getattr(cls, f"fixed_{sub.side}")(sub.pinned, space)
+
+    @classmethod
+    def fixed_system(cls, psi_s, space: BipartiteSpace) -> "DenseSubspace":
+        """|ψ⟩_S ⊗ H_B, basis ψ ⊗ e_b."""
+        v = as_state(psi_s, space.d_S)
+        return cls(np.kron(v.reshape(-1, 1), np.eye(space.d_B, dtype=np.complex128)))
+
+    @classmethod
+    def fixed_bath(cls, phi_b, space: BipartiteSpace) -> "DenseSubspace":
+        """H_S ⊗ |φ⟩_B, basis e_s ⊗ φ."""
+        v = as_state(phi_b, space.d_B)
+        return cls(np.kron(np.eye(space.d_S, dtype=np.complex128), v.reshape(-1, 1)))

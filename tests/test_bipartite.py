@@ -59,8 +59,13 @@ class TestIndexMaps:
             for b in range(space.d_B):
                 i = s * space.d_B + b
                 assert np.array_equal(product_state(eye_s[s], eye_b[b], space), np.eye(space.d)[i])
-                assert Subspace.fixed_system(eye_s[s], space).basis[i, b] == 1.0
-                assert Subspace.fixed_bath(eye_b[b], space).basis[i, s] == 1.0
+                sys_pin = Subspace.fixed_system(eye_s[s], space)
+                bath_pin = Subspace.fixed_bath(eye_b[b], space)
+                assert np.array_equal(sys_pin.embed(eye_b[b]), np.eye(space.d)[i])
+                assert np.array_equal(bath_pin.embed(eye_s[s]), np.eye(space.d)[i])
+                # |s b⟩ = e_i lies in both subspaces: p_i = 1.
+                assert sys_pin.projector_diagonal(np.eye(space.d))[i] == 1.0
+                assert bath_pin.projector_diagonal(np.eye(space.d))[i] == 1.0
 
     def test_reductions_recover_factors(self):
         rng = np.random.default_rng(0)

@@ -47,16 +47,6 @@ def instance():
     return space, h, psi
 
 
-@pytest.fixture(scope="module")
-def dft_1024():
-    """A d = 1024 Hamiltonian with evenly spaced levels and the unitary DFT
-    as its eigenbasis, for the memory guards."""
-    d = 1024
-    k = np.arange(d)
-    dft = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
-    return SpectralHamiltonian(np.linspace(0.0, 1.0, d), dft)
-
-
 class TestEnergyCoefficients:
     def test_eigenstate(self, instance):
         _, h, _ = instance
@@ -380,7 +370,7 @@ class TestReductions:
         rng = np.random.default_rng(140 + 10 * d_s + d_b)
         space, n = BipartiteSpace(d_s, d_b), 6
         psis = np.array([haar_random_state(Subspace.full(space.d), rng) for _ in range(n)])
-        # The transposed view is the layout `reduced_eigenstates` passes (eigenbasis.T).
+        # A transposed view, as of the eigenbasis (eigenbasis.T), reduces the same.
         amps = psis if layout == "contiguous" else np.ascontiguousarray(psis.T).T
         assert amps.flags.c_contiguous == (layout == "contiguous" or space.d == 1)
         rhos_s, rhos_b = reduce_to_system(amps, space), reduce_to_bath(amps, space)

@@ -227,7 +227,7 @@ class TestGapAnalysis:
         # gap is ~400 MB at d = 4096.
         d = 1024
         e = np.sort(np.random.default_rng(33).uniform(0.0, 1.0, d))
-        h = trivial_hamiltonian(np.zeros(d)).with_energies(e)
+        h = SpectralHamiltonian.trusted(e, np.eye(d, dtype=np.complex128))
         tracemalloc.start()
         try:
             report = gap_analysis(h)
@@ -273,9 +273,9 @@ class TestRandomSpectralHamiltonian:
         assert np.max(np.abs(norms - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize("builder", ["random", "diagonal"])
-    def test_basis_checked_once_per_build(self, monkeypatch, builder):
+    def test_trusted_build_skips_unitarity_check(self, monkeypatch, builder):
         # The first attempt's gap check fails, so the build draws energies
-        # twice; the shared basis is checked for unitarity once.
+        # twice; the basis, a QR factor or I, is never checked for unitarity.
         checks, reports = [], []
         require_unitary, analyse = hamiltonians._require_unitary, hamiltonians.gap_analysis
 
@@ -293,7 +293,7 @@ class TestRandomSpectralHamiltonian:
         space, seed = BipartiteSpace(2, 3), 8
         build = {"random": random_spectral_hamiltonian, "diagonal": diagonal_product_hamiltonian}
         h = build[builder](space, (0.0, 1.0), rng=np.random.default_rng(seed))
-        assert len(reports) == 2 and checks == [(6, 6)]
+        assert len(reports) == 2 and checks == []
 
         # The same numbers as building each attempt from scratch.
         rng = np.random.default_rng(seed)
@@ -302,14 +302,22 @@ class TestRandomSpectralHamiltonian:
         assert np.array_equal(h.energies, np.sort(rng.uniform(0.0, 1.0, size=6)))
         assert np.array_equal(h.eigenbasis, basis)
 
-    def test_with_energies_checks_energies(self):
+    def test_trusted_checks_energies(self):
         rng = np.random.default_rng(9)
         h = random_spectral_hamiltonian(BipartiteSpace(2, 2), (0.0, 1.0), rng=rng)
-        assert np.array_equal(h.with_energies([0.0, 0.1, 0.2, 0.3]).eigenbasis, h.eigenbasis)
+        trusted = SpectralHamiltonian.trusted([0.0, 0.1, 0.2, 0.3], h.eigenbasis)
+        assert trusted.eigenbasis is h.eigenbasis
+        assert np.array_equal(trusted.energies, [0.0, 0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
-            h.with_energies([0.3, 0.2, 0.1, 0.0])
+            SpectralHamiltonian.trusted([0.3, 0.2, 0.1, 0.0], h.eigenbasis)
         with pytest.raises(DimensionMismatchError):
-            h.with_energies([0.0, 0.1, 0.2])
+            SpectralHamiltonian.trusted([0.0, 0.1, 0.2], h.eigenbasis)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 64, 256])
+    def test_haar_unitary_passes_unitarity_check(self, d):
+        # The trusted path rests on a Householder QR factor being unitary to
+        # rounding; the check it skips must pass on it.
+        hamiltonians._require_unitary(haar_random_unitary(d, np.random.default_rng(d)))
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ from eqlab.runner import (
     splitmix64,
 )
 from eqlab.states import Subspace, haar_random_state
+from oracles import DenseSubspace
 
 
 def load_records(path):
@@ -402,7 +403,40 @@ class TestSharedPerSweep:
         psi_s = haar_random_state(Subspace.full(2), shared)
         assert np.array_equal(h.energies, h_ref.energies)
         assert np.array_equal(h.eigenbasis, h_ref.eigenbasis)
-        assert np.array_equal(sub.basis, Subspace.fixed_system(psi_s, space).basis)
+        assert sub.side == "system" and np.array_equal(sub.pinned, psi_s)
+
+
+class TestStructuredSubspaces:
+    @pytest.mark.parametrize(
+        "experiment, subspace_spec",
+        [
+            ("thm2", "product-fixed-system"),
+            ("thm2", "product-fixed-bath"),
+            ("thm3-bath", "full"),
+            ("thm3-subsystem", "full"),
+        ],
+    )
+    @pytest.mark.parametrize("d_s, d_b", [(2, [4, 8]), (4, [2])])
+    def test_rows_match_dense_oracle(self, monkeypatch, experiment, subspace_spec, d_s, d_b):
+        # The same run with every subspace replaced by its dense basis form,
+        # built from the same pinned vector and so from the same rng calls.
+        cfg = small_config(
+            experiment=experiment, subspace_spec=subspace_spec, d_S=d_s, d_B=d_b, trials=5
+        )
+        structured = run_experiment(cfg)
+        build = runner._build_subspace
+
+        def dense_build(spec, space, rng):
+            return DenseSubspace.of(build(spec, space, rng), space)
+
+        monkeypatch.setattr(runner, "_build_subspace", dense_build)
+        dense_rows = run_experiment(cfg)
+        assert len(structured) == len(dense_rows) > 0
+        for a, b in zip(strip_walltime(structured), strip_walltime(dense_rows)):
+            moved = dict(empirical=b.empirical, bound=b.bound)
+            assert dataclasses.replace(a, **moved) == b
+            assert a.empirical == pytest.approx(b.empirical, rel=1e-12, abs=0)
+            assert a.bound == pytest.approx(b.bound, rel=1e-12, abs=0)
 
 
 @pytest.fixture(scope="module")

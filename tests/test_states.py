@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from eqlab.bipartite import BipartiteSpace
 from eqlab.errors import DimensionMismatchError, NotHermitianError
+from eqlab.linalg import haar_random_unitary
 from eqlab.states import (
     Subspace,
     as_state,
@@ -18,7 +21,15 @@ from eqlab.states import (
     purity,
     trace_distance,
 )
-from oracles import density_matrix, numerical_rank, partial_trace_bath
+from oracles import (
+    SHAPES,
+    DenseSubspace,
+    density_matrix,
+    numerical_rank,
+    partial_trace_bath,
+    random_subspace,
+    shape_id,
+)
 
 
 def random_mixed_state(dim: int, n_terms: int, rng: np.random.Generator) -> np.ndarray:
@@ -42,29 +53,33 @@ class TestStateValidation:
 class TestSubspace:
     def test_full_projector_is_identity(self):
         sub = Subspace.full(5)
-        assert np.array_equal(sub.projector(), np.eye(5))
+        u = haar_random_unitary(5, np.random.default_rng(0))
+        assert np.array_equal(sub.projector_diagonal(u), np.ones(5))
+        assert np.array_equal(DenseSubspace.full(5).projector(), np.eye(5))
         assert sub.d_R == 5 and sub.ambient_dim == 5
 
     def test_projector_idempotent(self):
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
-        sub = Subspace(q)
+        sub = DenseSubspace(q)
         p = sub.projector()
         assert np.max(np.abs(p @ p - p)) <= 1e-9
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
-            Subspace(np.ones((3, 2), dtype=np.complex128))
+            DenseSubspace(np.ones((3, 2), dtype=np.complex128))
 
     def test_rejects_basis_just_off_orthonormal(self):
         basis = np.eye(4, dtype=np.complex128)
         basis[1, 0] = 1e-9
         with pytest.raises(ValueError):
-            Subspace(basis)
+            DenseSubspace(basis)
 
     @pytest.mark.parametrize("d", [1, 2, 7, 256])
     def test_full_matches_checked_identity(self, d):
-        full, checked = Subspace.full(d).basis, Subspace(np.eye(d)).basis
+        # The same rng calls, and z itself where the oracle computes I z.
+        full = haar_random_state(Subspace.full(d), np.random.default_rng(d))
+        checked = haar_random_state(DenseSubspace(np.eye(d)), np.random.default_rng(d))
         assert full.dtype == checked.dtype == np.complex128
         assert np.array_equal(full, checked)
 
@@ -78,19 +93,68 @@ class TestSubspace:
         phi_b = np.array([0.0, 1.0, 0.0])
         assert Subspace.fixed_system(psi_s, space).d_R == 3
         assert Subspace.fixed_bath(phi_b, space).d_R == 2
+        for sub in (Subspace.fixed_system(psi_s, space), Subspace.fixed_bath(phi_b, space)):
+            assert sub.ambient_dim == 6
+            assert haar_random_state(sub, np.random.default_rng(0)).shape == (6,)
+
+
+class TestStructuredAgainstDense:
+    @pytest.mark.parametrize("kind", ["fixed_system", "fixed_bath"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_draws_match(self, kind, shape):
+        space = BipartiteSpace(*shape)
+        sub = random_subspace(kind, space, np.random.default_rng(sum(shape)))
+        dense_sub = DenseSubspace.of(sub, space)
+        assert (sub.ambient_dim, sub.d_R) == (dense_sub.ambient_dim, dense_sub.d_R)
+        for seed in range(5):
+            a = haar_random_state(sub, np.random.default_rng(seed))
+            b = haar_random_state(dense_sub, np.random.default_rng(seed))
+            assert np.max(np.abs(a - b)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["full", "fixed_system", "fixed_bath"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_projector_diagonal_matches(self, kind, shape):
+        space = BipartiteSpace(*shape)
+        rng = np.random.default_rng(10 + sum(shape))
+        sub = random_subspace(kind, space, rng)
+        u = haar_random_unitary(space.d, rng)
+        p = sub.projector_diagonal(u)
+        assert p.shape == (space.d,)
+        assert np.max(np.abs(p - DenseSubspace.of(sub, space).projector_diagonal(u))) <= 1e-14
+        # tr Π_R = d_R, and Σ_k p_k = tr(U†Π_R U).
+        assert abs(np.sum(p) - sub.d_R) <= 1e-12 * space.d
+
+    @pytest.mark.parametrize("kind", ["fixed_system", "fixed_bath"])
+    def test_memory_is_o_of_d(self, kind):
+        # The full space and a pinned subspace at d = 4096 hold and draw O(d).
+        # Their dense bases would be 256 MiB (I) and 128 MiB (ψ ⊗ I, d_R = 2048).
+        space = BipartiteSpace(2, 2048)
+        v = np.ones(space.d_S if kind == "fixed_system" else space.d_B) + 0j
+        v /= np.linalg.norm(v)
+        tracemalloc.start()
+        try:
+            sub = getattr(Subspace, kind)(v, space)
+            full = Subspace.full(space.d)
+            psi = haar_random_state(sub, np.random.default_rng(0))
+            haar_random_state(full, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isclose(np.linalg.norm(psi), 1.0)
+        assert peak < 1 << 20, peak
 
 
 class TestHaarRandomState:
     def test_d_r_1_is_basis_vector_up_to_phase(self):
         rng = np.random.default_rng(2)
         basis = haar_random_state(Subspace.full(5), rng).reshape(-1, 1)
-        out = haar_random_state(Subspace(basis), rng)
+        out = haar_random_state(DenseSubspace(basis), rng)
         assert abs(abs(np.vdot(basis[:, 0], out)) - 1.0) <= 1e-12
 
     def test_membership(self):
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3)))
-        sub = Subspace(q)
+        sub = DenseSubspace(q)
         psi = haar_random_state(sub, rng)
         assert np.max(np.abs(sub.projector() @ psi - psi)) <= 1e-12
 

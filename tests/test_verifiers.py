@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from eqlab import dynamics
+from eqlab import dynamics, verifiers
 from eqlab.bipartite import BipartiteSpace
 from eqlab.dynamics import (
     block_rows,
@@ -37,6 +37,7 @@ from eqlab.states import (
     effective_dimension,
     haar_random_state,
     product_state,
+    purity,
     trace_distance,
 )
 from eqlab.verifiers import (
@@ -50,8 +51,8 @@ from eqlab.verifiers import (
     d_eff_of_time_average,
     delta_quantity,
     diagonal_counterexample,
+    eigenstate_purities,
     haar_pair_moment_check,
-    reduced_eigenstates,
     spin_bath_counterexample,
     swap_trace_identity_check,
     theorem1_check,
@@ -62,6 +63,7 @@ from eqlab.verifiers import (
     torus_distances,
     _ks_statistic,
 )
+from oracles import SHAPES, DenseSubspace, random_subspace, shape_id
 
 
 def thm2_sweep(subspace, h, trials, rng):
@@ -202,7 +204,7 @@ class TestTheorem2:
         # to that eigenstate: d_eff = 1 >= d_R / 2 always.
         space, h, _ = instance
         rng = np.random.default_rng(203)
-        samples, checks = thm2_sweep(Subspace(h.eigenbasis[:, :1]), h, 40, rng)
+        samples, checks = thm2_sweep(DenseSubspace(h.eigenbasis[:, :1]), h, 40, rng)
         assert np.allclose(samples, 1.0, atol=1e-10)
         assert checks["mean_d_eff"].satisfied
 
@@ -253,12 +255,47 @@ class TestDelta:
         delta = delta_quantity(h, Subspace.full(space.d), space)
         assert 1 / space.d_S <= delta <= 1.0
 
-    def test_reduced_eigenstates_shapes(self, instance):
-        space, h, _ = instance
-        reduced = reduced_eigenstates(h, space)
-        assert reduced.shape == (space.d, space.d_S, space.d_S)
-        traces = np.einsum("kss->k", reduced).real
-        assert np.max(np.abs(traces - 1.0)) <= 1e-10
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_eigenstate_purities_match_reduced_stack(self, monkeypatch, shape):
+        # The purities of the whole (d, d_S, d_S) stack, read from the smaller
+        # side in blocks; block_rows(d) = 64 > d here, so patch it to 3 to
+        # cover several blocks and a remainder.
+        space = BipartiteSpace(*shape)
+        u = haar_random_unitary(space.d, np.random.default_rng(220 + sum(shape)))
+        h = SpectralHamiltonian(np.arange(space.d, dtype=np.float64), u)
+        reference = purity(reduce_to_system(u.T, space))
+        assert np.max(np.abs(eigenstate_purities(h, space) - reference)) <= 1e-14
+        monkeypatch.setattr(verifiers, "block_rows", lambda d: 3)
+        assert np.max(np.abs(eigenstate_purities(h, space) - reference)) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["full", "fixed_system", "fixed_bath"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_matches_dense_subspace(self, kind, shape):
+        space = BipartiteSpace(*shape)
+        rng = np.random.default_rng(230 + sum(shape))
+        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+        sub = random_subspace(kind, space, rng)
+        dense_sub = DenseSubspace.of(sub, space)
+        weights = dense_sub.projector_diagonal(h.eigenbasis)
+        purities = purity(reduce_to_system(h.eigenbasis.T, space))
+        reference = np.sum(weights * purities) / dense_sub.d_R
+        assert abs(delta_quantity(h, sub, space) - reference) <= 1e-14
+        assert delta_quantity(h, dense_sub, space) == pytest.approx(reference, rel=1e-14)
+
+    @pytest.mark.parametrize("shape", [(32, 32), (64, 16)], ids=shape_id)
+    def test_eigenstate_purities_memory(self, dft_1024, shape):
+        # At d = 1024 the (d, d_S, d_S) stack of reduced eigenstates is 16 MiB
+        # at (32, 32) and 64 MiB at (64, 16). The blocks hold 64 reduced
+        # states of the smaller side at a time (64 ρ_S at (64, 16) are 4 MiB).
+        h, space = dft_1024, BipartiteSpace(*shape)
+        tracemalloc.start()
+        try:
+            purities = eigenstate_purities(h, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert purities.shape == (1024,)
+        assert peak < 3 << 20, peak
 
     def test_dimension_mismatch(self, instance):
         space, h, _ = instance
@@ -300,7 +337,7 @@ class TestTheorem3:
         space, h, _ = instance
         rng = np.random.default_rng(209)
         basis = haar_random_state(Subspace.full(space.d), rng).reshape(-1, 1)
-        _, per_state = thm3_sweep(Subspace(basis), h, space, 30, rng)
+        _, per_state = thm3_sweep(DenseSubspace(basis), h, space, 30, rng)
         assert max(chk.empirical for chk in per_state) <= 1e-10
 
 
@@ -511,14 +548,9 @@ class TestIdentities:
         with pytest.raises(DimensionMismatchError):
             swap_trace_identity_check(np.eye(2), np.eye(3))
 
-    def test_pair_moment_d_r_1(self):
-        rng = np.random.default_rng(217)
-        basis = haar_random_state(Subspace.full(3), rng).reshape(-1, 1)
-        assert haar_pair_moment_check(Subspace(basis), 50, rng) <= 1e-12
-
     def test_pair_moment_convergence(self):
         rng = np.random.default_rng(218)
-        dev = haar_pair_moment_check(Subspace.full(4), 10_000, rng)
+        dev = haar_pair_moment_check(4, 10_000, rng)
         assert dev <= 5 / math.sqrt(10_000)
 
 
