@@ -69,7 +69,7 @@ def require_nondegenerate(h: SpectralHamiltonian) -> None:
     report = h.gap_report
     if not report.passes:
         raise DegenerateHamiltonianError(
-            f"Hamiltonian fails the gap check: {len(report.degenerate_pairs)} violations"
+            f"Hamiltonian fails the gap check: {report.violations} violations"
         )
 
 

@@ -22,11 +22,13 @@ import numpy as np
 from numpy.random import default_rng  # numpy loads it lazily; load it with eqlab, not in a trial
 
 from .bipartite import BipartiteSpace
-from .dynamics import default_t_max, dephased_system, energy_coefficients
+from .dynamics import DEFAULT_T_MAX_FACTOR, default_t_max, dephased_system, energy_coefficients
 from .errors import ConfigInvalidError
 from .hamiltonians import random_spectral_hamiltonian
 from .states import Subspace, haar_random_state
 from .verifiers import (
+    DEFAULT_N_SAMPLES,
+    DEFAULT_THRESHOLDS,
     BoundCheck,
     counterexample_checks,
     exceed_fraction_name,
@@ -96,8 +98,10 @@ class ExperimentConfig:
         "name": HAMILTONIAN_DEFAULTS["name"], "window": list(HAMILTONIAN_DEFAULTS["window"])
     })
     trials: int = 10
-    time_sampling: dict = field(default_factory=lambda: {"t_max_factor": 1e3, "n_samples": 2000})
-    thresholds_K: tuple[float, ...] = (2.0, 5.0, 10.0)
+    time_sampling: dict = field(default_factory=lambda: {
+        "t_max_factor": DEFAULT_T_MAX_FACTOR, "n_samples": DEFAULT_N_SAMPLES
+    })
+    thresholds_K: tuple[float, ...] = DEFAULT_THRESHOLDS
     epsilon: float = 0.2
     master_seed: int = 0
     output_path: str = "results"

@@ -165,6 +165,11 @@ class TestConfigValidation:
         # Integer thresholds read as the floats they stand for.
         assert small_config(thresholds_K=[2, 5, 10]).config_hash() == small_config().config_hash()
 
+    def test_default_config_hash_pinned(self):
+        # The run defaults are read from dynamics and verifiers; a config that
+        # leaves them out hashes as it did when they were spelt out here.
+        assert ExperimentConfig(experiment="thm1").config_hash() == "59023b2344309e66"
+
 
 @pytest.fixture(scope="module")
 def thm1_records():
