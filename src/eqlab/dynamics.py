@@ -11,7 +11,9 @@ index, ρ_B one batched matrix product over the system index.
 `reduced_states` runs these steps over many phase vectors in row blocks of
 `block_rows(d)`, into one ρ_S or ρ_B stack per coefficient vector, and forms
 each block's phase factors once for every vector that samples them, so a
-trajectory or a torus sample never holds its whole n × d amplitude stack.
+trajectory or a torus sample never holds its whole n × d amplitude stack;
+its phase sources (`time_phases`, the torus draw of `eqlab.verifiers`)
+write the half-angles α/2 into a work arena allocated once per call.
 The infinite-time average is exact through its marginals (`dephased_system`,
 `dephased_bath`), each computed only where it is read, and the d×d dephased
 state ω is never formed; time sampling (`sample_times`) is only used for the
@@ -35,20 +37,18 @@ from .linalg import hermitize
 from .states import as_state
 
 DEFAULT_T_MAX_FACTOR = 1e3
-# `reduced_states` works in blocks of 4096 amplitudes (64 KiB of complex128),
-# and never fewer than 64 rows, so a run holds one block's work buffers,
-# allocated once per call, instead of the n × d stack (131 MB at n = 2000,
-# d = 4096). Re-measured in October 2026 with the reused buffers on a 2-core
-# x86_64 host (numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread), medians of
-# five alternating 10 s perfbench runs per setting: `wall_norm_s` of
-# thm1-readme is 0.0378, 0.0385 and 0.0380 s with 64, 128 and 256 KiB
-# blocks, and of thm4-readme 0.061, 0.062 and 0.056 s at 39.9, 40.1 and
-# 40.7 MB peak RSS. Only thm4-readme gains from larger blocks: 64 KiB stays.
-# `torus_distances` at d = 1024, n = 2000 takes 0.43 s (median of 7) with
-# 64-row blocks at a 5.1 MiB tracemalloc peak; with buffers allocated per
-# block it took 0.47 s at 4.1 MiB, as one unblocked product 0.39 s at
-# 125 MiB, and with 8-row blocks 0.73 s.
-BLOCK_AMPLITUDES = 4096
+# `reduced_states` works in blocks of 16384 amplitudes (256 KiB of
+# complex128), and never fewer than 64 rows, so a call holds one block's work
+# arena instead of the n × d stack (131 MB at n = 2000, d = 4096): the block
+# size bounds the memory. Against 8192 amplitudes, thm4-readme's perfbench
+# `wall_norm_s` is 0.0534 against 0.0550 s (median of six alternating 10 s
+# runs, all six faster; 2-core x86_64, one OpenBLAS thread) for 0.47 MB more
+# peak RSS. All planes of a call come from one arena: with planes allocated
+# on their own, the diagonal counterexample's (4, d) stack pushes the heap top
+# past glibc's trim threshold, and the freed planes are faulted in again on
+# every call (2308 minor faults inside `reduced_states` per
+# counterexamples-small run, against 437 with the arena).
+BLOCK_AMPLITUDES = 16384
 MIN_BLOCK_ROWS = 64
 
 
@@ -101,9 +101,10 @@ def dephased_bath(c, h: SpectralHamiltonian, space: BipartiteSpace) -> np.ndarra
     return hermitize(np.tensordot(weighted, u_conj, axes=([0, 2], [0, 2])))
 
 
-def _phase_factors(alpha: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """e^{iα} into the complex array ``out``, with ``work`` a float array of
-    shape (3, *alpha.shape) for t, t² and 1 + t²; ``alpha`` is never written.
+def _phase_factors(work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{iθ} into the complex array ``out``, from the half-angles θ/2 in
+    ``work[0]``; ``work`` is a float array of shape (3, *out.shape) for t, t²
+    and 1 + t², and all three planes are overwritten.
 
     The phase factors come from the half-angle identity. With C = cos(θ/2),
     S = sin(θ/2) and t = S/C = tan(θ/2), cos θ = (C² − S²)/(C² + S²) and
@@ -122,7 +123,6 @@ def _phase_factors(alpha: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.n
     numpy calls libm's ``tan``, slower but as accurate: results agree to rounding.
     """
     t, t2, den = work
-    np.multiply(alpha, 0.5, out=t)
     np.tan(t, out=t)
     np.multiply(t, t, out=t2)
     np.add(t2, 1.0, out=den)
@@ -146,7 +146,9 @@ def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
         raise DimensionMismatchError(
             f"coefficients ({cv.size}) and phases {av.shape} must have length {h.dim}"
         )
-    phased = _phase_factors(av, np.empty((3, *av.shape)), np.empty(av.shape, dtype=np.complex128))
+    work = np.empty((3, *av.shape))
+    np.multiply(av, 0.5, out=work[0])
+    phased = _phase_factors(work, np.empty(av.shape, dtype=np.complex128))
     phased *= cv
     return phased @ h.eigenbasis.T
 
@@ -189,7 +191,7 @@ def reduced_states(
     c,
     h: SpectralHamiltonian,
     space: BipartiteSpace,
-    phases: Callable[[int, int], np.ndarray],
+    phases: Callable[[int, int, np.ndarray], object],
     n: int,
     bath: bool = False,
 ) -> np.ndarray:
@@ -199,10 +201,15 @@ def reduced_states(
     ``c`` is one coefficient vector or an (m, d) stack of them, which all
     sample the same phases; a stack gives shape (m, n, side, side). Each
     block's phase factors e^{iα} are formed once and every row of ``c``
-    reuses them, and the work buffers are allocated once per call.
-    ``phases(start, stop)`` returns the (stop − start, d) phase rows α_start …
-    α_{stop−1}; it is called once per block, in row order, so a generator
-    drawn block by block gives the same rows as one (n, d) draw.
+    reuses them. ``phases(start, stop, out)`` writes the half-angles α/2 of the
+    phase rows α_start … α_{stop−1} into the (stop − start, d) float array
+    ``out``; it is called once per block, in row order, so a generator drawn
+    block by block gives the same rows as one (n, d) draw.
+
+    All work planes come from one arena of 7 · rows · d floats allocated per
+    call: the complex factors and amplitudes, then the three float planes of
+    `_phase_factors`, whose t and t² planes, free once the factors are formed,
+    take each vector's scaled factors.
     """
     cs = np.asarray(c, dtype=np.complex128)
     if cs.ndim not in (1, 2) or cs.shape[-1] != h.dim or h.dim != space.d:
@@ -211,25 +218,32 @@ def reduced_states(
         )
     side, reduce = (space.d_B, reduce_to_bath) if bath else (space.d_S, reduce_to_system)
     rhos = np.empty((*cs.shape[:-1], n, side, side), dtype=np.complex128)
-    rows = max(1, min(block_rows(h.dim), n))
-    work = np.empty((3, rows, h.dim))
-    factors, scaled, amps = np.empty((3, rows, h.dim), dtype=np.complex128)
+    d = h.dim
+    rows = max(1, min(block_rows(d), n))
+    arena = np.empty(7 * rows * d)
+    factors, amps = arena[: 4 * rows * d].view(np.complex128).reshape(2, rows, d)
+    work = arena[4 * rows * d :].reshape(3, rows, d)
+    scaled = work[:2].reshape(-1).view(np.complex128).reshape(rows, d)  # t, t² are free by then
     basis_t = h.eigenbasis.T
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         k = stop - start
-        _phase_factors(phases(start, stop), work[:, :k], factors[:k])
-        for cv, out in zip(cs.reshape(-1, h.dim), rhos.reshape(-1, n, side, side)):
+        phases(start, stop, work[0, :k])
+        _phase_factors(work[:, :k], factors[:k])
+        for cv, out in zip(cs.reshape(-1, d), rhos.reshape(-1, n, side, side)):
             np.multiply(factors[:k], cv, out=scaled[:k])
             np.matmul(scaled[:k], basis_t, out=amps[:k])
             reduce(amps[:k], space, out=out[start:stop])
     return rhos
 
 
-def time_phases(times: np.ndarray, h: SpectralHamiltonian) -> Callable[[int, int], np.ndarray]:
-    """Phase rows α_j = −E t_j of the sample times, for `reduced_states`."""
-    minus_e = -h.energies
-    return lambda start, stop: np.multiply.outer(times[start:stop], minus_e)
+def time_phases(
+    times: np.ndarray, h: SpectralHamiltonian
+) -> Callable[[int, int, np.ndarray], object]:
+    """Half-angles α_j/2 = −E t_j/2 of the sample times, for `reduced_states`;
+    bit-equal to (−E t_j)·0.5, since halving E and the product are exact."""
+    minus_half_e = -0.5 * h.energies
+    return lambda start, stop, out: np.multiply.outer(times[start:stop], minus_half_e, out=out)
 
 
 def reduced_states_at_times(

@@ -259,10 +259,23 @@ def eigenstate_purities(h: SpectralHamiltonian, space: BipartiteSpace) -> np.nda
 def delta_quantity(
     h: SpectralHamiltonian, subspace: Subspace, space: BipartiteSpace
 ) -> float:
-    """δ = Σ_k p_k tr(ρ_S^{(k)})² / d_R with p_k = ⟨E_k|Π_R|E_k⟩."""
+    """δ = Σ_k p_k tr(ρ_S^{(k)})² / d_R with p_k = ⟨E_k|Π_R|E_k⟩.
+
+    When 64 divides d, the p_k are taken 64 eigenvectors at a time, so a
+    pinned subspace holds one block of its contraction: at (d_S, d_B) =
+    (2, 1024) the peak is 3.0 MiB under tracemalloc, against 48 MiB for all d
+    columns at once. Such blocks keep every column at its place in BLAS's
+    unrolled groups, and p_k bit-equal to one call; blocks that do not tile d
+    move p_k by rounding (at d = 129 and 1089), so other d take one call.
+    """
     if subspace.ambient_dim != h.dim or h.dim != space.d:
         raise DimensionMismatchError("Hamiltonian, subspace and space dimensions disagree")
-    weights = subspace.projector_diagonal(h.eigenbasis)
+    d = h.dim
+    cols = 64 if d % 64 == 0 else d
+    weights = np.concatenate([
+        subspace.projector_diagonal(h.eigenbasis[:, start:start + cols])
+        for start in range(0, d, cols)
+    ])
     return float(np.sum(weights * eigenstate_purities(h, space)) / subspace.d_R)
 
 
@@ -313,10 +326,12 @@ def torus_distances(
     """D(ρ_S(α), ω_S) for uniform independent phase vectors α.
 
     The phases are drawn block by block, which gives the same numbers as one
-    (samples, d) draw.
+    (samples, d) draw. Each block writes the half-angles α/2 as π·U[0, 1),
+    bit-equal to ``rng.uniform(0, 2π) * 0.5``, which is 2π·U[0, 1) halved.
     """
-    def phases(start: int, stop: int) -> np.ndarray:
-        return rng.uniform(0.0, 2 * np.pi, size=(stop - start, h.dim))
+    def phases(start: int, stop: int, out: np.ndarray) -> None:
+        rng.random(out=out)
+        out *= np.pi
 
     return trace_distance(reduced_states(c, h, space, phases, samples), omega_s)
 

@@ -405,9 +405,9 @@ class TestReducedStates:
         kept = alpha.copy()
         calls = []
 
-        def phases(start, stop):
+        def phases(start, stop, out):
             calls.append((start, stop))
-            return alpha[start:stop]
+            np.multiply(alpha[start:stop], 0.5, out=out)
 
         rhos_s = reduced_states(c, h, space, phases, n)
         rhos_b = reduced_states(c, h, space, phases, n, bath=True)
@@ -431,8 +431,8 @@ class TestReducedStates:
         n = block_case(blocks, space.d)
         alpha = rng.uniform(-1e5, 1e5, size=(n, space.d))
 
-        def phases(start, stop):
-            return alpha[start:stop]
+        def phases(start, stop, out):
+            np.multiply(alpha[start:stop], 0.5, out=out)
 
         for bath, side in ((False, d_s), (True, 5)):
             stacked = reduced_states(cs, h, space, phases, n, bath=bath)
@@ -447,9 +447,9 @@ class TestReducedStates:
             reduced_states_at_times(np.ones(shape), h, space, np.zeros(3))
 
     def test_memory_is_one_block(self, dft_1024):
-        # Work buffers for one 64-row block (three float and three complex
-        # arrays of 64 × 1024), its phase rows and the (n, 2, 2) result:
-        # about 5.3 MiB, against 31 MiB for the n × d amplitude stack alone.
+        # One 64-row block's arena (three float and two complex planes of
+        # 64 × 1024, 3.5 MiB) and the (n, 2, 2) result, against 31 MiB for
+        # the n × d amplitude stack alone.
         h = dft_1024
         space = BipartiteSpace(2, 512)
         rng = np.random.default_rng(151)
@@ -462,6 +462,48 @@ class TestReducedStates:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20, peak
+
+    @pytest.mark.parametrize("m, n", [(1, 2000), (4, 500)], ids=["thm4", "counterexample"])
+    def test_memory_is_one_arena_and_the_output(self, m, n):
+        # d = 64, as in thm4 and the diagonal counterexample at d_B = 32:
+        # 256-row blocks. The arena holds two complex planes (factors,
+        # amplitudes) and three float ones, in which each vector is scaled:
+        # 917 504 B for one vector or four. The (m, n, 2, 2) result is
+        # 128 000 B in both cases. The rest is numpy's iterator buffer for
+        # one broadcast ufunc call at a time (8192 elements, ~132 kB).
+        rng = np.random.default_rng(160 + m)
+        space = BipartiteSpace(2, 32)
+        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+        cs = np.array([
+            energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h) for _ in range(m)
+        ])
+        times = sample_times(default_t_max(h), n, rng)
+        rows = block_rows(space.d)
+        arena = rows * space.d * (3 * 8 + 2 * 16)
+        tracemalloc.start()
+        try:
+            rhos = reduced_states_at_times(cs[0] if m == 1 else cs, h, space, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rows, arena, rhos.nbytes) == (256, 917_504, 128_000)
+        assert peak <= arena + rhos.nbytes + (160 << 10), peak
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("t_scale", [1.0, 1e6], ids=["below 2^16", "above 2^16"])
+    def test_time_half_angles_equal_the_halved_phases(self, seed, t_scale):
+        # −E t_j/2 from the halved energies equals the (−E t_j)·0.5 it
+        # replaced, bit for bit, on both sides of numpy's 2¹⁶ step in tan.
+        rng = np.random.default_rng(170 + seed)
+        space = BipartiteSpace(2, 32)
+        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+        times = sample_times(t_scale * 2**16, 300, rng)
+        expected = np.multiply.outer(times, -h.energies) * 0.5
+        out = np.empty_like(expected)
+        time_phases(times, h)(0, len(times), out)
+        assert np.array_equal(out, expected)
+        above = np.mean(np.abs(expected) >= 2**16)
+        assert above == 0.0 if t_scale == 1.0 else above > 0.9
 
     @pytest.mark.parametrize("state", ["eigenstate", "random"])
     def test_system_and_bath_share_their_spectrum(self, instance, state):
@@ -478,9 +520,10 @@ class TestReducedStates:
         assert np.max(np.abs(spec_b[:, :-space.d_S])) <= 1e-12
 
     def test_block_rows(self):
-        assert block_rows(2) == 2048
-        assert block_rows(16) == 256
-        assert block_rows(64) == block_rows(1024) == 64
+        assert block_rows(2) == 8192
+        assert block_rows(16) == 1024
+        assert block_rows(64) == 256
+        assert block_rows(256) == block_rows(1024) == 64
 
 
 def test_default_t_max(instance):

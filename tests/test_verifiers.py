@@ -258,7 +258,7 @@ class TestDelta:
     @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
     def test_eigenstate_purities_match_reduced_stack(self, monkeypatch, shape):
         # The purities of the whole (d, d_S, d_S) stack, read from the smaller
-        # side in blocks; block_rows(d) = 64 > d here, so patch it to 3 to
+        # side in blocks; block_rows(d) > d here, so patch it to 3 to
         # cover several blocks and a remainder.
         space = BipartiteSpace(*shape)
         u = haar_random_unitary(space.d, np.random.default_rng(220 + sum(shape)))
@@ -296,6 +296,44 @@ class TestDelta:
             tracemalloc.stop()
         assert purities.shape == (1024,)
         assert peak < 3 << 20, peak
+
+    @pytest.mark.parametrize("kind", ["full", "fixed_system", "fixed_bath"])
+    @pytest.mark.parametrize("shape", [(3, 64), (5, 64), (64, 3), (2, 96), (4, 37)], ids=shape_id)
+    def test_weights_in_blocks_equal_one_call(self, kind, shape):
+        # d = 192, 320 or 192 in 64-column blocks, and d = 148, which 64 does
+        # not divide, in one call: δ equals the unblocked formula bit for bit.
+        space = BipartiteSpace(*shape)
+        rng = np.random.default_rng(235 + sum(shape))
+        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+        sub = random_subspace(kind, space, rng)
+        weights = sub.projector_diagonal(h.eigenbasis)
+        reference = np.sum(weights * eigenstate_purities(h, space)) / sub.d_R
+        assert delta_quantity(h, sub, space) == reference
+
+    @pytest.mark.parametrize(
+        "kind, shape", [("fixed_system", (2, 1024)), ("fixed_bath", (1024, 2))]
+    )
+    def test_pinned_subspace_memory(self, kind, shape):
+        # d = 2048. Taken over all d columns at once, the contraction with the
+        # pinned vector is a (1024, 2048) complex array, 32 MiB, and δ peaked
+        # at 48 MiB with its |·|² copies. In blocks of 64 columns the
+        # contraction holds 1 MiB; the peak, 3.0 and 4.1 MiB, is set by the
+        # blocks of `eigenstate_purities`.
+        space = BipartiteSpace(*shape)
+        k = np.arange(space.d)
+        dft = np.exp(2j * np.pi * np.outer(k, k) / space.d) / np.sqrt(space.d)
+        h = SpectralHamiltonian(np.linspace(0.0, 1.0, space.d), dft)
+        sub = random_subspace(kind, space, np.random.default_rng(240))
+        weights = sub.projector_diagonal(h.eigenbasis)
+        reference = np.sum(weights * eigenstate_purities(h, space)) / sub.d_R
+        tracemalloc.start()
+        try:
+            delta = delta_quantity(h, sub, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert delta == reference
+        assert peak < 5 << 20, peak
 
     def test_dimension_mismatch(self, instance):
         space, h, _ = instance
@@ -405,21 +443,27 @@ class TestTorusDistances:
         drawn = []
         phase_factors = dynamics._phase_factors
 
-        def recording(alpha, work, out):
-            drawn.append(alpha.copy())
-            return phase_factors(alpha, work, out)
+        def recording(work, out):
+            drawn.append(work[0].copy())
+            return phase_factors(work, out)
 
         monkeypatch.setattr(dynamics, "_phase_factors", recording)
         n = 2 * block_rows(h.dim) + 5
-        rng, ref_rng = np.random.default_rng(213), np.random.default_rng(213)
-        distances = torus_distances(c, h, space, omega_s, n, rng)
-        assert len(drawn) == 3
-        assert np.array_equal(
-            np.concatenate(drawn), ref_rng.uniform(0.0, 2 * np.pi, size=(n, h.dim))
-        )
-        assert rng.random() == ref_rng.random()
-        reference = unblocked_torus_distances(c, h, space, omega_s, n, np.random.default_rng(213))
-        assert np.max(np.abs(distances - reference)) <= 1e-14
+        # The source writes π·U[0, 1) in place of uniform(0, 2π)·0.5: halving
+        # is exact, and uniform(0, 2π) is 0 + 2π·U[0, 1).
+        for seed in (213, 0, 1, 2):
+            drawn.clear()
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            distances = torus_distances(c, h, space, omega_s, n, rng)
+            assert len(drawn) == 3
+            assert np.array_equal(
+                np.concatenate(drawn), ref_rng.uniform(0.0, 2 * np.pi, size=(n, h.dim)) * 0.5
+            )
+            assert rng.random() == ref_rng.random()
+            reference = unblocked_torus_distances(
+                c, h, space, omega_s, n, np.random.default_rng(seed)
+            )
+            assert np.max(np.abs(distances - reference)) <= 1e-14
 
     def test_memory_is_a_fraction_of_the_unblocked_stack(self):
         # d = 512, n = 2000: the unblocked stack and its temporaries peak at
