@@ -9,11 +9,13 @@ are scaled by c and a whole stack is mapped with one matrix product against
 the basis (`torus_state`). ρ_S is one broadcast `np.vecdot` over the bath
 index, ρ_B one batched matrix product over the system index.
 `reduced_states` runs these steps over many phase vectors in row blocks of
-`block_rows(d)`, into one ρ_S or ρ_B stack per coefficient vector, and forms
-each block's phase factors once for every vector that samples them, so a
-trajectory or a torus sample never holds its whole n × d amplitude stack;
-its phase sources (`time_phases`, the torus draw of `eqlab.verifiers`)
-write the half-angles α/2 into a work arena allocated once per call.
+`block_rows(d)`, forming each block's phase factors once for every
+coefficient vector that samples them, and hands the reduced states to a
+per-state reducer (a distance, d_eff, the populations) in chunks of at most
+`BLOCK_AMPLITUDES` entries. So a trajectory or a torus sample holds neither
+its n × d amplitude stack nor its n × side × side state stack; its phase
+sources (`time_phases`, the torus draw of `eqlab.verifiers`) write the
+half-angles α/2 into a work arena allocated once per call.
 The infinite-time average is exact through its marginals (`dephased_system`,
 `dephased_bath`), each computed only where it is read, and the d×d dephased
 state ω is never formed; time sampling (`sample_times`) is only used for the
@@ -38,18 +40,15 @@ from .states import as_state
 
 DEFAULT_T_MAX_FACTOR = 1e3
 # `reduced_states` works in blocks of 16384 amplitudes (256 KiB of
-# complex128), and never fewer than 64 rows, so a call holds one block's work
-# arena instead of the n × d stack (131 MB at n = 2000, d = 4096): the block
-# size bounds the memory. Against 8192 amplitudes, thm4-readme's perfbench
-# `wall_norm_s` is 0.0534 against 0.0550 s (median of six alternating 10 s
-# runs, all six faster; 2-core x86_64, one OpenBLAS thread) for 0.47 MB more
-# peak RSS. All planes of a call come from one arena: with planes allocated
-# on their own, the diagonal counterexample's (4, d) stack pushes the heap top
-# past glibc's trim threshold, and the freed planes are faulted in again on
-# every call (2308 minor faults inside `reduced_states` per
-# counterexamples-small run, against 437 with the arena).
+# complex128), never fewer than 64 rows, and reduces states in chunks of as
+# many entries (one state if a state is larger). A call holds one block's
+# arena and one chunk per coefficient vector whatever n: not the n × d
+# amplitude stack (131 MB at n = 2000, d = 4096) nor the n × side² state stack
+# (8.4 GB at n = 2000, d_S = 512). All planes come from one arena, because
+# planes allocated on their own are faulted in again on every call.
 BLOCK_AMPLITUDES = 16384
 MIN_BLOCK_ROWS = 64
+Reducer = Callable[[np.ndarray], np.ndarray]  # a (k, side, side) stack to (k, …) values
 
 
 def energy_coefficients(psi0, h: SpectralHamiltonian) -> np.ndarray:
@@ -193,48 +192,67 @@ def reduced_states(
     space: BipartiteSpace,
     phases: Callable[[int, int, np.ndarray], object],
     n: int,
+    reducer: Reducer,
     bath: bool = False,
 ) -> np.ndarray:
-    """ρ_S, or ρ_B when ``bath`` is set, of Ψ(α_j) = `torus_state(c, h, α_j)`
-    for j = 0 … n−1: shape (n, d_S, d_S), or (n, d_B, d_B).
+    """``reducer``'s values of ρ_S, or ρ_B when ``bath`` is set, of
+    Ψ(α_j) = `torus_state(c, h, α_j)` for j = 0 … n−1: shape (n, …).
 
-    ``c`` is one coefficient vector or an (m, d) stack of them, which all
-    sample the same phases; a stack gives shape (m, n, side, side). Each
-    block's phase factors e^{iα} are formed once and every row of ``c``
-    reuses them. ``phases(start, stop, out)`` writes the half-angles α/2 of the
-    phase rows α_start … α_{stop−1} into the (stop − start, d) float array
-    ``out``; it is called once per block, in row order, so a generator drawn
-    block by block gives the same rows as one (n, d) draw.
+    ``reducer`` maps a (k, side, side) stack of states to a (k, …) array that
+    takes each value from its own state alone. It is called once per chunk of
+    max(1, BLOCK_AMPLITUDES // side²) rows, in row order, and its result is
+    copied out, so it may return a view of its argument. A chunk may hold
+    several blocks or part of one; the blocks, and so every value, do not
+    depend on it. ``c`` is one coefficient vector or an (m, d) stack of them,
+    which all sample the same phases and give shape (m, n, …); each block's
+    phase factors e^{iα} are formed once for all rows of ``c``.
+    ``phases(start, stop, out)`` writes the half-angles α/2 of the phase rows
+    α_start … α_{stop−1} into the (stop − start, d) float array ``out``, once
+    per block in row order, so a generator drawn block by block gives the
+    same rows as one (n, d) draw.
 
-    All work planes come from one arena of 7 · rows · d floats allocated per
-    call: the complex factors and amplitudes, then the three float planes of
-    `_phase_factors`, whose t and t² planes, free once the factors are formed,
-    take each vector's scaled factors.
+    One arena per call holds every plane: the complex factors and amplitudes,
+    the three float planes of `_phase_factors`, whose t and t² planes, free
+    once the factors are formed, take each vector's scaled factors, and one
+    chunk of states per vector.
     """
     cs = np.asarray(c, dtype=np.complex128)
-    if cs.ndim not in (1, 2) or cs.shape[-1] != h.dim or h.dim != space.d:
+    if cs.ndim not in (1, 2) or cs.size == 0 or cs.shape[-1] != h.dim or h.dim != space.d:
         raise DimensionMismatchError(
             f"coefficients {cs.shape}, Hamiltonian ({h.dim}) and space ({space.d}) disagree"
         )
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    d, vectors = h.dim, cs.reshape(-1, h.dim)
     side, reduce = (space.d_B, reduce_to_bath) if bath else (space.d_S, reduce_to_system)
-    rhos = np.empty((*cs.shape[:-1], n, side, side), dtype=np.complex128)
-    d = h.dim
     rows = max(1, min(block_rows(d), n))
-    arena = np.empty(7 * rows * d)
+    chunk = max(1, min(BLOCK_AMPLITUDES // side**2, n))
+    arena = np.empty(7 * rows * d + 2 * len(vectors) * chunk * side**2)
     factors, amps = arena[: 4 * rows * d].view(np.complex128).reshape(2, rows, d)
-    work = arena[4 * rows * d :].reshape(3, rows, d)
+    work = arena[4 * rows * d : 7 * rows * d].reshape(3, rows, d)
+    chunks = arena[7 * rows * d :].view(np.complex128).reshape(-1, chunk, side, side)
     scaled = work[:2].reshape(-1).view(np.complex128).reshape(rows, d)  # t, t² are free by then
     basis_t = h.eigenbasis.T
+    values = None
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         k = stop - start
         phases(start, stop, work[0, :k])
         _phase_factors(work[:, :k], factors[:k])
-        for cv, out in zip(cs.reshape(-1, d), rhos.reshape(-1, n, side, side)):
+        # The block's rows cut at the chunk boundaries inside it.
+        cuts = [start, *range(start - start % chunk + chunk, stop, chunk), stop]
+        for j, cv in enumerate(vectors):
             np.multiply(factors[:k], cv, out=scaled[:k])
             np.matmul(scaled[:k], basis_t, out=amps[:k])
-            reduce(amps[:k], space, out=out[start:stop])
-    return rhos
+            for lo, hi in zip(cuts, cuts[1:]):
+                first = lo - lo % chunk  # the first row of lo's chunk
+                reduce(amps[lo - start : hi - start], space, out=chunks[j, lo - first : hi - first])
+                if hi % chunk == 0 or hi == n:
+                    value = reducer(chunks[j, : hi - first])
+                    if values is None:
+                        values = np.empty((len(vectors), n, *value.shape[1:]), value.dtype)
+                    values[j, first:hi] = value
+    return values.reshape(*cs.shape[:-1], *values.shape[1:])
 
 
 def time_phases(
@@ -247,11 +265,12 @@ def time_phases(
 
 
 def reduced_states_at_times(
-    c, h: SpectralHamiltonian, space: BipartiteSpace, times: np.ndarray
+    c, h: SpectralHamiltonian, space: BipartiteSpace, times: np.ndarray, reducer: Reducer
 ) -> np.ndarray:
-    """Stack of ρ_S(t) for each sample time, shape (n, d_S, d_S), or
-    (m, n, d_S, d_S) for an (m, d) stack of coefficient vectors."""
-    return reduced_states(c, h, space, time_phases(times, h), len(times))
+    """``reducer``'s values of ρ_S(t) at each sample time, as in
+    `reduced_states`: shape (n, …), or (m, n, …) for an (m, d) stack of
+    coefficient vectors."""
+    return reduced_states(c, h, space, time_phases(times, h), len(times), reducer)
 
 
 def default_t_max(h: SpectralHamiltonian, factor: float = DEFAULT_T_MAX_FACTOR) -> float:

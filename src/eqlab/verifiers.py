@@ -151,7 +151,7 @@ def time_distances(
     if n < 2:
         raise ValueError(f"n_samples must be >= 2, got {n}")
     times = sample_times(t_max, n, rng)
-    return trace_distance(reduced_states_at_times(c, h, space, times), omega_s)
+    return reduced_states_at_times(c, h, space, times, lambda rhos: trace_distance(rhos, omega_s))
 
 
 def theorem1_check(
@@ -182,8 +182,8 @@ def theorem1_check(
     omega_s = dephased_system(c, h, space)
     distances = time_distances(c, h, space, omega_s, t_max, n_samples, rng)
     mean = math.fsum(distances) / n_samples
-    times = sample_times(t_max, BATH_SAMPLES, rng)
-    rhos_b = reduced_states(c, h, space, time_phases(times, h), BATH_SAMPLES, bath=True)
+    phases = time_phases(sample_times(t_max, BATH_SAMPLES, rng), h)
+    d_eff_bath = reduced_states(c, h, space, phases, BATH_SAMPLES, effective_dimension, bath=True)
     checks = {
         "mean_distance_bath_bound": BoundCheck.upper(
             mean, 0.5 * math.sqrt(space.d_S / d_eff_b), kind="bath"
@@ -193,7 +193,7 @@ def theorem1_check(
         ),
         "renyi_subadditivity": BoundCheck.lower(1.0 / d_eff_omega, purity_b / space.d_S),
         "bath_deff_max": BoundCheck.upper(
-            float(np.max(effective_dimension(rhos_b))),
+            float(np.max(d_eff_bath)),
             space.d_S + BATH_DEFF_ALLOWANCE,
             allowance=BATH_DEFF_ALLOWANCE,
         ),
@@ -261,20 +261,18 @@ def delta_quantity(
 ) -> float:
     """δ = Σ_k p_k tr(ρ_S^{(k)})² / d_R with p_k = ⟨E_k|Π_R|E_k⟩.
 
-    When 64 divides d, the p_k are taken 64 eigenvectors at a time, so a
-    pinned subspace holds one block of its contraction: at (d_S, d_B) =
-    (2, 1024) the peak is 3.0 MiB under tracemalloc, against 48 MiB for all d
-    columns at once. Such blocks keep every column at its place in BLAS's
-    unrolled groups, and p_k bit-equal to one call; blocks that do not tile d
-    move p_k by rounding (at d = 129 and 1089), so other d take one call.
+    The p_k are taken 64 eigenvectors at a time, so a pinned subspace holds
+    one block of its contraction: at (d_S, d_B) = (2, 1024) the peak is
+    3.0 MiB under tracemalloc, against 48 MiB for all d columns at once.
+    Blocks that tile d keep p_k bit-equal to one call; a short last block
+    (64 ∤ d) moved p_k by ≤ 5.8e-16 relative against one call at (d_S, d_B) =
+    (3, 43), (9, 121), (11, 99), (2, 77), (2, 1000) and (1000, 2).
     """
     if subspace.ambient_dim != h.dim or h.dim != space.d:
         raise DimensionMismatchError("Hamiltonian, subspace and space dimensions disagree")
-    d = h.dim
-    cols = 64 if d % 64 == 0 else d
     weights = np.concatenate([
-        subspace.projector_diagonal(h.eigenbasis[:, start:start + cols])
-        for start in range(0, d, cols)
+        subspace.projector_diagonal(h.eigenbasis[:, start:start + 64])
+        for start in range(0, h.dim, 64)
     ])
     return float(np.sum(weights * eigenstate_purities(h, space)) / subspace.d_R)
 
@@ -333,7 +331,7 @@ def torus_distances(
         rng.random(out=out)
         out *= np.pi
 
-    return trace_distance(reduced_states(c, h, space, phases, samples), omega_s)
+    return reduced_states(c, h, space, phases, samples, lambda rhos: trace_distance(rhos, omega_s))
 
 
 # A fixed gate on the KS statistic, whatever the two sample sizes: at small
@@ -491,7 +489,7 @@ def diagonal_counterexample(
     psi_b = haar_random_state(Subspace.full(space.d_S), rng)
     psis = np.array([*np.eye(space.d_S, dtype=np.complex128)[:2], psi_a, psi_b])
     cs = np.array([energy_coefficients(product_state(p, phi_b, space), h) for p in psis])
-    pops = np.real(np.diagonal(reduced_states_at_times(cs, h, space, times), axis1=2, axis2=3))
+    pops = reduced_states_at_times(cs, h, space, times, lambda r: np.diagonal(r, 0, 1, 2).real)
     drift = float(np.max(np.abs(pops - np.abs(psis[:, None]) ** 2)))
     omega0, omega1, omega_a, omega_b = (dephased_system(c, h, space) for c in cs)
     imbalance = 0.5 * float(np.sum(np.abs(np.abs(psi_a) ** 2 - np.abs(psi_b) ** 2)))

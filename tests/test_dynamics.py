@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eqlab import dynamics
 from eqlab.bipartite import BipartiteSpace
 from eqlab.dynamics import (
     block_rows,
@@ -25,7 +26,13 @@ from eqlab.dynamics import (
 from eqlab.errors import DegenerateHamiltonianError, DimensionMismatchError
 from eqlab.hamiltonians import SpectralHamiltonian, random_spectral_hamiltonian
 from eqlab.linalg import haar_random_unitary
-from eqlab.states import Subspace, effective_dimension, haar_random_state
+from eqlab.states import (
+    Subspace,
+    effective_dimension,
+    haar_random_state,
+    purity,
+    trace_distance,
+)
 from eqlab.verifiers import theorem1_check, theorem4_check, time_distances
 from oracles import (
     dense,
@@ -36,6 +43,11 @@ from oracles import (
     partial_trace_bath,
     partial_trace_system,
 )
+
+
+def keep(rhos):
+    """The identity reducer: `reduced_states` then returns the states themselves."""
+    return rhos
 
 
 @pytest.fixture(scope="module")
@@ -343,7 +355,7 @@ class TestTrajectoryStatistics:
     def test_reduced_states_match_evolve(self, instance):
         space, h, psi = instance
         times = np.array([0.0, 1.7, 9.2])
-        rhos = reduced_states_at_times(energy_coefficients(psi, h), h, space, times)
+        rhos = reduced_states_at_times(energy_coefficients(psi, h), h, space, times, keep)
         for t, rho in zip(times, rhos):
             v = evolve(psi, h, t).reshape(space.d_S, space.d_B)
             assert np.max(np.abs(rho - v @ v.conj().T)) <= 1e-12
@@ -409,8 +421,8 @@ class TestReducedStates:
             calls.append((start, stop))
             np.multiply(alpha[start:stop], 0.5, out=out)
 
-        rhos_s = reduced_states(c, h, space, phases, n)
-        rhos_b = reduced_states(c, h, space, phases, n, bath=True)
+        rhos_s = reduced_states(c, h, space, phases, n, keep)
+        rhos_b = reduced_states(c, h, space, phases, n, keep, bath=True)
         assert np.array_equal(alpha, kept)
         amps = torus_state(c, h, alpha)
         assert rhos_s.shape == (n, d_s, d_s) and rhos_b.shape == (n, 5, 5)
@@ -435,21 +447,23 @@ class TestReducedStates:
             np.multiply(alpha[start:stop], 0.5, out=out)
 
         for bath, side in ((False, d_s), (True, 5)):
-            stacked = reduced_states(cs, h, space, phases, n, bath=bath)
+            stacked = reduced_states(cs, h, space, phases, n, keep, bath=bath)
             assert stacked.shape == (3, n, side, side)
-            singles = [reduced_states(c, h, space, phases, n, bath=bath) for c in cs]
+            singles = [reduced_states(c, h, space, phases, n, keep, bath=bath) for c in cs]
             assert np.array_equal(stacked, np.array(singles))
 
-    @pytest.mark.parametrize("shape", [(4,), (2, 3, 10)], ids=["short", "three axes"])
+    @pytest.mark.parametrize(
+        "shape", [(4,), (2, 3, 10), (0, 16)], ids=["short", "three axes", "empty stack"]
+    )
     def test_coefficient_shape_checked(self, instance, shape):
         space, h, _ = instance
         with pytest.raises(DimensionMismatchError):
-            reduced_states_at_times(np.ones(shape), h, space, np.zeros(3))
+            reduced_states_at_times(np.ones(shape), h, space, np.zeros(3), keep)
 
     def test_memory_is_one_block(self, dft_1024):
         # One 64-row block's arena (three float and two complex planes of
-        # 64 × 1024, 3.5 MiB) and the (n, 2, 2) result, against 31 MiB for
-        # the n × d amplitude stack alone.
+        # 64 × 1024, 3.5 MiB), its (2000, 2, 2) chunk of states (125 KiB) and
+        # the (n,) purities, against 31 MiB for the n × d amplitude stack alone.
         h = dft_1024
         space = BipartiteSpace(2, 512)
         rng = np.random.default_rng(151)
@@ -457,7 +471,7 @@ class TestReducedStates:
         times = sample_times(default_t_max(h), 2000, rng)
         tracemalloc.start()
         try:
-            reduced_states_at_times(c, h, space, times)
+            reduced_states_at_times(c, h, space, times, purity)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -468,9 +482,10 @@ class TestReducedStates:
         # d = 64, as in thm4 and the diagonal counterexample at d_B = 32:
         # 256-row blocks. The arena holds two complex planes (factors,
         # amplitudes) and three float ones, in which each vector is scaled:
-        # 917 504 B for one vector or four. The (m, n, 2, 2) result is
-        # 128 000 B in both cases. The rest is numpy's iterator buffer for
-        # one broadcast ufunc call at a time (8192 elements, ~132 kB).
+        # 917 504 B for one vector or four, and one chunk of 2 × 2 states per
+        # vector, m·n·64 = 128 000 B in both cases. The (m, n) populations
+        # are 16 000 B. The rest is numpy's iterator buffer for one broadcast
+        # ufunc call at a time (8192 elements, ~132 kB).
         rng = np.random.default_rng(160 + m)
         space = BipartiteSpace(2, 32)
         h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
@@ -479,15 +494,106 @@ class TestReducedStates:
         ])
         times = sample_times(default_t_max(h), n, rng)
         rows = block_rows(space.d)
-        arena = rows * space.d * (3 * 8 + 2 * 16)
+        arena = rows * space.d * (3 * 8 + 2 * 16) + m * n * 4 * 16
         tracemalloc.start()
         try:
-            rhos = reduced_states_at_times(cs[0] if m == 1 else cs, h, space, times)
+            pops = reduced_states_at_times(
+                cs[0] if m == 1 else cs, h, space, times, lambda r: r[:, 0, 0].real
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (rows, arena, rhos.nbytes) == (256, 917_504, 128_000)
-        assert peak <= arena + rhos.nbytes + (160 << 10), peak
+        assert (rows, arena, pops.nbytes) == (256, 1_045_504, 16_000)
+        assert peak <= arena + pops.nbytes + (160 << 10), peak
+
+    def test_bath_memory_is_one_arena_one_chunk_and_the_output(self):
+        # theorem1_check's bath trajectory at (2, 32): 200 rows, one block of
+        # 200 × 64 (716 800 B of arena), and chunks of 16 ρ_B of 32 × 32,
+        # 16 384 entries (256 KiB), against 3.3 MB for the (200, 32, 32) stack.
+        rng = np.random.default_rng(165)
+        space, n = BipartiteSpace(2, 32), 200
+        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+        c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
+        phases = time_phases(sample_times(default_t_max(h), n, rng), h)
+        arena = n * space.d * (3 * 8 + 2 * 16) + (256 << 10)
+        tracemalloc.start()
+        try:
+            d_eff = reduced_states(c, h, space, phases, n, effective_dimension, bath=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (arena, d_eff.nbytes) == (978_944, 1600)
+        assert peak <= arena + d_eff.nbytes + (160 << 10), peak
+
+    def test_system_heavy_trajectory_memory(self):
+        # (d_S, d_B) = (64, 4): chunks of four 64 × 64 states and their trace
+        # distances, against 131 MB for the (2000, 64, 64) stack and ~500 MB
+        # with the temporaries of its distances.
+        rng = np.random.default_rng(166)
+        space = BipartiteSpace(64, 4)
+        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+        c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
+        omega_s = dephased_system(c, h, space)
+        tracemalloc.start()
+        try:
+            distances = time_distances(c, h, space, omega_s, default_t_max(h), 2000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert distances.shape == (2000,) and np.all((0 <= distances) & (distances <= 1))
+        assert peak < 3 << 20, peak
+
+    @pytest.mark.parametrize("coefficients", ["vector", "stack"])
+    @pytest.mark.parametrize("bath", [False, True], ids=["system", "bath"])
+    def test_values_do_not_depend_on_the_chunks(self, monkeypatch, coefficients, bath):
+        # At (3, 24), d = 72 and blocks are 227 rows. ρ_S chunks hold 1820
+        # rows: eight whole blocks and part of the ninth. ρ_B chunks hold 28
+        # rows, part of one block. n = 2 chunks + 7 rows spans three chunks;
+        # a one-chunk run, with the blocks kept, must give the same bits.
+        rng = np.random.default_rng(167)
+        space = BipartiteSpace(3, 24)
+        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+        cs = np.array([
+            energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h) for _ in range(3)
+        ])
+        c = cs[0] if coefficients == "vector" else cs
+        side = space.d_B if bath else space.d_S
+        chunk = dynamics.BLOCK_AMPLITUDES // side**2
+        assert (block_rows(space.d), chunk) == (227, 28 if bath else 1820)
+        n = 2 * chunk + 7
+        phases = time_phases(sample_times(default_t_max(h), n, rng), h)
+        calls = []
+
+        def distances(rhos):
+            calls.append(len(rhos))
+            return trace_distance(rhos, np.eye(side) / side)
+
+        chunked = reduced_states(c, h, space, phases, n, distances, bath=bath)
+        m = len(c) if c.ndim == 2 else 1
+        assert sorted(calls) == [7] * m + [chunk] * 2 * m
+        monkeypatch.setattr(dynamics, "block_rows", lambda d, rows=block_rows(space.d): rows)
+        monkeypatch.setattr(dynamics, "BLOCK_AMPLITUDES", n * side**2)
+        one_chunk = reduced_states(c, h, space, phases, n, distances, bath=bath)
+        assert chunked.shape == one_chunk.shape == (*c.shape[:-1], n)
+        assert np.array_equal(chunked, one_chunk)
+
+    def test_small_states_reach_the_reducer_once(self, instance):
+        # 2 × 2 states of a 2000-row trajectory fit one chunk of 4096 rows.
+        space, h, psi = instance
+        calls = []
+
+        def recording(rhos):
+            calls.append(len(rhos))
+            return rhos
+
+        times = sample_times(default_t_max(h), 2000, np.random.default_rng(168))
+        reduced_states_at_times(energy_coefficients(psi, h), h, space, times, recording)
+        assert calls == [2000]
+
+    def test_rejects_no_rows(self, instance):
+        space, h, psi = instance
+        with pytest.raises(ValueError):
+            reduced_states_at_times(energy_coefficients(psi, h), h, space, np.zeros(0), keep)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("t_scale", [1.0, 1e6], ids=["below 2^16", "above 2^16"])
@@ -514,8 +620,8 @@ class TestReducedStates:
         c = energy_coefficients(h.eigenbasis[:, 3] if state == "eigenstate" else psi, h)
         times = sample_times(default_t_max(h), 50, np.random.default_rng(109))
         phases = time_phases(times, h)
-        spec_s = np.linalg.eigvalsh(reduced_states(c, h, space, phases, len(times)))
-        spec_b = np.linalg.eigvalsh(reduced_states(c, h, space, phases, len(times), bath=True))
+        spec_s = reduced_states(c, h, space, phases, len(times), np.linalg.eigvalsh)
+        spec_b = reduced_states(c, h, space, phases, len(times), np.linalg.eigvalsh, bath=True)
         assert np.max(np.abs(spec_b[:, -space.d_S:] - spec_s)) <= 1e-12
         assert np.max(np.abs(spec_b[:, :-space.d_S])) <= 1e-12
 

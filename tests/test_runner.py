@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import json
 import math
 from pathlib import Path
@@ -620,6 +621,12 @@ class TestPerfbenchContract:
 
     def test_version_is_str(self):
         assert isinstance(eqlab.__version__, str)
+
+    def test_trajectory_layer_signature(self):
+        # perfbench/spans.py wraps dynamics.reduced_states_at_times and reads
+        # its first four positional arguments as (c, h, space, times).
+        params = list(inspect.signature(dynamics.reduced_states_at_times).parameters)
+        assert params[:4] == ["c", "h", "space", "times"]
 
     def test_run_trial_hook(self, tmp_path, monkeypatch):
         calls = []

@@ -300,8 +300,8 @@ class TestDelta:
     @pytest.mark.parametrize("kind", ["full", "fixed_system", "fixed_bath"])
     @pytest.mark.parametrize("shape", [(3, 64), (5, 64), (64, 3), (2, 96), (4, 37)], ids=shape_id)
     def test_weights_in_blocks_equal_one_call(self, kind, shape):
-        # d = 192, 320 or 192 in 64-column blocks, and d = 148, which 64 does
-        # not divide, in one call: δ equals the unblocked formula bit for bit.
+        # d = 192, 320 or 192 in 64-column blocks, and d = 148 in blocks of
+        # 64, 64 and 20: δ equals the unblocked formula bit for bit.
         space = BipartiteSpace(*shape)
         rng = np.random.default_rng(235 + sum(shape))
         h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
@@ -333,6 +333,31 @@ class TestDelta:
         finally:
             tracemalloc.stop()
         assert delta == reference
+        assert peak < 5 << 20, peak
+
+    @pytest.mark.parametrize("kind", ["fixed_system", "fixed_bath"])
+    @pytest.mark.parametrize("shape", [(3, 43), (33, 33), (2, 1000)], ids=shape_id)
+    def test_short_last_block_moves_delta_by_rounding(self, kind, shape):
+        # d = 129, 1089 and 2000 end in a block of 1, 1 and 16 columns, which
+        # may move p_k against one call by rounding (≤ 5.8e-16 relative where
+        # measured). The blocks cap the peak: taken over all d columns at once,
+        # the contraction at (2, 1000) peaked at 45.8 MiB.
+        space = BipartiteSpace(*shape)
+        rng = np.random.default_rng(245 + sum(shape))
+        k = np.arange(space.d)
+        dft = np.exp(2j * np.pi * np.outer(k, k) / space.d) / np.sqrt(space.d)
+        u = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (space.d, 1))) * dft
+        h = SpectralHamiltonian.trusted(np.linspace(0.0, 1.0, space.d), u)
+        sub = random_subspace(kind, space, rng)
+        weights = sub.projector_diagonal(h.eigenbasis)
+        reference = np.sum(weights * eigenstate_purities(h, space)) / sub.d_R
+        tracemalloc.start()
+        try:
+            delta = delta_quantity(h, sub, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert delta == pytest.approx(reference, rel=1e-14, abs=0.0)
         assert peak < 5 << 20, peak
 
     def test_dimension_mismatch(self, instance):
@@ -609,7 +634,7 @@ def per_state_diagonal_counterexample(space, rng, n_times):
     drifts, omegas = [], []
     for psi_s in psis:
         c = energy_coefficients(product_state(psi_s, phi_b, space), h)
-        rhos = reduced_states_at_times(c, h, space, times)
+        rhos = reduced_states_at_times(c, h, space, times, lambda r: r)
         pops = np.real(np.diagonal(rhos, axis1=1, axis2=2))
         drifts.append(float(np.max(np.abs(pops - np.abs(psi_s) ** 2))))
         omegas.append(dephased_system(c, h, space))
