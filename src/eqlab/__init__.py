@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .bipartite import BipartiteSpace, swap_operator
-from .dynamics import energy_coefficients, torus_state
+from .dynamics import energy_coefficients
 from .errors import (
     ConfigInvalidError,
     DegenerateHamiltonianError,

@@ -1,29 +1,24 @@
 """Time evolution in the energy eigenbasis and time-average machinery.
 
-Evolution is exact: Ψ(α) = Σ_k e^{iα_k} c_k |E_k⟩ (α = −E t for time
-evolution) applies phase factors to the energy coefficients and maps back,
-and one reduction per side turns amplitude stacks into ρ_S or ρ_B stacks.
-`_phase_factors` forms e^{iα} from tan(α/2) by the half-angle identity,
-which numpy vectorises, instead of an elementwise complex exp; the factors
-are scaled by c and a whole stack is mapped with one matrix product against
-the basis (`torus_state`). ρ_S is one broadcast `np.vecdot` over the bath
-index, ρ_B one batched matrix product over the system index.
-`reduced_states` runs these steps over many phase vectors in row blocks of
-`block_rows(d)`, forming each block's phase factors once for every
-coefficient vector that samples them, and hands the reduced states to a
-per-state reducer (a distance, d_eff, the populations) in chunks of at most
-`BLOCK_AMPLITUDES` entries. So a trajectory or a torus sample holds neither
-its n × d amplitude stack nor its n × side × side state stack; its phase
-sources (`time_phases`, the torus draw of `eqlab.verifiers`) write the
-half-angles α/2 into a work arena allocated once per call.
+Evolution is exact: Ψ(α) = Σ_k e^{iα_k} c_k |E_k⟩, with α = −E t for time
+evolution. `reduced_states` is the one amplitude path. In row blocks of
+`block_rows(d)` it forms e^{iα} from tan(α/2) by the half-angle identity
+(`_phase_factors`, which numpy vectorises, unlike an elementwise complex
+exp), once for every coefficient vector that samples the phases, scales the
+factors by c, maps them back with one matrix product against the basis and
+hands each block's (k, d_S, d_B) amplitudes to a per-row reducer. Its phase
+sources (`time_phases`, the torus draw of `eqlab.verifiers`) write α/2 into
+a work arena allocated once per call. `per_state` makes a reducer of a
+function of ρ_S (one broadcast `np.vecdot` over the bath index) or ρ_B (one
+batched matrix product over the system index), formed in chunks of at most
+`BLOCK_AMPLITUDES` entries, so no n × d or n × side × side stack is held.
 The infinite-time average is exact through its marginals (`dephased_system`,
-`dephased_bath`), each computed only where it is read, and the d×d dephased
-state ω is never formed; time sampling (`sample_times`) is only used for the
+`dephased_bath`), each computed only where it is read; the d×d dephased
+state ω is never formed. Sample times (`sample_times`) serve only the
 fluctuation statistics of `eqlab.verifiers`.
 
 Every function of an initial state takes its energy coefficients
-c_k = ⟨E_k|ψ₀⟩ (`energy_coefficients`), not ψ₀, so a caller computes them
-once per state.
+c_k = ⟨E_k|ψ₀⟩ (`energy_coefficients`), not ψ₀, so a caller computes them once.
 """
 
 from __future__ import annotations
@@ -39,16 +34,15 @@ from .linalg import hermitize
 from .states import as_state
 
 DEFAULT_T_MAX_FACTOR = 1e3
-# `reduced_states` works in blocks of 16384 amplitudes (256 KiB of
-# complex128), never fewer than 64 rows, and reduces states in chunks of as
-# many entries (one state if a state is larger). A call holds one block's
-# arena and one chunk per coefficient vector whatever n: not the n × d
-# amplitude stack (131 MB at n = 2000, d = 4096) nor the n × side² state stack
-# (8.4 GB at n = 2000, d_S = 512). All planes come from one arena, because
-# planes allocated on their own are faulted in again on every call.
+# `reduced_states` works in blocks of 16384 amplitudes (256 KiB of complex128),
+# never fewer than 64 rows, all planes from one arena per call (planes allocated
+# on their own are faulted in again on every call); a `per_state` reducer holds
+# one chunk of as many entries (one state if a state is larger). Neither holds
+# the n × d amplitude stack (131 MB at n = 2000, d = 4096) nor the n × side²
+# state stack (8.4 GB at n = 2000, d_S = 512).
 BLOCK_AMPLITUDES = 16384
 MIN_BLOCK_ROWS = 64
-Reducer = Callable[[np.ndarray], np.ndarray]  # a (k, side, side) stack to (k, …) values
+Reducer = Callable[[np.ndarray], np.ndarray]  # a (k, d_S, d_B) amplitude block to (k, …) values
 
 
 def energy_coefficients(psi0, h: SpectralHamiltonian) -> np.ndarray:
@@ -132,26 +126,6 @@ def _phase_factors(work: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
-    """Ψ(α) = Σ_k e^{iα_k} c_k |E_k⟩: time evolution with free phases.
-
-    ``alpha`` is one phase vector or an (n, d) stack of them; a stack gives
-    one state per row, and ``alpha`` itself is never written. The phase
-    factors come from `_phase_factors`, as in `reduced_states`.
-    """
-    cv = np.asarray(c, dtype=np.complex128)
-    av = np.asarray(alpha, dtype=np.float64)
-    if cv.size != h.dim or av.shape[-1:] != (h.dim,):
-        raise DimensionMismatchError(
-            f"coefficients ({cv.size}) and phases {av.shape} must have length {h.dim}"
-        )
-    work = np.empty((3, *av.shape))
-    np.multiply(av, 0.5, out=work[0])
-    phased = _phase_factors(work, np.empty(av.shape, dtype=np.complex128))
-    phased *= cv
-    return phased @ h.eigenbasis.T
-
-
 def sample_times(
     t_max: float, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -161,22 +135,18 @@ def sample_times(
 
 
 def reduce_to_system(amps: np.ndarray, space: BipartiteSpace, out=None) -> np.ndarray:
-    """ρ_S = tr_B |ψ⟩⟨ψ| of each row of an (n, d) amplitude stack: (n, d_S, d_S).
-
-    With a[n, s, b] = ⟨s b|ψ_n⟩, ρ[n, s, t] = Σ_b a[n,s,b] conj(a[n,t,b]):
-    one broadcast `vecdot`, which conjugates its first argument, written into
-    ``out`` when given.
-    """
+    """ρ_S = tr_B |ψ⟩⟨ψ| of each row of an (n, d) or (n, d_S, d_B) amplitude
+    stack a[n, s, b] = ⟨s b|ψ_n⟩, into ``out`` when given: (n, d_S, d_S) with
+    ρ[n, s, t] = Σ_b a[n,s,b] conj(a[n,t,b]), one broadcast `vecdot`, which
+    conjugates its first argument."""
     a = amps.reshape(-1, space.d_S, space.d_B)
     return np.vecdot(a[:, None], a[:, :, None], out=out)
 
 
 def reduce_to_bath(amps: np.ndarray, space: BipartiteSpace, out=None) -> np.ndarray:
-    """ρ_B = tr_S |ψ⟩⟨ψ| of each row of an (n, d) amplitude stack: (n, d_B, d_B).
-
-    ρ[n, b, c] = Σ_s a[n,s,b] conj(a[n,s,c]): one batched matrix product,
-    written into ``out`` when given.
-    """
+    """ρ_B = tr_S |ψ⟩⟨ψ| of each row of an amplitude stack, into ``out`` when
+    given: (n, d_B, d_B) with ρ[n, b, c] = Σ_s a[n,s,b] conj(a[n,s,c]), one
+    batched matrix product."""
     a = amps.reshape(-1, space.d_S, space.d_B)
     return np.matmul(a.transpose(0, 2, 1), a.conj(), out=out)
 
@@ -193,28 +163,21 @@ def reduced_states(
     phases: Callable[[int, int, np.ndarray], object],
     n: int,
     reducer: Reducer,
-    bath: bool = False,
 ) -> np.ndarray:
-    """``reducer``'s values of ρ_S, or ρ_B when ``bath`` is set, of
-    Ψ(α_j) = `torus_state(c, h, α_j)` for j = 0 … n−1: shape (n, …).
+    """``reducer``'s values of Ψ(α_j) = Σ_k e^{iα_jk} c_k |E_k⟩, j = 0 … n−1:
+    shape (n, …), or (m, n, …) for an (m, d) stack ``c`` of coefficient
+    vectors, which all sample the same phases, each block's e^{iα} formed once.
 
-    ``reducer`` maps a (k, side, side) stack of states to a (k, …) array that
-    takes each value from its own state alone. It is called once per chunk of
-    max(1, BLOCK_AMPLITUDES // side²) rows, in row order, and its result is
-    copied out, so it may return a view of its argument. A chunk may hold
-    several blocks or part of one; the blocks, and so every value, do not
-    depend on it. ``c`` is one coefficient vector or an (m, d) stack of them,
-    which all sample the same phases and give shape (m, n, …); each block's
-    phase factors e^{iα} are formed once for all rows of ``c``.
-    ``phases(start, stop, out)`` writes the half-angles α/2 of the phase rows
-    α_start … α_{stop−1} into the (stop − start, d) float array ``out``, once
+    ``reducer`` maps a block's amplitudes, a (k, d_S, d_B) view with
+    a[j, s, b] = ⟨s b|Ψ(α_j)⟩, to a (k, …) array, each value from its own row
+    (`per_state` makes one of a function of ρ_S or ρ_B). It is called once per
+    block and vector, in row order, and its result is copied out, so it may
+    return a view. ``phases(start, stop, out)`` writes the half-angles α/2 of
+    rows start … stop−1 into the (stop − start, d) float array ``out``, once
     per block in row order, so a generator drawn block by block gives the
-    same rows as one (n, d) draw.
-
-    One arena per call holds every plane: the complex factors and amplitudes,
-    the three float planes of `_phase_factors`, whose t and t² planes, free
-    once the factors are formed, take each vector's scaled factors, and one
-    chunk of states per vector.
+    same rows as one (n, d) draw. One arena per call holds the complex factors
+    and amplitudes and the three float planes of `_phase_factors`, whose t and
+    t² planes, free once the factors are formed, take each vector's scaled factors.
     """
     cs = np.asarray(c, dtype=np.complex128)
     if cs.ndim not in (1, 2) or cs.size == 0 or cs.shape[-1] != h.dim or h.dim != space.d:
@@ -224,13 +187,10 @@ def reduced_states(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     d, vectors = h.dim, cs.reshape(-1, h.dim)
-    side, reduce = (space.d_B, reduce_to_bath) if bath else (space.d_S, reduce_to_system)
     rows = max(1, min(block_rows(d), n))
-    chunk = max(1, min(BLOCK_AMPLITUDES // side**2, n))
-    arena = np.empty(7 * rows * d + 2 * len(vectors) * chunk * side**2)
+    arena = np.empty(7 * rows * d)
     factors, amps = arena[: 4 * rows * d].view(np.complex128).reshape(2, rows, d)
-    work = arena[4 * rows * d : 7 * rows * d].reshape(3, rows, d)
-    chunks = arena[7 * rows * d :].view(np.complex128).reshape(-1, chunk, side, side)
+    work = arena[4 * rows * d :].reshape(3, rows, d)
     scaled = work[:2].reshape(-1).view(np.complex128).reshape(rows, d)  # t, t² are free by then
     basis_t = h.eigenbasis.T
     values = None
@@ -239,20 +199,30 @@ def reduced_states(
         k = stop - start
         phases(start, stop, work[0, :k])
         _phase_factors(work[:, :k], factors[:k])
-        # The block's rows cut at the chunk boundaries inside it.
-        cuts = [start, *range(start - start % chunk + chunk, stop, chunk), stop]
         for j, cv in enumerate(vectors):
             np.multiply(factors[:k], cv, out=scaled[:k])
             np.matmul(scaled[:k], basis_t, out=amps[:k])
-            for lo, hi in zip(cuts, cuts[1:]):
-                first = lo - lo % chunk  # the first row of lo's chunk
-                reduce(amps[lo - start : hi - start], space, out=chunks[j, lo - first : hi - first])
-                if hi % chunk == 0 or hi == n:
-                    value = reducer(chunks[j, : hi - first])
-                    if values is None:
-                        values = np.empty((len(vectors), n, *value.shape[1:]), value.dtype)
-                    values[j, first:hi] = value
+            value = reducer(amps[:k].reshape(k, space.d_S, space.d_B))
+            if values is None:
+                values = np.empty((len(vectors), n, *value.shape[1:]), value.dtype)
+            values[j, start:stop] = value
     return values.reshape(*cs.shape[:-1], *values.shape[1:])
+
+
+def per_state(reduce, fn: Callable[[np.ndarray], np.ndarray], space: BipartiteSpace) -> Reducer:
+    """The `Reducer` of ``fn``, which maps a (k, side, side) stack of states to
+    (k, …) values, each from its own state, applied to the ρ_S or ρ_B that
+    ``reduce`` (`reduce_to_system` or `reduce_to_bath`) forms of each block in
+    chunks of max(1, BLOCK_AMPLITUDES // side²) rows. The chunks share one
+    buffer and ``fn``'s values are copied out, so it may return a view; the
+    chunks change no value."""
+    side = space.d_B if reduce is reduce_to_bath else space.d_S
+    chunk = max(1, BLOCK_AMPLITUDES // side**2)
+    states = np.empty((chunk, side, side), np.complex128)
+    return lambda a: np.concatenate([
+        fn(reduce(a[lo : lo + chunk], space, out=states[: len(a) - lo])).copy()
+        for lo in range(0, len(a), chunk)
+    ])
 
 
 def time_phases(
@@ -267,7 +237,7 @@ def time_phases(
 def reduced_states_at_times(
     c, h: SpectralHamiltonian, space: BipartiteSpace, times: np.ndarray, reducer: Reducer
 ) -> np.ndarray:
-    """``reducer``'s values of ρ_S(t) at each sample time, as in
+    """``reducer``'s values of Ψ(t) at each sample time, as in
     `reduced_states`: shape (n, …), or (m, n, …) for an (m, d) stack of
     coefficient vectors."""
     return reduced_states(c, h, space, time_phases(times, h), len(times), reducer)

@@ -116,17 +116,35 @@ def effective_dimension(rho):
     return 1.0 / purity(rho)
 
 
-def _qubit_trace_distance(diff: np.ndarray) -> np.ndarray:
-    """½ Σ|λ_i| of the Hermitian part of each 2×2 matrix of a stack, exactly.
-
-    Its eigenvalues are m ± r with m = tr Δ/2 and
-    r = √(((Δ₀₀ − Δ₁₁)/2)² + |Δ₀₁|²), so ½(|m + r| + |m − r|) = max(|m|, r).
-    """
-    d00, d11 = diff[..., 0, 0].real, diff[..., 1, 1].real
-    off = (diff[..., 0, 1] + diff[..., 1, 0].conj()) / 2
+def _qubit_trace_distance(d00, d11, d01) -> np.ndarray:
+    """½ Σ|λ_i| of the Hermitian 2×2 matrices [[Δ₀₀, Δ₀₁], [Δ₀₁*, Δ₁₁]] with
+    these real diagonals and upper entries, exactly: their eigenvalues are m ± r,
+    m = (Δ₀₀ + Δ₁₁)/2 and r = √(((Δ₀₀ − Δ₁₁)/2)² + |Δ₀₁|²), so
+    ½(|m + r| + |m − r|) = max(|m|, r)."""
     half_split = (d00 - d11) / 2
-    r = np.sqrt(half_split * half_split + off.real * off.real + off.imag * off.imag)
+    r = np.sqrt(half_split * half_split + d01.real * d01.real + d01.imag * d01.imag)
     return np.maximum(np.abs((d00 + d11) / 2), r)
+
+
+def qubit_distances_to(omega):
+    """D(ρ_S, ω) of each row of a (k, 2, d_B) amplitude block a, from ρ_S's
+    populations Σ_b |a_sb|² and ρ₀₁ = Σ_b a_0b a*_1b alone: bit-equal to
+    `trace_distance` against an exactly Hermitian ω, with its checks (of ω
+    once; each block's entries must be finite)."""
+    w = _as_stack(omega)
+    if w.shape != (2, 2):
+        raise DimensionMismatchError(f"expected a 2×2 reference state, got shape {w.shape}")
+    if not is_hermitian(w):
+        raise NotHermitianError(f"reference state is not Hermitian within {HERMITICITY_TOL}")
+    w00, w11, w01 = w[0, 0].real, w[1, 1].real, (w[0, 1] + w[1, 0].conj()) / 2
+
+    def distances(a: np.ndarray) -> np.ndarray:
+        pops, rho01 = np.vecdot(a, a).real, np.vecdot(a[:, 1], a[:, 0])
+        if not (np.all(np.isfinite(pops)) and np.all(np.isfinite(rho01))):
+            raise ValueError("density matrices contain non-finite entries")
+        return _qubit_trace_distance(pops[:, 0] - w00, pops[:, 1] - w11, rho01 - w01)
+
+    return distances
 
 
 def trace_distance(rho1, rho2):
@@ -149,7 +167,8 @@ def trace_distance(rho1, rho2):
     if not is_hermitian(diff):
         raise NotHermitianError(f"difference is not Hermitian within {HERMITICITY_TOL}")
     if diff.shape[-1] == 2:
-        distances = _qubit_trace_distance(diff)
+        off = (diff[..., 0, 1] + diff[..., 1, 0].conj()) / 2
+        distances = _qubit_trace_distance(diff[..., 0, 0].real, diff[..., 1, 1].real, off)
     else:
         distances = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(hermitize(diff))), axis=-1)
     return float(distances) if distances.ndim == 0 else distances

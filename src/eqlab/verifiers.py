@@ -25,11 +25,13 @@ import numpy as np
 
 from .bipartite import BipartiteSpace, swap_operator
 from .dynamics import (
+    Reducer,
     block_rows,
     default_t_max,
     dephased_bath,
     dephased_system,
     energy_coefficients,
+    per_state,
     reduce_to_bath,
     reduce_to_system,
     reduced_states,
@@ -47,6 +49,7 @@ from .states import (
     haar_random_state,
     product_state,
     purity,
+    qubit_distances_to,
     trace_distance,
 )
 
@@ -137,6 +140,13 @@ def d_eff_of_time_average(c) -> float:
     return float(1.0 / np.sum(np.abs(c) ** 4))
 
 
+def _distances_to(omega_s: np.ndarray, space: BipartiteSpace) -> Reducer:
+    """D(ρ_S, ω_S) per amplitude row, at d_S = 2 from the amplitudes themselves."""
+    if space.d_S == 2:
+        return qubit_distances_to(omega_s)
+    return per_state(reduce_to_system, lambda rhos: trace_distance(rhos, omega_s), space)
+
+
 def time_distances(
     c,
     h: SpectralHamiltonian,
@@ -151,7 +161,7 @@ def time_distances(
     if n < 2:
         raise ValueError(f"n_samples must be >= 2, got {n}")
     times = sample_times(t_max, n, rng)
-    return reduced_states_at_times(c, h, space, times, lambda rhos: trace_distance(rhos, omega_s))
+    return reduced_states_at_times(c, h, space, times, _distances_to(omega_s, space))
 
 
 def theorem1_check(
@@ -183,7 +193,8 @@ def theorem1_check(
     distances = time_distances(c, h, space, omega_s, t_max, n_samples, rng)
     mean = math.fsum(distances) / n_samples
     phases = time_phases(sample_times(t_max, BATH_SAMPLES, rng), h)
-    d_eff_bath = reduced_states(c, h, space, phases, BATH_SAMPLES, effective_dimension, bath=True)
+    bath_deff = per_state(reduce_to_bath, effective_dimension, space)
+    d_eff_bath = reduced_states(c, h, space, phases, BATH_SAMPLES, bath_deff)
     checks = {
         "mean_distance_bath_bound": BoundCheck.upper(
             mean, 0.5 * math.sqrt(space.d_S / d_eff_b), kind="bath"
@@ -331,7 +342,7 @@ def torus_distances(
         rng.random(out=out)
         out *= np.pi
 
-    return reduced_states(c, h, space, phases, samples, lambda rhos: trace_distance(rhos, omega_s))
+    return reduced_states(c, h, space, phases, samples, _distances_to(omega_s, space))
 
 
 # A fixed gate on the KS statistic, whatever the two sample sizes: at small
@@ -489,7 +500,7 @@ def diagonal_counterexample(
     psi_b = haar_random_state(Subspace.full(space.d_S), rng)
     psis = np.array([*np.eye(space.d_S, dtype=np.complex128)[:2], psi_a, psi_b])
     cs = np.array([energy_coefficients(product_state(p, phi_b, space), h) for p in psis])
-    pops = reduced_states_at_times(cs, h, space, times, lambda r: np.diagonal(r, 0, 1, 2).real)
+    pops = reduced_states_at_times(cs, h, space, times, lambda a: np.vecdot(a, a).real)
     drift = float(np.max(np.abs(pops - np.abs(psis[:, None]) ** 2)))
     omega0, omega1, omega_a, omega_b = (dephased_system(c, h, space) for c in cs)
     imbalance = 0.5 * float(np.sum(np.abs(np.abs(psi_a) ** 2 - np.abs(psi_b) ** 2)))

@@ -1,11 +1,12 @@
 """Dense reference forms that the tests compare eqlab's kernels against.
 
 eqlab never builds a d×d global operator on a run path: ρ_S(t), ρ_B(t), ω_S
-and ω_B come from the amplitude kernel `torus_state`, the reductions
+and ω_B come from the blocked kernel `reduced_states`, the reductions
 `reduce_to_system` / `reduce_to_bath` and `dephased_system` /
 `dephased_bath`, and a subspace is stored by its pinned vector. The
 functions here build the same objects the direct way (the density matrix,
-its partial traces, the dephased state, the evolved state, a subspace's
+its partial traces, the dephased state, the evolved state and the torus
+state Ψ(α) as one unblocked (n, d) stack, a subspace's
 orthonormal basis and projector) so that the tests have an independent
 reference. Each is checked against brute force or a closed form in the test
 module of the eqlab module it stands beside. `DenseSubspace` has the draw
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from eqlab.bipartite import BipartiteSpace
-from eqlab.dynamics import energy_coefficients
+from eqlab.dynamics import _phase_factors, energy_coefficients
 from eqlab.errors import DimensionMismatchError
 from eqlab.hamiltonians import SpectralHamiltonian
 from eqlab.linalg import as_matrix, hermitize, kronecker_product
@@ -84,6 +85,27 @@ def evolve(psi0, h: SpectralHamiltonian, t: float) -> np.ndarray:
         raise ValueError(f"time must be finite, got {t}")
     c = energy_coefficients(psi0, h)
     return h.eigenbasis @ (np.exp(-1j * h.energies * t) * c)
+
+
+def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
+    """Ψ(α) = Σ_k e^{iα_k} c_k |E_k⟩, time evolution with free phases, unblocked.
+
+    ``alpha`` is one phase vector or an (n, d) stack of them; a stack gives
+    one state per row, and ``alpha`` itself is never written. The phase
+    factors come from `eqlab.dynamics._phase_factors`, as in `reduced_states`,
+    whose blocks the tests compare with this one (n, d) stack.
+    """
+    cv = np.asarray(c, dtype=np.complex128)
+    av = np.asarray(alpha, dtype=np.float64)
+    if cv.size != h.dim or av.shape[-1:] != (h.dim,):
+        raise DimensionMismatchError(
+            f"coefficients ({cv.size}) and phases {av.shape} must have length {h.dim}"
+        )
+    work = np.empty((3, *av.shape))
+    np.multiply(av, 0.5, out=work[0])
+    phased = _phase_factors(work, np.empty(av.shape, dtype=np.complex128))
+    phased *= cv
+    return phased @ h.eigenbasis.T
 
 
 def dephased_time_average(psi0, h: SpectralHamiltonian) -> np.ndarray:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eqlab import dynamics
+from eqlab import dynamics, states
 from eqlab.bipartite import BipartiteSpace
 from eqlab.dynamics import (
     block_rows,
@@ -15,15 +15,15 @@ from eqlab.dynamics import (
     dephased_bath,
     dephased_system,
     energy_coefficients,
+    per_state,
     reduce_to_bath,
     reduce_to_system,
     reduced_states,
     reduced_states_at_times,
     sample_times,
     time_phases,
-    torus_state,
 )
-from eqlab.errors import DegenerateHamiltonianError, DimensionMismatchError
+from eqlab.errors import DegenerateHamiltonianError, DimensionMismatchError, NotHermitianError
 from eqlab.hamiltonians import SpectralHamiltonian, random_spectral_hamiltonian
 from eqlab.linalg import haar_random_unitary
 from eqlab.states import (
@@ -31,6 +31,7 @@ from eqlab.states import (
     effective_dimension,
     haar_random_state,
     purity,
+    qubit_distances_to,
     trace_distance,
 )
 from eqlab.verifiers import theorem1_check, theorem4_check, time_distances
@@ -42,12 +43,19 @@ from oracles import (
     noninteracting_hamiltonian,
     partial_trace_bath,
     partial_trace_system,
+    torus_state,
 )
 
 
-def keep(rhos):
-    """The identity reducer: `reduced_states` then returns the states themselves."""
-    return rhos
+def keep(values):
+    """The identity reducer: `reduced_states` then returns the amplitudes
+    themselves, and `per_state(…, keep, …)` the states."""
+    return values
+
+
+def states_of(space, bath=False):
+    """The reducer whose values are the ρ_S, or ρ_B, states themselves."""
+    return per_state(reduce_to_bath if bath else reduce_to_system, keep, space)
 
 
 @pytest.fixture(scope="module")
@@ -355,9 +363,13 @@ class TestTrajectoryStatistics:
     def test_reduced_states_match_evolve(self, instance):
         space, h, psi = instance
         times = np.array([0.0, 1.7, 9.2])
-        rhos = reduced_states_at_times(energy_coefficients(psi, h), h, space, times, keep)
-        for t, rho in zip(times, rhos):
+        c = energy_coefficients(psi, h)
+        amps = reduced_states_at_times(c, h, space, times, keep)
+        rhos = reduced_states_at_times(c, h, space, times, states_of(space))
+        assert amps.shape == (len(times), space.d_S, space.d_B)
+        for t, a, rho in zip(times, amps, rhos):
             v = evolve(psi, h, t).reshape(space.d_S, space.d_B)
+            assert np.max(np.abs(a - v)) <= 1e-12
             assert np.max(np.abs(rho - v @ v.conj().T)) <= 1e-12
 
     def test_bath_states_match_evolve(self, instance):
@@ -421,15 +433,18 @@ class TestReducedStates:
             calls.append((start, stop))
             np.multiply(alpha[start:stop], 0.5, out=out)
 
-        rhos_s = reduced_states(c, h, space, phases, n, keep)
-        rhos_b = reduced_states(c, h, space, phases, n, keep, bath=True)
+        blocked = reduced_states(c, h, space, phases, n, keep)
+        rhos_s = reduced_states(c, h, space, phases, n, states_of(space))
+        rhos_b = reduced_states(c, h, space, phases, n, states_of(space, bath=True))
         assert np.array_equal(alpha, kept)
         amps = torus_state(c, h, alpha)
+        assert blocked.shape == (n, d_s, 5)
         assert rhos_s.shape == (n, d_s, d_s) and rhos_b.shape == (n, 5, 5)
+        assert np.max(np.abs(blocked.reshape(n, -1) - amps)) <= 1e-14
         assert np.max(np.abs(rhos_s - reduce_to_system(amps, space))) <= 1e-14
         assert np.max(np.abs(rhos_b - reduce_to_bath(amps, space))) <= 1e-14
         bounds = list(range(0, n, rows)) + [n]
-        assert calls == 2 * list(zip(bounds[:-1], bounds[1:]))
+        assert calls == 3 * list(zip(bounds[:-1], bounds[1:]))
 
     @pytest.mark.parametrize("d_s", [1, 2, 3])
     @pytest.mark.parametrize("blocks", BLOCKS)
@@ -447,9 +462,9 @@ class TestReducedStates:
             np.multiply(alpha[start:stop], 0.5, out=out)
 
         for bath, side in ((False, d_s), (True, 5)):
-            stacked = reduced_states(cs, h, space, phases, n, keep, bath=bath)
+            stacked = reduced_states(cs, h, space, phases, n, states_of(space, bath))
             assert stacked.shape == (3, n, side, side)
-            singles = [reduced_states(c, h, space, phases, n, keep, bath=bath) for c in cs]
+            singles = [reduced_states(c, h, space, phases, n, states_of(space, bath)) for c in cs]
             assert np.array_equal(stacked, np.array(singles))
 
     @pytest.mark.parametrize(
@@ -462,29 +477,35 @@ class TestReducedStates:
 
     def test_memory_is_one_block(self, dft_1024):
         # One 64-row block's arena (three float and two complex planes of
-        # 64 × 1024, 3.5 MiB), its (2000, 2, 2) chunk of states (125 KiB) and
-        # the (n,) purities, against 31 MiB for the n × d amplitude stack alone.
+        # 64 × 1024, 3 670 016 B), `per_state`'s chunk of 4096 states of 2 × 2
+        # (256 KiB) and the (n,) purities (16 000 B), against 31 MiB for the
+        # n × d amplitude stack alone. The rest is numpy's iterator buffer for
+        # one broadcast ufunc call at a time (8192 elements, ~132 kB).
         h = dft_1024
         space = BipartiteSpace(2, 512)
         rng = np.random.default_rng(151)
         c = energy_coefficients(haar_random_state(Subspace.full(h.dim), rng), h)
         times = sample_times(default_t_max(h), 2000, rng)
+        arena, chunk = block_rows(h.dim) * h.dim * (3 * 8 + 2 * 16), 4096 * 4 * 16
         tracemalloc.start()
         try:
-            reduced_states_at_times(c, h, space, times, purity)
+            purities = reduced_states_at_times(
+                c, h, space, times, per_state(reduce_to_system, purity, space)
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20, peak
+        assert (arena, purities.nbytes) == (3_670_016, 16_000)
+        assert peak <= arena + chunk + purities.nbytes + (160 << 10), peak
 
     @pytest.mark.parametrize("m, n", [(1, 2000), (4, 500)], ids=["thm4", "counterexample"])
     def test_memory_is_one_arena_and_the_output(self, m, n):
         # d = 64, as in thm4 and the diagonal counterexample at d_B = 32:
         # 256-row blocks. The arena holds two complex planes (factors,
         # amplitudes) and three float ones, in which each vector is scaled:
-        # 917 504 B for one vector or four, and one chunk of 2 × 2 states per
-        # vector, m·n·64 = 128 000 B in both cases. The (m, n) populations
-        # are 16 000 B. The rest is numpy's iterator buffer for one broadcast
+        # 917 504 B for one vector or four. The populations are read from the
+        # amplitude blocks, so no state is formed; the (m, n) populations are
+        # 16 000 B. The rest is numpy's iterator buffer for one broadcast
         # ufunc call at a time (8192 elements, ~132 kB).
         rng = np.random.default_rng(160 + m)
         space = BipartiteSpace(2, 32)
@@ -494,36 +515,40 @@ class TestReducedStates:
         ])
         times = sample_times(default_t_max(h), n, rng)
         rows = block_rows(space.d)
-        arena = rows * space.d * (3 * 8 + 2 * 16) + m * n * 4 * 16
+        arena = rows * space.d * (3 * 8 + 2 * 16)
         tracemalloc.start()
         try:
             pops = reduced_states_at_times(
-                cs[0] if m == 1 else cs, h, space, times, lambda r: r[:, 0, 0].real
+                cs[0] if m == 1 else cs, h, space, times, lambda a: np.vecdot(a[:, 0], a[:, 0]).real
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (rows, arena, pops.nbytes) == (256, 1_045_504, 16_000)
+        assert (rows, arena, pops.nbytes) == (256, 917_504, 16_000)
         assert peak <= arena + pops.nbytes + (160 << 10), peak
 
     def test_bath_memory_is_one_arena_one_chunk_and_the_output(self):
         # theorem1_check's bath trajectory at (2, 32): 200 rows, one block of
-        # 200 × 64 (716 800 B of arena), and chunks of 16 ρ_B of 32 × 32,
-        # 16 384 entries (256 KiB), against 3.3 MB for the (200, 32, 32) stack.
+        # 200 × 64 (716 800 B of arena), and `per_state`'s chunk of 16 ρ_B of
+        # 32 × 32, 16 384 entries (256 KiB), against 3.3 MB for the
+        # (200, 32, 32) stack. The block's 200 values (1600 B) are copied out
+        # once more; the rest is numpy's iterator buffer (~132 kB).
         rng = np.random.default_rng(165)
         space, n = BipartiteSpace(2, 32), 200
         h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
         c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
         phases = time_phases(sample_times(default_t_max(h), n, rng), h)
-        arena = n * space.d * (3 * 8 + 2 * 16) + (256 << 10)
+        arena, chunk = n * space.d * (3 * 8 + 2 * 16), 256 << 10
         tracemalloc.start()
         try:
-            d_eff = reduced_states(c, h, space, phases, n, effective_dimension, bath=True)
+            d_eff = reduced_states(
+                c, h, space, phases, n, per_state(reduce_to_bath, effective_dimension, space)
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (arena, d_eff.nbytes) == (978_944, 1600)
-        assert peak <= arena + d_eff.nbytes + (160 << 10), peak
+        assert (arena, chunk, d_eff.nbytes) == (716_800, 262_144, 1600)
+        assert peak <= arena + chunk + 2 * d_eff.nbytes + (160 << 10), peak
 
     def test_system_heavy_trajectory_memory(self):
         # (d_S, d_B) = (64, 4): chunks of four 64 × 64 states and their trace
@@ -546,10 +571,9 @@ class TestReducedStates:
     @pytest.mark.parametrize("coefficients", ["vector", "stack"])
     @pytest.mark.parametrize("bath", [False, True], ids=["system", "bath"])
     def test_values_do_not_depend_on_the_chunks(self, monkeypatch, coefficients, bath):
-        # At (3, 24), d = 72 and blocks are 227 rows. ρ_S chunks hold 1820
-        # rows: eight whole blocks and part of the ninth. ρ_B chunks hold 28
-        # rows, part of one block. n = 2 chunks + 7 rows spans three chunks;
-        # a one-chunk run, with the blocks kept, must give the same bits.
+        # `per_state` at (3, 24), d = 72: ρ_S chunks hold 1820 rows and ρ_B
+        # chunks 28. In one block of n = 2 chunks + 7 rows, which spans three
+        # chunks, a one-chunk run of the same block must give the same bits.
         rng = np.random.default_rng(167)
         space = BipartiteSpace(3, 24)
         h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
@@ -557,9 +581,9 @@ class TestReducedStates:
             energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h) for _ in range(3)
         ])
         c = cs[0] if coefficients == "vector" else cs
-        side = space.d_B if bath else space.d_S
+        side, reduce = (space.d_B, reduce_to_bath) if bath else (space.d_S, reduce_to_system)
         chunk = dynamics.BLOCK_AMPLITUDES // side**2
-        assert (block_rows(space.d), chunk) == (227, 28 if bath else 1820)
+        assert chunk == (28 if bath else 1820)
         n = 2 * chunk + 7
         phases = time_phases(sample_times(default_t_max(h), n, rng), h)
         calls = []
@@ -568,17 +592,20 @@ class TestReducedStates:
             calls.append(len(rhos))
             return trace_distance(rhos, np.eye(side) / side)
 
-        chunked = reduced_states(c, h, space, phases, n, distances, bath=bath)
+        monkeypatch.setattr(dynamics, "block_rows", lambda d: n)
+        chunked = reduced_states(c, h, space, phases, n, per_state(reduce, distances, space))
         m = len(c) if c.ndim == 2 else 1
-        assert sorted(calls) == [7] * m + [chunk] * 2 * m
-        monkeypatch.setattr(dynamics, "block_rows", lambda d, rows=block_rows(space.d): rows)
+        assert calls == [chunk, chunk, 7] * m
         monkeypatch.setattr(dynamics, "BLOCK_AMPLITUDES", n * side**2)
-        one_chunk = reduced_states(c, h, space, phases, n, distances, bath=bath)
+        one_chunk = reduced_states(c, h, space, phases, n, per_state(reduce, distances, space))
+        assert calls[3 * m :] == [n] * m
         assert chunked.shape == one_chunk.shape == (*c.shape[:-1], n)
         assert np.array_equal(chunked, one_chunk)
 
     def test_small_states_reach_the_reducer_once(self, instance):
-        # 2 × 2 states of a 2000-row trajectory fit one chunk of 4096 rows.
+        # 2 × 2 states fit chunks of 4096 rows, so each block of a 2000-row
+        # trajectory at (2, 8), 1024 rows, reaches `per_state`'s function in
+        # one call, and the reducer is called once per block.
         space, h, psi = instance
         calls = []
 
@@ -587,8 +614,9 @@ class TestReducedStates:
             return rhos
 
         times = sample_times(default_t_max(h), 2000, np.random.default_rng(168))
-        reduced_states_at_times(energy_coefficients(psi, h), h, space, times, recording)
-        assert calls == [2000]
+        reducer = per_state(reduce_to_system, recording, space)
+        reduced_states_at_times(energy_coefficients(psi, h), h, space, times, reducer)
+        assert calls == [1024, 976]
 
     def test_rejects_no_rows(self, instance):
         space, h, psi = instance
@@ -620,8 +648,12 @@ class TestReducedStates:
         c = energy_coefficients(h.eigenbasis[:, 3] if state == "eigenstate" else psi, h)
         times = sample_times(default_t_max(h), 50, np.random.default_rng(109))
         phases = time_phases(times, h)
-        spec_s = reduced_states(c, h, space, phases, len(times), np.linalg.eigvalsh)
-        spec_b = reduced_states(c, h, space, phases, len(times), np.linalg.eigvalsh, bath=True)
+        spec_s = reduced_states(
+            c, h, space, phases, len(times), per_state(reduce_to_system, np.linalg.eigvalsh, space)
+        )
+        spec_b = reduced_states(
+            c, h, space, phases, len(times), per_state(reduce_to_bath, np.linalg.eigvalsh, space)
+        )
         assert np.max(np.abs(spec_b[:, -space.d_S:] - spec_s)) <= 1e-12
         assert np.max(np.abs(spec_b[:, :-space.d_S])) <= 1e-12
 
@@ -630,6 +662,64 @@ class TestReducedStates:
         assert block_rows(16) == 1024
         assert block_rows(64) == 256
         assert block_rows(256) == block_rows(1024) == 64
+
+
+class TestAmplitudeReducers:
+    """Reducers that read the amplitude blocks, against the states they stand for."""
+
+    @pytest.mark.parametrize("d_b", [1, 3, 8, 32])
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_equal_the_reduced_states_bit_for_bit(self, d_b, m, blocks):
+        # The d_S = 2 distance and the populations of every block, from the
+        # amplitudes, against `trace_distance` of the same blocks' ρ_S and
+        # their diagonals.
+        rng = np.random.default_rng(180 + 10 * d_b + m)
+        space = BipartiteSpace(2, d_b)
+        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+        cs = np.array([
+            energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h) for _ in range(m)
+        ])
+        c, n = cs[0] if m == 1 else cs, block_case(blocks, space.d)
+        phases = time_phases(sample_times(default_t_max(h), n, rng), h)
+        omega_s = dephased_system(cs[0], h, space)
+        amps = reduced_states(c, h, space, phases, n, keep)
+        rhos = reduce_to_system(amps.reshape(-1, space.d), space)
+        distances = reduced_states(c, h, space, phases, n, qubit_distances_to(omega_s))
+        pops = reduced_states(c, h, space, phases, n, lambda a: np.vecdot(a, a).real)
+        assert distances.shape == (*c.shape[:-1], n) and pops.shape == (*c.shape[:-1], n, 2)
+        assert np.array_equal(distances.reshape(-1), trace_distance(rhos, omega_s))
+        assert np.array_equal(pops.reshape(-1, 2), np.diagonal(rhos, 0, 1, 2).real)
+
+    def test_nonfinite_entries_raise(self, instance):
+        space, h, psi = instance
+        c = energy_coefficients(psi, h)
+        omega_s = dephased_system(c, h, space)
+        rng = np.random.default_rng(185)
+        with pytest.raises(ValueError, match="non-finite"):
+            time_distances(c, h, space, np.where(np.eye(2), np.nan, omega_s), 10.0, 8, rng)
+        c[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            time_distances(c, h, space, omega_s, 10.0, 8, rng)
+
+    def test_non_hermitian_reference_raises_and_is_checked_once(self, instance, monkeypatch):
+        space, h, psi = instance
+        c = energy_coefficients(psi, h)
+        rng = np.random.default_rng(186)
+        skew = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=np.complex128)
+        with pytest.raises(NotHermitianError):
+            time_distances(c, h, space, skew, 10.0, 8, rng)
+        checks = []
+        is_hermitian = states.is_hermitian
+
+        def counting(a):
+            checks.append(a.shape)
+            return is_hermitian(a)
+
+        monkeypatch.setattr(states, "is_hermitian", counting)
+        n = 2 * block_rows(space.d) + 7
+        distances = time_distances(c, h, space, dephased_system(c, h, space), 10.0, n, rng)
+        assert distances.shape == (n,) and checks == [(2, 2)]
 
 
 def test_default_t_max(instance):

@@ -23,7 +23,6 @@ from eqlab.dynamics import (
     reduce_to_system,
     reduced_states_at_times,
     sample_times,
-    torus_state,
 )
 from eqlab.errors import DimensionMismatchError
 from eqlab.hamiltonians import (
@@ -63,7 +62,7 @@ from eqlab.verifiers import (
     torus_distances,
     _ks_statistic,
 )
-from oracles import SHAPES, DenseSubspace, random_subspace, shape_id
+from oracles import SHAPES, DenseSubspace, random_subspace, shape_id, torus_state
 
 
 def thm2_sweep(subspace, h, trials, rng):
@@ -492,8 +491,8 @@ class TestTorusDistances:
 
     def test_memory_is_a_fraction_of_the_unblocked_stack(self):
         # d = 512, n = 2000: the unblocked stack and its temporaries peak at
-        # ~66 MB under tracemalloc, the blocked kernel at ~3 MB (one block,
-        # the (n, 2, 2) output and the distances).
+        # ~66 MB under tracemalloc, the blocked kernel at ~3 MB (one block's
+        # arena and the distances, read from the amplitudes).
         rng = np.random.default_rng(215)
         space, n = BipartiteSpace(2, 256), 2000
         energies = np.sort(rng.uniform(0.0, 1.0, space.d))
@@ -634,7 +633,8 @@ def per_state_diagonal_counterexample(space, rng, n_times):
     drifts, omegas = [], []
     for psi_s in psis:
         c = energy_coefficients(product_state(psi_s, phi_b, space), h)
-        rhos = reduced_states_at_times(c, h, space, times, lambda r: r)
+        reducer = dynamics.per_state(reduce_to_system, lambda r: r, space)
+        rhos = reduced_states_at_times(c, h, space, times, reducer)
         pops = np.real(np.diagonal(rhos, axis1=1, axis2=2))
         drifts.append(float(np.max(np.abs(pops - np.abs(psi_s) ** 2))))
         omegas.append(dephased_system(c, h, space))
