@@ -1,21 +1,17 @@
 """Time evolution in the energy eigenbasis and time-average machinery.
 
 Evolution is exact: Ψ(α) = Σ_k e^{iα_k} c_k |E_k⟩, with α = −E t for time
-evolution. `reduced_states` is the one amplitude path. In row blocks of
-`block_rows(d)` it forms e^{iα} from tan(α/2) by the half-angle identity
-(`_phase_factors`, which numpy vectorises, unlike an elementwise complex
-exp), once for every coefficient vector that samples the phases, scales the
-factors by c, maps them back with one matrix product against the basis and
-hands each block's (k, d_S, d_B) amplitudes to a per-row reducer. Its phase
-sources (`time_phases`, the torus draw of `eqlab.verifiers`) write α/2 into
-a work arena allocated once per call. `per_state` makes a reducer of a
-function of ρ_S (one broadcast `np.vecdot` over the bath index) or ρ_B (one
-batched matrix product over the system index), formed in chunks of at most
-`BLOCK_AMPLITUDES` entries, so no n × d or n × side × side stack is held.
+evolution. `reduced_states` is the one amplitude path: in row blocks of
+`block_rows(d)` it forms e^{iα} from tan(α/2) (`_phase_factors`, which numpy
+vectorises, unlike a complex exp) once for all coefficient vectors, scales
+the factors by each c, maps them back with one matrix product against the
+basis and hands the (k, d_S, d_B) amplitudes to a reducer. Its phase sources
+(`time_phases`, the torus draw of `eqlab.verifiers`) write α/2 into a work
+arena allocated once per call. `per_state` makes a reducer of a function of
+ρ_S or ρ_B, formed in chunks of at most `BLOCK_AMPLITUDES` entries.
 The infinite-time average is exact through its marginals (`dephased_system`,
-`dephased_bath`), each computed only where it is read; the d×d dephased
-state ω is never formed. Sample times (`sample_times`) serve only the
-fluctuation statistics of `eqlab.verifiers`.
+`dephased_bath`); the d×d dephased state ω is never formed. Sample times
+(`sample_times`) serve only the fluctuation statistics of `eqlab.verifiers`.
 
 Every function of an initial state takes its energy coefficients
 c_k = ⟨E_k|ψ₀⟩ (`energy_coefficients`), not ψ₀, so a caller computes them once.
@@ -36,10 +32,9 @@ from .states import as_state
 DEFAULT_T_MAX_FACTOR = 1e3
 # `reduced_states` works in blocks of 16384 amplitudes (256 KiB of complex128),
 # never fewer than 64 rows, all planes from one arena per call (planes allocated
-# on their own are faulted in again on every call); a `per_state` reducer holds
-# one chunk of as many entries (one state if a state is larger). Neither holds
-# the n × d amplitude stack (131 MB at n = 2000, d = 4096) nor the n × side²
-# state stack (8.4 GB at n = 2000, d_S = 512).
+# on their own are faulted in again on every call); `per_state` forms states in
+# chunks of as many entries (one state if larger). Neither holds the n × d stack
+# (131 MB at n = 2000, d = 4096) nor the n × side² stack (8.4 GB at d_S = 512).
 BLOCK_AMPLITUDES = 16384
 MIN_BLOCK_ROWS = 64
 Reducer = Callable[[np.ndarray], np.ndarray]  # a (k, d_S, d_B) amplitude block to (k, …) values
@@ -169,15 +164,15 @@ def reduced_states(
     vectors, which all sample the same phases, each block's e^{iα} formed once.
 
     ``reducer`` maps a block's amplitudes, a (k, d_S, d_B) view with
-    a[j, s, b] = ⟨s b|Ψ(α_j)⟩, to a (k, …) array, each value from its own row
-    (`per_state` makes one of a function of ρ_S or ρ_B). It is called once per
-    block and vector, in row order, and its result is copied out, so it may
-    return a view. ``phases(start, stop, out)`` writes the half-angles α/2 of
-    rows start … stop−1 into the (stop − start, d) float array ``out``, once
-    per block in row order, so a generator drawn block by block gives the
-    same rows as one (n, d) draw. One arena per call holds the complex factors
-    and amplitudes and the three float planes of `_phase_factors`, whose t and
-    t² planes, free once the factors are formed, take each vector's scaled factors.
+    a[j, s, b] = ⟨s b|Ψ(α_j)⟩, to (k, …) values, one per row (`per_state` makes
+    one of a function of ρ_S or ρ_B); it is called once per block and vector, in
+    row order, and its result is copied out, so it may return a view.
+    ``phases(start, stop, out)`` writes the half-angles α/2 of rows start …
+    stop−1 into the (stop − start, d) float array ``out``, block by block in row
+    order, so a generator gives the same rows as one (n, d) draw. One arena per
+    call holds the complex factors and amplitudes and the three float planes of
+    `_phase_factors`, whose t and t² planes, free once the factors are formed,
+    take each vector's scaled factors.
     """
     cs = np.asarray(c, dtype=np.complex128)
     if cs.ndim not in (1, 2) or cs.size == 0 or cs.shape[-1] != h.dim or h.dim != space.d:
@@ -209,20 +204,25 @@ def reduced_states(
     return values.reshape(*cs.shape[:-1], *values.shape[1:])
 
 
-def per_state(reduce, fn: Callable[[np.ndarray], np.ndarray], space: BipartiteSpace) -> Reducer:
-    """The `Reducer` of ``fn``, which maps a (k, side, side) stack of states to
-    (k, …) values, each from its own state, applied to the ρ_S or ρ_B that
-    ``reduce`` (`reduce_to_system` or `reduce_to_bath`) forms of each block in
-    chunks of max(1, BLOCK_AMPLITUDES // side²) rows. The chunks share one
-    buffer and ``fn``'s values are copied out, so it may return a view; the
-    chunks change no value."""
-    side = space.d_B if reduce is reduce_to_bath else space.d_S
+def per_state(fn: Callable, space: BipartiteSpace, bath: bool = False) -> Reducer:
+    """The `Reducer` of ``fn``, a map of (k, side, side) states to (k, …) values,
+    one per state, applied to each block's ρ_S (ρ_B with ``bath``) in chunks of
+    max(1, BLOCK_AMPLITUDES // side²) rows that share one buffer and change no
+    value; ``fn``'s values are copied into the block's output, so it may return a view."""
+    reduce, side = (reduce_to_bath, space.d_B) if bath else (reduce_to_system, space.d_S)
     chunk = max(1, BLOCK_AMPLITUDES // side**2)
     states = np.empty((chunk, side, side), np.complex128)
-    return lambda a: np.concatenate([
-        fn(reduce(a[lo : lo + chunk], space, out=states[: len(a) - lo])).copy()
-        for lo in range(0, len(a), chunk)
-    ])
+
+    def reducer(a: np.ndarray) -> np.ndarray:
+        values = None
+        for lo in range(0, len(a), chunk):
+            value = fn(reduce(a[lo : lo + chunk], space, out=states[: len(a) - lo]))
+            if values is None:
+                values = np.empty((len(a), *value.shape[1:]), value.dtype)
+            values[lo : lo + len(value)] = value
+        return values
+
+    return reducer
 
 
 def time_phases(

@@ -60,7 +60,7 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     """Every entry of a − a† (for every matrix of a stack) is within tol."""
-    return bool(np.all(np.abs(a - dagger(a)) <= tol))
+    return bool((np.abs(a - dagger(a)) <= tol).all())
 
 
 @dataclass(frozen=True)

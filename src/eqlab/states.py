@@ -95,7 +95,7 @@ def _as_stack(rho) -> np.ndarray:
     a = np.asarray(rho, dtype=np.complex128)
     if a.ndim < 2 or 0 in a.shape[-2:]:
         raise DimensionMismatchError(f"expected nonempty matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("density matrices contain non-finite entries")
     return a
 
@@ -128,9 +128,9 @@ def _qubit_trace_distance(d00, d11, d01) -> np.ndarray:
 
 def qubit_distances_to(omega):
     """D(ρ_S, ω) of each row of a (k, 2, d_B) amplitude block a, from ρ_S's
-    populations Σ_b |a_sb|² and ρ₀₁ = Σ_b a_0b a*_1b alone: bit-equal to
-    `trace_distance` against an exactly Hermitian ω, with its checks (of ω
-    once; each block's entries must be finite)."""
+    populations Σ_b |a_sb|² and ρ₀₁ = Σ_b a_0b a*_1b: bit-equal to
+    `trace_distance` against an exactly Hermitian ω, with its checks (of ω once;
+    any non-finite entry of a block makes its distances, checked, non-finite)."""
     w = _as_stack(omega)
     if w.shape != (2, 2):
         raise DimensionMismatchError(f"expected a 2×2 reference state, got shape {w.shape}")
@@ -140,9 +140,10 @@ def qubit_distances_to(omega):
 
     def distances(a: np.ndarray) -> np.ndarray:
         pops, rho01 = np.vecdot(a, a).real, np.vecdot(a[:, 1], a[:, 0])
-        if not (np.all(np.isfinite(pops)) and np.all(np.isfinite(rho01))):
+        d = _qubit_trace_distance(pops[:, 0] - w00, pops[:, 1] - w11, rho01 - w01)
+        if not np.isfinite(d).all():
             raise ValueError("density matrices contain non-finite entries")
-        return _qubit_trace_distance(pops[:, 0] - w00, pops[:, 1] - w11, rho01 - w01)
+        return d
 
     return distances
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from .bipartite import BipartiteSpace, swap_operator
 from .dynamics import (
-    Reducer,
     block_rows,
     default_t_max,
     dephased_bath,
@@ -140,11 +139,11 @@ def d_eff_of_time_average(c) -> float:
     return float(1.0 / np.sum(np.abs(c) ** 4))
 
 
-def _distances_to(omega_s: np.ndarray, space: BipartiteSpace) -> Reducer:
+def _distances_to(omega_s: np.ndarray, space: BipartiteSpace):
     """D(ρ_S, ω_S) per amplitude row, at d_S = 2 from the amplitudes themselves."""
     if space.d_S == 2:
         return qubit_distances_to(omega_s)
-    return per_state(reduce_to_system, lambda rhos: trace_distance(rhos, omega_s), space)
+    return per_state(lambda rhos: trace_distance(rhos, omega_s), space)
 
 
 def time_distances(
@@ -193,7 +192,7 @@ def theorem1_check(
     distances = time_distances(c, h, space, omega_s, t_max, n_samples, rng)
     mean = math.fsum(distances) / n_samples
     phases = time_phases(sample_times(t_max, BATH_SAMPLES, rng), h)
-    bath_deff = per_state(reduce_to_bath, effective_dimension, space)
+    bath_deff = per_state(effective_dimension, space, bath=True)
     d_eff_bath = reduced_states(c, h, space, phases, BATH_SAMPLES, bath_deff)
     checks = {
         "mean_distance_bath_bound": BoundCheck.upper(

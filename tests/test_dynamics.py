@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eqlab import dynamics, states
+from eqlab import dynamics, states, verifiers
 from eqlab.bipartite import BipartiteSpace
 from eqlab.dynamics import (
     block_rows,
@@ -49,13 +49,13 @@ from oracles import (
 
 def keep(values):
     """The identity reducer: `reduced_states` then returns the amplitudes
-    themselves, and `per_state(…, keep, …)` the states."""
+    themselves, and `per_state(keep, …)` the states."""
     return values
 
 
 def states_of(space, bath=False):
     """The reducer whose values are the ρ_S, or ρ_B, states themselves."""
-    return per_state(reduce_to_bath if bath else reduce_to_system, keep, space)
+    return per_state(keep, space, bath)
 
 
 @pytest.fixture(scope="module")
@@ -490,7 +490,7 @@ class TestReducedStates:
         tracemalloc.start()
         try:
             purities = reduced_states_at_times(
-                c, h, space, times, per_state(reduce_to_system, purity, space)
+                c, h, space, times, per_state(purity, space)
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -531,8 +531,9 @@ class TestReducedStates:
         # theorem1_check's bath trajectory at (2, 32): 200 rows, one block of
         # 200 × 64 (716 800 B of arena), and `per_state`'s chunk of 16 ρ_B of
         # 32 × 32, 16 384 entries (256 KiB), against 3.3 MB for the
-        # (200, 32, 32) stack. The block's 200 values (1600 B) are copied out
-        # once more; the rest is numpy's iterator buffer (~132 kB).
+        # (200, 32, 32) stack. Each chunk's values go straight into the block's
+        # (200,) output (1600 B), which the kernel copies into its own; the
+        # rest is numpy's iterator buffer (~132 kB). The peak reads 1 112 848 B.
         rng = np.random.default_rng(165)
         space, n = BipartiteSpace(2, 32), 200
         h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
@@ -542,7 +543,7 @@ class TestReducedStates:
         tracemalloc.start()
         try:
             d_eff = reduced_states(
-                c, h, space, phases, n, per_state(reduce_to_bath, effective_dimension, space)
+                c, h, space, phases, n, per_state(effective_dimension, space, bath=True)
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -581,7 +582,7 @@ class TestReducedStates:
             energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h) for _ in range(3)
         ])
         c = cs[0] if coefficients == "vector" else cs
-        side, reduce = (space.d_B, reduce_to_bath) if bath else (space.d_S, reduce_to_system)
+        side = space.d_B if bath else space.d_S
         chunk = dynamics.BLOCK_AMPLITUDES // side**2
         assert chunk == (28 if bath else 1820)
         n = 2 * chunk + 7
@@ -593,16 +594,16 @@ class TestReducedStates:
             return trace_distance(rhos, np.eye(side) / side)
 
         monkeypatch.setattr(dynamics, "block_rows", lambda d: n)
-        chunked = reduced_states(c, h, space, phases, n, per_state(reduce, distances, space))
+        chunked = reduced_states(c, h, space, phases, n, per_state(distances, space, bath))
         m = len(c) if c.ndim == 2 else 1
         assert calls == [chunk, chunk, 7] * m
         monkeypatch.setattr(dynamics, "BLOCK_AMPLITUDES", n * side**2)
-        one_chunk = reduced_states(c, h, space, phases, n, per_state(reduce, distances, space))
+        one_chunk = reduced_states(c, h, space, phases, n, per_state(distances, space, bath))
         assert calls[3 * m :] == [n] * m
         assert chunked.shape == one_chunk.shape == (*c.shape[:-1], n)
         assert np.array_equal(chunked, one_chunk)
 
-    def test_small_states_reach_the_reducer_once(self, instance):
+    def test_small_states_reach_the_function_once_per_block(self, instance):
         # 2 × 2 states fit chunks of 4096 rows, so each block of a 2000-row
         # trajectory at (2, 8), 1024 rows, reaches `per_state`'s function in
         # one call, and the reducer is called once per block.
@@ -614,7 +615,7 @@ class TestReducedStates:
             return rhos
 
         times = sample_times(default_t_max(h), 2000, np.random.default_rng(168))
-        reducer = per_state(reduce_to_system, recording, space)
+        reducer = per_state(recording, space)
         reduced_states_at_times(energy_coefficients(psi, h), h, space, times, reducer)
         assert calls == [1024, 976]
 
@@ -649,10 +650,10 @@ class TestReducedStates:
         times = sample_times(default_t_max(h), 50, np.random.default_rng(109))
         phases = time_phases(times, h)
         spec_s = reduced_states(
-            c, h, space, phases, len(times), per_state(reduce_to_system, np.linalg.eigvalsh, space)
+            c, h, space, phases, len(times), per_state(np.linalg.eigvalsh, space)
         )
         spec_b = reduced_states(
-            c, h, space, phases, len(times), per_state(reduce_to_bath, np.linalg.eigvalsh, space)
+            c, h, space, phases, len(times), per_state(np.linalg.eigvalsh, space, bath=True)
         )
         assert np.max(np.abs(spec_b[:, -space.d_S:] - spec_s)) <= 1e-12
         assert np.max(np.abs(spec_b[:, :-space.d_S])) <= 1e-12
@@ -720,6 +721,30 @@ class TestAmplitudeReducers:
         n = 2 * block_rows(space.d) + 7
         distances = time_distances(c, h, space, dephased_system(c, h, space), 10.0, n, rng)
         assert distances.shape == (n,) and checks == [(2, 2)]
+
+    def test_thm4_trajectories_reach_the_distances_once_per_block(self, monkeypatch):
+        # theorem4_check at (2, 32), as in thm4: three 2000-row trajectories
+        # of 256-row blocks each reach the amplitude distances once per
+        # block, with the whole block, and never per chunk or per row.
+        rng = np.random.default_rng(187)
+        space = BipartiteSpace(2, 32)
+        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+        c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
+        rows = []
+        distances_to = verifiers.qubit_distances_to
+
+        def recording(omega):
+            distances = distances_to(omega)
+
+            def recorded(a):
+                rows.append(len(a))
+                return distances(a)
+
+            return recorded
+
+        monkeypatch.setattr(verifiers, "qubit_distances_to", recording)
+        theorem4_check(c, h, space, 0.2, n_samples=2000, rng=rng)
+        assert rows == ([256] * 7 + [208]) * 3
 
 
 def test_default_t_max(instance):

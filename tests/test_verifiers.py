@@ -633,7 +633,7 @@ def per_state_diagonal_counterexample(space, rng, n_times):
     drifts, omegas = [], []
     for psi_s in psis:
         c = energy_coefficients(product_state(psi_s, phi_b, space), h)
-        reducer = dynamics.per_state(reduce_to_system, lambda r: r, space)
+        reducer = dynamics.per_state(lambda r: r, space)
         rhos = reduced_states_at_times(c, h, space, times, reducer)
         pops = np.real(np.diagonal(rhos, axis1=1, axis2=2))
         drifts.append(float(np.max(np.abs(pops - np.abs(psi_s) ** 2))))
