@@ -121,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigInvalidError, DimensionOverflowError) as exc:
+    except (ConfigInvalidError, DimensionOverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EqlabError as exc:

@@ -6,9 +6,9 @@ evolution. `reduced_states` is the one amplitude path: in row blocks of
 vectorises, unlike a complex exp) once for all coefficient vectors, scales
 the factors by each c, maps them back with one matrix product against the
 basis and hands the (k, d_S, d_B) amplitudes to a reducer. Its phase sources
-(`time_phases`, the torus draw of `eqlab.verifiers`) write α/2 into a work
-arena allocated once per call. `per_state` makes a reducer of a function of
-ρ_S or ρ_B, formed in chunks of at most `BLOCK_AMPLITUDES` entries.
+(`time_phases`, `torus_phases`) write α/2 into a work arena allocated once
+per call. `per_state` makes a reducer of a function of ρ_S or ρ_B, formed in
+chunks of at most `BLOCK_AMPLITUDES` entries.
 The infinite-time average is exact through its marginals (`dephased_system`,
 `dephased_bath`); the d×d dephased state ω is never formed. Sample times
 (`sample_times`) serve only the fluctuation statistics of `eqlab.verifiers`.
@@ -232,6 +232,13 @@ def time_phases(
     bit-equal to (−E t_j)·0.5, since halving E and the product are exact."""
     minus_half_e = -0.5 * h.energies
     return lambda start, stop, out: np.multiply.outer(times[start:stop], minus_half_e, out=out)
+
+
+def torus_phases(rng: np.random.Generator) -> Callable[[int, int, np.ndarray], object]:
+    """Half-angles α/2 of uniform independent phase vectors, for `reduced_states`:
+    π·U[0, 1), bit-equal to ``rng.uniform(0, 2π) * 0.5``, which is 2π·U[0, 1)
+    halved; drawn block by block, they are the rows of one (n, d) draw."""
+    return lambda start, stop, out: np.multiply(rng.random(out=out), np.pi, out=out)
 
 
 def reduced_states_at_times(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigInvalidError,
     DimensionMismatchError,
     DimensionOverflowError,
     NoConvergenceError,
@@ -25,8 +26,17 @@ HERMITICITY_TOL = 1e-12
 
 
 def max_dimension() -> int:
-    """Configured cap on total matrix dimension (env EQLAB_MAX_DIM)."""
-    return int(os.environ.get("EQLAB_MAX_DIM", DEFAULT_MAX_DIM))
+    """Configured cap on total matrix dimension (env EQLAB_MAX_DIM, an integer >= 1)."""
+    raw = os.environ.get("EQLAB_MAX_DIM")
+    if raw is None:
+        return DEFAULT_MAX_DIM
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigInvalidError(f"EQLAB_MAX_DIM: must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def check_dimension(dim: int) -> None:

@@ -192,6 +192,10 @@ class ExperimentConfig:
             raise ConfigInvalidError(
                 f"master_seed: must be an integer in [0, 2^64), got {self.master_seed!r}"
             )
+        if not isinstance(self.output_path, str) or not self.output_path:
+            raise ConfigInvalidError(
+                f"output_path: must be a nonempty string, got {self.output_path!r}"
+            )
 
     def canonical_json(self) -> str:
         """The config as sorted-key JSON that from_dict() reads back."""

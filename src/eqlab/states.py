@@ -127,10 +127,10 @@ def _qubit_trace_distance(d00, d11, d01) -> np.ndarray:
 
 
 def qubit_distances_to(omega):
-    """D(ρ_S, ω) of each row of a (k, 2, d_B) amplitude block a, from ρ_S's
-    populations Σ_b |a_sb|² and ρ₀₁ = Σ_b a_0b a*_1b: bit-equal to
-    `trace_distance` against an exactly Hermitian ω, with its checks (of ω once;
-    any non-finite entry of a block makes its distances, checked, non-finite)."""
+    """D(ρ_S, ω) of each row of a (k, 2, d_B) amplitude block a, in the closed
+    form `_qubit_trace_distance` of ρ_S's populations Σ_b |a_sb|² and
+    ρ₀₁ = Σ_b a_0b a*_1b, with `trace_distance`'s checks (of ω once; any
+    non-finite entry of a block makes its distances, checked, non-finite)."""
     w = _as_stack(omega)
     if w.shape != (2, 2):
         raise DimensionMismatchError(f"expected a 2×2 reference state, got shape {w.shape}")
@@ -153,10 +153,9 @@ def trace_distance(rho1, rho2):
 
     Each argument is a d×d matrix or a (..., d, d) stack of them, and the
     stacks broadcast against each other, so a stack of states is compared
-    with one reference state in one call. 2×2 differences use the exact
-    closed form max(|m|, r) of `_qubit_trace_distance`; other sizes go to
-    one batched ``eigvalsh`` call. Two matrices give a float; otherwise the
-    result is an array of the broadcast stack shape.
+    with one reference state in one batched ``eigvalsh`` call, at every size.
+    Two matrices give a float; otherwise the result is an array of the
+    broadcast stack shape.
     """
     a, b = _as_stack(rho1), _as_stack(rho2)
     if a.shape[-2:] != b.shape[-2:] or a.shape[-1] != a.shape[-2]:
@@ -167,9 +166,5 @@ def trace_distance(rho1, rho2):
         raise DimensionMismatchError(f"stacks {a.shape} and {b.shape} do not broadcast") from exc
     if not is_hermitian(diff):
         raise NotHermitianError(f"difference is not Hermitian within {HERMITICITY_TOL}")
-    if diff.shape[-1] == 2:
-        off = (diff[..., 0, 1] + diff[..., 1, 0].conj()) / 2
-        distances = _qubit_trace_distance(diff[..., 0, 0].real, diff[..., 1, 1].real, off)
-    else:
-        distances = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(hermitize(diff))), axis=-1)
+    distances = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(hermitize(diff))), axis=-1)
     return float(distances) if distances.ndim == 0 else distances

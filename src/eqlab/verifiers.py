@@ -37,7 +37,7 @@ from .dynamics import (
     reduced_states_at_times,
     require_nondegenerate,
     sample_times,
-    time_phases,
+    torus_phases,
 )
 from .errors import DimensionMismatchError
 from .hamiltonians import SpectralHamiltonian, diagonal_product_hamiltonian, spin_bath_hamiltonian
@@ -191,9 +191,9 @@ def theorem1_check(
     omega_s = dephased_system(c, h, space)
     distances = time_distances(c, h, space, omega_s, t_max, n_samples, rng)
     mean = math.fsum(distances) / n_samples
-    phases = time_phases(sample_times(t_max, BATH_SAMPLES, rng), h)
+    bath_times = sample_times(t_max, BATH_SAMPLES, rng)
     bath_deff = per_state(effective_dimension, space, bath=True)
-    d_eff_bath = reduced_states(c, h, space, phases, BATH_SAMPLES, bath_deff)
+    d_eff_bath = reduced_states_at_times(c, h, space, bath_times, bath_deff)
     checks = {
         "mean_distance_bath_bound": BoundCheck.upper(
             mean, 0.5 * math.sqrt(space.d_S / d_eff_b), kind="bath"
@@ -331,17 +331,9 @@ def torus_distances(
     samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """D(ρ_S(α), ω_S) for uniform independent phase vectors α.
-
-    The phases are drawn block by block, which gives the same numbers as one
-    (samples, d) draw. Each block writes the half-angles α/2 as π·U[0, 1),
-    bit-equal to ``rng.uniform(0, 2π) * 0.5``, which is 2π·U[0, 1) halved.
-    """
-    def phases(start: int, stop: int, out: np.ndarray) -> None:
-        rng.random(out=out)
-        out *= np.pi
-
-    return reduced_states(c, h, space, phases, samples, _distances_to(omega_s, space))
+    """D(ρ_S(α), ω_S) for uniform independent phase vectors α (`torus_phases`):
+    the torus-sampled twin of `time_distances`."""
+    return reduced_states(c, h, space, torus_phases(rng), samples, _distances_to(omega_s, space))
 
 
 # A fixed gate on the KS statistic, whatever the two sample sizes: at small

@@ -22,12 +22,14 @@ from eqlab.dynamics import (
     reduced_states_at_times,
     sample_times,
     time_phases,
+    torus_phases,
 )
 from eqlab.errors import DegenerateHamiltonianError, DimensionMismatchError, NotHermitianError
 from eqlab.hamiltonians import SpectralHamiltonian, random_spectral_hamiltonian
 from eqlab.linalg import haar_random_unitary
 from eqlab.states import (
     Subspace,
+    _qubit_trace_distance,
     effective_dimension,
     haar_random_state,
     purity,
@@ -640,6 +642,20 @@ class TestReducedStates:
         above = np.mean(np.abs(expected) >= 2**16)
         assert above == 0.0 if t_scale == 1.0 else above > 0.9
 
+    @pytest.mark.parametrize("blocks", [[300], [64, 64, 64, 64, 44], [1, 99, 200]])
+    def test_torus_half_angles_equal_one_halved_uniform_draw(self, blocks):
+        # Block by block, π·U[0, 1) gives the rows of one uniform(0, 2π)
+        # draw halved, bit for bit, and leaves the rng where that draw does.
+        n, d = sum(blocks), 16
+        reference, rng = np.random.default_rng(175), np.random.default_rng(175)
+        expected = reference.uniform(0, 2 * np.pi, (n, d)) * 0.5
+        out, phases, start = np.empty((n, d)), torus_phases(rng), 0
+        for k in blocks:
+            phases(start, start + k, out[start : start + k])
+            start += k
+        assert np.array_equal(out, expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     @pytest.mark.parametrize("state", ["eigenstate", "random"])
     def test_system_and_bath_share_their_spectrum(self, instance, state):
         # The global state is pure, so ρ_S(t) and ρ_B(t) have the same nonzero
@@ -673,8 +689,8 @@ class TestAmplitudeReducers:
     @pytest.mark.parametrize("blocks", BLOCKS)
     def test_equal_the_reduced_states_bit_for_bit(self, d_b, m, blocks):
         # The d_S = 2 distance and the populations of every block, from the
-        # amplitudes, against `trace_distance` of the same blocks' ρ_S and
-        # their diagonals.
+        # amplitudes, against the closed form of the same blocks' ρ_S − ω_S
+        # (off-diagonal (Δ₀₁ + Δ₁₀*)/2) and their diagonals.
         rng = np.random.default_rng(180 + 10 * d_b + m)
         space = BipartiteSpace(2, d_b)
         h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
@@ -689,7 +705,10 @@ class TestAmplitudeReducers:
         distances = reduced_states(c, h, space, phases, n, qubit_distances_to(omega_s))
         pops = reduced_states(c, h, space, phases, n, lambda a: np.vecdot(a, a).real)
         assert distances.shape == (*c.shape[:-1], n) and pops.shape == (*c.shape[:-1], n, 2)
-        assert np.array_equal(distances.reshape(-1), trace_distance(rhos, omega_s))
+        diff = rhos - omega_s
+        off = (diff[:, 0, 1] + diff[:, 1, 0].conj()) / 2
+        oracle = _qubit_trace_distance(diff[:, 0, 0].real, diff[:, 1, 1].real, off)
+        assert np.array_equal(distances.reshape(-1), oracle)
         assert np.array_equal(pops.reshape(-1, 2), np.diagonal(rhos, 0, 1, 2).real)
 
     def test_nonfinite_entries_raise(self, instance):

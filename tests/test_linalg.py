@@ -9,13 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqlab.errors import DimensionMismatchError, NoConvergenceError, NotHermitianError
+from eqlab.errors import (
+    ConfigInvalidError,
+    DimensionMismatchError,
+    DimensionOverflowError,
+    NoConvergenceError,
+    NotHermitianError,
+)
 from eqlab.linalg import (
+    DEFAULT_MAX_DIM,
+    check_dimension,
     haar_random_unitary,
     hermitian_eigendecomposition,
     hermitize,
     is_hermitian,
     kronecker_product,
+    max_dimension,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -185,3 +194,20 @@ def test_is_hermitian_tolerance():
     m[0, 1] = 1e-6
     assert not is_hermitian(m)
     assert not is_hermitian(np.stack([np.eye(3), m]))
+
+
+class TestMaxDimension:
+    def test_default_and_set(self, monkeypatch):
+        monkeypatch.delenv("EQLAB_MAX_DIM", raising=False)
+        assert max_dimension() == DEFAULT_MAX_DIM
+        monkeypatch.setenv("EQLAB_MAX_DIM", "64")
+        assert max_dimension() == 64
+        check_dimension(64)
+        with pytest.raises(DimensionOverflowError):
+            check_dimension(65)
+
+    @pytest.mark.parametrize("raw", ["abc", "", "2.5", "0", "-3"])
+    def test_refuses_anything_but_a_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("EQLAB_MAX_DIM", raw)
+        with pytest.raises(ConfigInvalidError, match="^EQLAB_MAX_DIM: "):
+            max_dimension()

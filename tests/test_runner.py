@@ -113,6 +113,9 @@ UNRUNNABLE = {
         "time_sampling": {"t_max_factor": 10**400, "n_samples": 200}
     },
     "hamiltonian.field=1e400": {"experiment": "counterexamples", "hamiltonian": {"field": 10**400}},
+    # The output files are named <output_path>.csv and .json.
+    "output_path=5": {"output_path": 5},
+    "output_path=''": {"output_path": ""},
 }
 
 
@@ -575,6 +578,40 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--workers", workers]) == 1
         assert capsys.readouterr().err.startswith("error: --workers: ")
         assert not (tmp_path / "results.csv").exists()
+
+    def test_bad_output_path_refused_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner, "_run_trial", calls.append)
+        cfg = self.write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--set", "output_path=5"]) == 1
+        assert capsys.readouterr().err.startswith("error: output_path: ")
+        assert calls == []
+
+    def test_bad_max_dimension_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EQLAB_MAX_DIM", "abc")
+        assert main(["run", "--config", str(self.write_config(tmp_path))]) == 1
+        assert capsys.readouterr().err.startswith("error: EQLAB_MAX_DIM: ")
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_failed_write_exits_1(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, output_path=str(tmp_path / "missing" / "results"))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: failed writing csv output to ")
+
+    def test_walltime(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        for argv, timed in ([], False), (["--walltime"], True):
+            assert main(["run", "--config", str(cfg), *argv]) == 0
+            with open(tmp_path / "results.csv") as fh:
+                csv_rows = [(int(r["trial"]), float(r["wall_ms"])) for r in csv.DictReader(fh)]
+            json_rows = [(r.trial, r.wall_ms) for r in load_records(tmp_path / "results.json")]
+            assert csv_rows == json_rows
+            trial_walls = [wall for trial, wall in csv_rows if trial != AGGREGATE_TRIAL]
+            assert len(trial_walls) == 2 * 7
+            if timed:
+                assert all(wall > 0 for wall in trial_walls)
+            else:
+                assert all(wall == 0.0 for _, wall in csv_rows)
 
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1

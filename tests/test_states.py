@@ -14,6 +14,7 @@ from eqlab.errors import DimensionMismatchError, NotHermitianError
 from eqlab.linalg import haar_random_unitary
 from eqlab.states import (
     Subspace,
+    _qubit_trace_distance,
     as_state,
     effective_dimension,
     haar_random_state,
@@ -327,9 +328,12 @@ class TestTraceDistance:
             diff *= 0.0
         oracle = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
         scale = np.max(np.abs(diff), axis=(1, 2))
-        assert np.all(np.abs(trace_distance(diff, np.zeros((2, 2))) - oracle) <= 2e-15 * scale)
+        closed = _qubit_trace_distance(diff[:, 0, 0].real, diff[:, 1, 1].real, diff[:, 0, 1])
+        assert np.all(np.abs(closed - oracle) <= 2e-15 * scale)
 
-    def test_qubit_stack_makes_no_eigensolve(self, monkeypatch):
+    def test_qubit_stack_agrees_with_the_closed_form(self, monkeypatch):
+        # A 2 × 2 stack takes the one batched eigvalsh path, and agrees to
+        # rounding with the closed form that `qubit_distances_to` uses.
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -340,10 +344,13 @@ class TestTraceDistance:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         rng = np.random.default_rng(14)
         stack = np.array([random_mixed_state(2, 2, rng) for _ in range(8)])
-        trace_distance(stack, np.eye(2) / 2)
-        assert calls == []
-        trace_distance(random_mixed_state(3, 2, rng), np.eye(3) / 3)
-        assert calls == [(3, 3)]
+        distances = trace_distance(stack, np.eye(2) / 2)
+        assert calls == [(8, 2, 2)]
+        diff = stack - np.eye(2) / 2
+        off = (diff[:, 0, 1] + diff[:, 1, 0].conj()) / 2
+        closed = _qubit_trace_distance(diff[:, 0, 0].real, diff[:, 1, 1].real, off)
+        scale = np.max(np.abs(diff), axis=(1, 2))
+        assert np.all(np.abs(distances - closed) <= 2e-15 * scale)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31))

@@ -196,6 +196,23 @@ class TestTheorem1:
         ref.random(300 + BATH_SAMPLES)
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    def test_both_trajectories_are_sampled_at_times(self, instance, monkeypatch):
+        # The mean's times and the bath's times both go through the one
+        # time-sampled entry point, the torus phase source through neither.
+        space, h, psi = instance
+        lengths = []
+        at_times = verifiers.reduced_states_at_times
+
+        def recording(c, h, space, times, reducer):
+            lengths.append(len(times))
+            return at_times(c, h, space, times, reducer)
+
+        monkeypatch.setattr(verifiers, "reduced_states_at_times", recording)
+        monkeypatch.setattr(verifiers, "reduced_states", None)
+        theorem1_check(energy_coefficients(psi, h), h, space, n_samples=300,
+                       rng=np.random.default_rng(206))
+        assert lengths == [300, BATH_SAMPLES]
+
 
 class TestTheorem2:
     def test_one_dimensional_eigenstate_subspace(self, instance):
