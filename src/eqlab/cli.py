@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -52,8 +53,15 @@ def _cmd_run(args) -> int:
         key, value = _parse_override(override)
         _apply_override(doc, key, value)
     config = ExperimentConfig.from_dict(doc)
-    records = run_experiment(config, workers=args.workers)
     base = config.output_path
+    directory = os.path.dirname(base) or "."
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        # Refused before any trial runs, with the error `emit` would raise after them.
+        raise OSError(
+            f"failed writing csv output to {base + '.csv'!r}: "
+            f"{directory!r} is not a writable directory"
+        )
+    records = run_experiment(config, workers=args.workers)
     emit(records, "csv", base + ".csv", include_walltime=args.walltime)
     emit(records, "json", base + ".json", include_walltime=args.walltime)
     ok = all_bounds_satisfied(records)

@@ -5,12 +5,15 @@ evolution. `reduced_states` is the one amplitude path: in row blocks of
 `block_rows(d)` it forms e^{iα} from tan(α/2) (`_phase_factors`, which numpy
 vectorises, unlike a complex exp) once for all coefficient vectors, scales
 the factors by each c, maps them back with one matrix product against the
-basis and hands the (k, d_S, d_B) amplitudes to a reducer. Its phase sources
-(`time_phases`, `torus_phases`) write α/2 into a work arena allocated once
-per call. `per_state` makes a reducer of a function of ρ_S or ρ_B, formed in
-chunks of at most `BLOCK_AMPLITUDES` entries.
+basis (none for a Hamiltonian diagonal in the product basis, whose scaled
+factors are the amplitudes) and hands the (k, d_S, d_B) amplitudes to a
+reducer. Its phase sources (`time_phases`, `torus_phases`) write α/2 into a
+work arena allocated once per call. `per_state` makes a reducer of a function
+of ρ_S or ρ_B, formed in chunks of at most `BLOCK_AMPLITUDES` entries.
 The infinite-time average is exact through its marginals (`dephased_system`,
-`dephased_bath`); the d×d dephased state ω is never formed. Sample times
+`dephased_bath`, O(d) for a diagonal Hamiltonian); the d×d dephased state ω
+is never formed. Every product with the eigenbasis is a `SpectralHamiltonian`
+method; the kernel reads `h.diagonal` only to size its arena. Sample times
 (`sample_times`) serve only the fluctuation statistics of `eqlab.verifiers`.
 
 Every function of an initial state takes its energy coefficients
@@ -41,7 +44,8 @@ Reducer = Callable[[np.ndarray], np.ndarray]  # a (k, d_S, d_B) amplitude block 
 
 
 def energy_coefficients(psi0, h: SpectralHamiltonian) -> np.ndarray:
-    """c_k = ⟨E_k|ψ₀⟩, computed as (ψ₀* U)* with U the eigenbasis.
+    """c_k = ⟨E_k|ψ₀⟩ (`SpectralHamiltonian.coefficients`): (ψ₀* U)*, or ψ₀
+    itself when H is diagonal in the product basis.
 
     The vector is conjugated instead of U, so no d×d conjugate copy of U is
     made. At d = 1024 the call peaks at 32 KiB under tracemalloc and takes
@@ -49,8 +53,7 @@ def energy_coefficients(psi0, h: SpectralHamiltonian) -> np.ndarray:
     OpenBLAS 0.3.31 thread), and its result was bit-equal to U†ψ₀ at every
     d from 1 to 1024 tried.
     """
-    v = as_state(psi0, h.dim)
-    return (v.conj() @ h.eigenbasis).conj()
+    return h.coefficients(as_state(psi0, h.dim))
 
 
 def require_nondegenerate(h: SpectralHamiltonian) -> None:
@@ -61,32 +64,31 @@ def require_nondegenerate(h: SpectralHamiltonian) -> None:
         )
 
 
-def _weighted_eigenbasis(c, h: SpectralHamiltonian, space: BipartiteSpace):
-    """(U·|c|², U*) with U[s, b, k] = ⟨s b|E_k⟩, the factors of both marginals of ω."""
+def _weights(c, h: SpectralHamiltonian, space: BipartiteSpace) -> np.ndarray:
+    """|c_k|², the weights of ω = Σ_k |c_k|² |E_k⟩⟨E_k|."""
     cv = np.asarray(c, dtype=np.complex128)
     if cv.shape != (h.dim,) or h.dim != space.d:
         raise DimensionMismatchError(
             f"coefficients {cv.shape}, Hamiltonian ({h.dim}) and space ({space.d}) disagree"
         )
-    u = h.eigenbasis.reshape(space.d_S, space.d_B, h.dim)
-    return u * np.abs(cv) ** 2, u.conj()
+    return np.abs(cv) ** 2
 
 
 def dephased_system(c, h: SpectralHamiltonian, space: BipartiteSpace) -> np.ndarray:
     """ω_S, the re-Hermitized system marginal of ω = Σ_k |c_k|² |E_k⟩⟨E_k|.
 
     ω_S[s, t] = Σ_{b,k} U[s,b,k] |c_k|² U*[t,b,k]: one matrix product of
-    cost O(d_S·d²), without the dense d×d ω or a per-eigenstate stack.
+    cost O(d_S·d²), without the dense d×d ω or a per-eigenstate stack, or
+    diag(Σ_b |c_sb|²) in O(d) when H is diagonal (`SpectralHamiltonian.marginal`).
     """
-    weighted, u_conj = _weighted_eigenbasis(c, h, space)
-    return hermitize(np.tensordot(weighted, u_conj, axes=([1, 2], [1, 2])))
+    return hermitize(h.marginal(_weights(c, h, space), space))
 
 
 def dephased_bath(c, h: SpectralHamiltonian, space: BipartiteSpace) -> np.ndarray:
     """ω_B, the re-Hermitized bath marginal of ω: the `dephased_system` sum
-    taken over (s, k) instead of (b, k), which costs O(d³/d_S)."""
-    weighted, u_conj = _weighted_eigenbasis(c, h, space)
-    return hermitize(np.tensordot(weighted, u_conj, axes=([0, 2], [0, 2])))
+    taken over (s, k) instead of (b, k), which costs O(d³/d_S), or
+    diag(Σ_s |c_sb|²) in O(d) when H is diagonal."""
+    return hermitize(h.marginal(_weights(c, h, space), space, bath=True))
 
 
 def _phase_factors(work: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -170,9 +172,11 @@ def reduced_states(
     ``phases(start, stop, out)`` writes the half-angles α/2 of rows start …
     stop−1 into the (stop − start, d) float array ``out``, block by block in row
     order, so a generator gives the same rows as one (n, d) draw. One arena per
-    call holds the complex factors and amplitudes and the three float planes of
-    `_phase_factors`, whose t and t² planes, free once the factors are formed,
-    take each vector's scaled factors.
+    call holds the complex factors, the three float planes of `_phase_factors`,
+    whose t and t² planes, free once the factors are formed, take each vector's
+    scaled factors, and the complex amplitudes, their product with the basis
+    (`SpectralHamiltonian.amplitudes`). When H is diagonal in the product basis
+    the scaled factors are the amplitudes, and the arena has no amplitude plane.
     """
     cs = np.asarray(c, dtype=np.complex128)
     if cs.ndim not in (1, 2) or cs.size == 0 or cs.shape[-1] != h.dim or h.dim != space.d:
@@ -183,11 +187,11 @@ def reduced_states(
         raise ValueError(f"n must be >= 1, got {n}")
     d, vectors = h.dim, cs.reshape(-1, h.dim)
     rows = max(1, min(block_rows(d), n))
-    arena = np.empty(7 * rows * d)
-    factors, amps = arena[: 4 * rows * d].view(np.complex128).reshape(2, rows, d)
-    work = arena[4 * rows * d :].reshape(3, rows, d)
+    arena = np.empty((5 if h.diagonal else 7) * rows * d)
+    factors = arena[: 2 * rows * d].view(np.complex128).reshape(rows, d)
+    work = arena[2 * rows * d : 5 * rows * d].reshape(3, rows, d)
     scaled = work[:2].reshape(-1).view(np.complex128).reshape(rows, d)  # t, t² are free by then
-    basis_t = h.eigenbasis.T
+    amps = arena[5 * rows * d :].view(np.complex128).reshape(-1, d)  # no rows when diagonal
     values = None
     for start in range(0, n, rows):
         stop = min(start + rows, n)
@@ -196,8 +200,8 @@ def reduced_states(
         _phase_factors(work[:, :k], factors[:k])
         for j, cv in enumerate(vectors):
             np.multiply(factors[:k], cv, out=scaled[:k])
-            np.matmul(scaled[:k], basis_t, out=amps[:k])
-            value = reducer(amps[:k].reshape(k, space.d_S, space.d_B))
+            a = h.amplitudes(scaled[:k], out=amps[:k])
+            value = reducer(a.reshape(k, space.d_S, space.d_B))
             if values is None:
                 values = np.empty((len(vectors), n, *value.shape[1:]), value.dtype)
             values[j, start:stop] = value

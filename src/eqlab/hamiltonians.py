@@ -3,7 +3,9 @@
 Includes the model families the experiments build: generic random spectral
 Hamiltonians, the diagonal product model with conserved subsystem
 populations, and the strong-field spin-bath model whose eigenstates are
-near-product.
+near-product. The diagonal model stores no eigenbasis: its basis is the product
+basis, which `SpectralHamiltonian`'s methods (coefficients, eigenvector blocks,
+the kernel's amplitudes, the dephased marginals) use without forming it.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ RESAMPLE_LIMIT = 100
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
-def _checked_energies(energies, dim: int) -> np.ndarray:
+def _checked_energies(energies, dim: int | None) -> np.ndarray:
+    """The energies as a float64 vector, of length ``dim`` unless it is None."""
     e = np.asarray(energies, dtype=np.float64)
-    if e.shape != (dim,):
+    if e.shape != (e.size if dim is None else dim,):
         raise DimensionMismatchError(
             f"energies ({e.shape}) and a {dim}-dimensional eigenbasis are inconsistent"
         )
@@ -50,12 +53,20 @@ def _require_unitary(u: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SpectralHamiltonian:
-    """H = Σ_k E_k |E_k⟩⟨E_k| stored as (energies, eigenbasis)."""
+    """H = Σ_k E_k |E_k⟩⟨E_k| stored as (energies, eigenbasis), U[:, k] = |E_k⟩.
+
+    An eigenbasis of None means |E_k⟩ = |k⟩, the product basis |s b⟩ in
+    row-major order, which is not stored. The methods below are U's only
+    readers and take that case in O(d) per row.
+    """
 
     energies: np.ndarray
-    eigenbasis: np.ndarray
+    eigenbasis: np.ndarray | None
 
     def __post_init__(self) -> None:
+        if self.eigenbasis is None:
+            object.__setattr__(self, "energies", _checked_energies(self.energies, None))
+            return
         u = as_matrix(self.eigenbasis, "eigenbasis")
         if u.shape[0] != u.shape[1]:
             raise DimensionMismatchError(f"eigenbasis must be square, got {u.shape}")
@@ -65,17 +76,52 @@ class SpectralHamiltonian:
         object.__setattr__(self, "eigenbasis", u)
 
     @classmethod
-    def trusted(cls, energies, eigenbasis: np.ndarray) -> "SpectralHamiltonian":
-        """H on a basis unitary by construction (a Householder QR factor, or I):
-        only the energies are checked, not the d³ unitarity (1.46 s at d = 2048)."""
+    def trusted(cls, energies, eigenbasis: np.ndarray | None) -> "SpectralHamiltonian":
+        """H on a basis unitary by construction (a Householder QR factor, or
+        None for the product basis): only the energies are checked, not the d³
+        unitarity (1.46 s at d = 2048)."""
+        dim = None if eigenbasis is None else eigenbasis.shape[0]
         h = object.__new__(cls)
-        object.__setattr__(h, "energies", _checked_energies(energies, eigenbasis.shape[0]))
+        object.__setattr__(h, "energies", _checked_energies(energies, dim))
         object.__setattr__(h, "eigenbasis", eigenbasis)
         return h
 
     @property
     def dim(self) -> int:
         return self.energies.size
+
+    @property
+    def diagonal(self) -> bool:
+        """H is diagonal in the product basis, which is not stored."""
+        return self.eigenbasis is None
+
+    def coefficients(self, v: np.ndarray) -> np.ndarray:
+        """c_k = ⟨E_k|v⟩ of a state vector: (v* U)*, or a copy of v when H is diagonal."""
+        return v.copy() if self.diagonal else (v.conj() @ self.eigenbasis).conj()
+
+    def eigenvectors(self, start: int, stop: int) -> np.ndarray:
+        """The (d, k) columns |E_start⟩ … |E_{stop−1}⟩, stop clipped to d: a
+        view of U, or columns of I when H is diagonal."""
+        stop = min(stop, self.dim)
+        if self.diagonal:
+            return np.eye(self.dim, stop - start, -start, dtype=np.complex128)
+        return self.eigenbasis[:, start:stop]
+
+    def amplitudes(self, scaled: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Rows Σ_k scaled[j, k] ⟨s b|E_k⟩ of a (k, d) block: one matrix product
+        with U into ``out``, or ``scaled`` itself when H is diagonal, which
+        leaves ``out`` unread (it may then be empty)."""
+        return scaled if self.diagonal else np.matmul(scaled, self.eigenbasis.T, out=out)
+
+    def marginal(self, weights: np.ndarray, space: BipartiteSpace, bath: bool = False):
+        """Σ_k w_k tr_B |E_k⟩⟨E_k| (tr_S with ``bath``), not re-Hermitized: one
+        matrix product over U[s, b, k] = ⟨s b|E_k⟩, or diag(Σ_b w_sb) (Σ_s) in
+        O(d) when H is diagonal."""
+        if self.diagonal:
+            return np.diag(weights.reshape(space.d_S, space.d_B).sum(axis=0 if bath else 1) + 0j)
+        u = self.eigenbasis.reshape(space.d_S, space.d_B, self.dim)
+        axes = [0, 2] if bath else [1, 2]
+        return np.tensordot(u * weights, u.conj(), axes=(axes, axes))
 
     def min_level_gap(self) -> float:
         return float(np.min(np.diff(self.energies)))
@@ -153,8 +199,9 @@ def _resample(build, rng: np.random.Generator, what: str) -> SpectralHamiltonian
 
 
 def _spectral_model(space, energy_window, rng, eigenbasis, what) -> SpectralHamiltonian:
-    """Uniform i.i.d. energies on the window in the trusted basis ``eigenbasis()``, drawn
-    once the window is checked; energies are redrawn until the gap check passes."""
+    """Uniform i.i.d. energies on the window in the trusted basis ``eigenbasis()``
+    (None for the product basis), drawn once the window is checked; energies are
+    redrawn until the gap check passes."""
     lo, hi = energy_window
     if not hi > lo:
         raise ValueError(f"energy window {energy_window} is empty")
@@ -183,9 +230,9 @@ def diagonal_product_hamiltonian(
     *,
     rng: np.random.Generator,
 ) -> SpectralHamiltonian:
-    """Interacting but population-conserving model, diagonal in the product basis."""
-    basis = partial(np.eye, space.d, dtype=np.complex128)
-    return _spectral_model(space, energy_window, rng, basis, "diagonal_product_hamiltonian")
+    """Interacting but population-conserving model, diagonal in the product
+    basis, which it does not store: its eigenbasis is None."""
+    return _spectral_model(space, energy_window, rng, lambda: None, "diagonal_product_hamiltonian")
 
 
 def _random_hermitian_unit_radius(dim: int, rng: np.random.Generator) -> np.ndarray:

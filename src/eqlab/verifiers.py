@@ -14,6 +14,7 @@ one diagnostic per state), which `eqlab.runner.REGISTRY`'s aggregates call.
 Sampled distances to ω_S come from `time_distances` (stratified times) and
 `torus_distances` (uniform phases). δ reads Π_R through p_k and the eigenstates
 through their purities, blocked: no d × d or (d, d_S, d_S) array is formed.
+Eigenvectors are read in blocks through `SpectralHamiltonian.eigenvectors`.
 """
 
 from __future__ import annotations
@@ -255,13 +256,14 @@ def theorem2_sweep_check(d_eff_samples, d_r: int) -> dict[str, BoundCheck]:
 def eigenstate_purities(h: SpectralHamiltonian, space: BipartiteSpace) -> np.ndarray:
     """tr(ρ_S^{(k)})², ρ_S^{(k)} = tr_B |E_k⟩⟨E_k|, of every eigenstate, from
     the smaller marginal (a pure state's two share their spectrum), reduced
-    `block_rows(d)` at a time. Each block of ``eigenbasis.T`` is copied contiguous
-    first: at (32, 64) the strided view took 1.5 s, the copies 0.16 s (2-core x86_64,
-    one OpenBLAS thread)."""
+    `block_rows(d)` eigenvectors at a time, each block copied contiguous first.
+    The strided view gives bit-equal purities but is slower on both sides
+    (2-core x86_64, one OpenBLAS thread): 1.5 s against 0.16 s at (32, 64) for
+    ρ_S, and 0.170 s against 0.162 s at (64, 32) for ρ_B (medians of 15)."""
     reduce = reduce_to_bath if space.d_B < space.d_S else reduce_to_system
-    basis_t, rows = h.eigenbasis.T, block_rows(h.dim)
+    rows = block_rows(h.dim)
     return np.concatenate([
-        purity(reduce(np.ascontiguousarray(basis_t[start:start + rows]), space))
+        purity(reduce(np.ascontiguousarray(h.eigenvectors(start, start + rows).T), space))
         for start in range(0, h.dim, rows)
     ])
 
@@ -281,7 +283,7 @@ def delta_quantity(
     if subspace.ambient_dim != h.dim or h.dim != space.d:
         raise DimensionMismatchError("Hamiltonian, subspace and space dimensions disagree")
     weights = np.concatenate([
-        subspace.projector_diagonal(h.eigenbasis[:, start:start + 64])
+        subspace.projector_diagonal(h.eigenvectors(start, start + 64))
         for start in range(0, h.dim, 64)
     ])
     return float(np.sum(weights * eigenstate_purities(h, space)) / subspace.d_R)

@@ -15,7 +15,10 @@ so `haar_random_state`, `delta_quantity` and the runner accept it in its
 place, and `DenseSubspace.of` gives the dense form of a structured subspace;
 `random_subspace` and `SHAPES` give the cases the two are compared on.
 `numerical_rank` counts the eigenvalues of a state above a threshold; no
-eqlab run path needs a rank.
+eqlab run path needs a rank. A Hamiltonian diagonal in the product basis
+stores no eigenbasis; `eigenbasis` gives it as the dense identity, and
+`with_dense_basis` the same Hamiltonian with that identity stored, the
+reference its basis-free methods are compared against.
 """
 
 from __future__ import annotations
@@ -48,6 +51,16 @@ def random_subspace(kind: str, space: BipartiteSpace, rng: np.random.Generator) 
         return Subspace.full(space.d)
     side = space.d_S if kind == "fixed_system" else space.d_B
     return getattr(Subspace, kind)(haar_random_state(Subspace.full(side), rng), space)
+
+
+def eigenbasis(h: SpectralHamiltonian) -> np.ndarray:
+    """U as a dense d × d matrix: the stored eigenbasis, or I when H stores none."""
+    return np.eye(h.dim, dtype=np.complex128) if h.eigenbasis is None else h.eigenbasis
+
+
+def with_dense_basis(h: SpectralHamiltonian) -> SpectralHamiltonian:
+    """H with its eigenbasis stored densely, I for a diagonal Hamiltonian."""
+    return SpectralHamiltonian.trusted(h.energies, eigenbasis(h))
 
 
 def density_matrix(psi) -> np.ndarray:
@@ -84,7 +97,7 @@ def evolve(psi0, h: SpectralHamiltonian, t: float) -> np.ndarray:
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     c = energy_coefficients(psi0, h)
-    return h.eigenbasis @ (np.exp(-1j * h.energies * t) * c)
+    return eigenbasis(h) @ (np.exp(-1j * h.energies * t) * c)
 
 
 def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
@@ -105,7 +118,7 @@ def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:
     np.multiply(av, 0.5, out=work[0])
     phased = _phase_factors(work, np.empty(av.shape, dtype=np.complex128))
     phased *= cv
-    return phased @ h.eigenbasis.T
+    return phased @ eigenbasis(h).T
 
 
 def dephased_time_average(psi0, h: SpectralHamiltonian) -> np.ndarray:
@@ -115,13 +128,13 @@ def dephased_time_average(psi0, h: SpectralHamiltonian) -> np.ndarray:
     infinite-time average only when the levels are non-degenerate.
     """
     c = energy_coefficients(psi0, h)
-    u = h.eigenbasis
+    u = eigenbasis(h)
     return hermitize((u * np.abs(c) ** 2) @ u.conj().T)
 
 
 def dense(h: SpectralHamiltonian) -> np.ndarray:
     """H = Σ_k E_k |E_k⟩⟨E_k| as a dense matrix."""
-    u = h.eigenbasis
+    u = eigenbasis(h)
     return hermitize((u * h.energies) @ u.conj().T)
 
 
@@ -134,7 +147,7 @@ def noninteracting_hamiltonian(
             f"factor dims ({h_s.dim}, {h_b.dim}) do not match space ({space.d_S}, {space.d_B})"
         )
     energies = (h_s.energies[:, None] + h_b.energies[None, :]).reshape(-1)
-    basis = kronecker_product(h_s.eigenbasis, h_b.eigenbasis)
+    basis = kronecker_product(eigenbasis(h_s), eigenbasis(h_b))
     order = np.argsort(energies, kind="stable")
     return SpectralHamiltonian(energies[order], basis[:, order])
 

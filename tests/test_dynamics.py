@@ -25,7 +25,11 @@ from eqlab.dynamics import (
     torus_phases,
 )
 from eqlab.errors import DegenerateHamiltonianError, DimensionMismatchError, NotHermitianError
-from eqlab.hamiltonians import SpectralHamiltonian, random_spectral_hamiltonian
+from eqlab.hamiltonians import (
+    SpectralHamiltonian,
+    diagonal_product_hamiltonian,
+    random_spectral_hamiltonian,
+)
 from eqlab.linalg import haar_random_unitary
 from eqlab.states import (
     Subspace,
@@ -46,6 +50,7 @@ from oracles import (
     partial_trace_bath,
     partial_trace_system,
     torus_state,
+    with_dense_basis,
 )
 
 
@@ -208,7 +213,7 @@ FAMILIES = {
         _spectral(space.d_B, haar_random_unitary(space.d_B, rng), rng),
         space,
     ),
-    "diagonal": lambda space, rng: _spectral(space.d, np.eye(space.d, dtype=np.complex128), rng),
+    "diagonal": lambda space, rng: _spectral(space.d, None, rng),
 }
 
 
@@ -469,6 +474,72 @@ class TestReducedStates:
             singles = [reduced_states(c, h, space, phases, n, states_of(space, bath)) for c in cs]
             assert np.array_equal(stacked, np.array(singles))
 
+    @pytest.mark.parametrize("d_s", [1, 2, 3])
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_diagonal_equals_the_dense_identity(self, d_s, blocks):
+        # A Hamiltonian diagonal in the product basis stores no eigenbasis: the
+        # kernel takes the scaled phase factors as the amplitudes, and the
+        # coefficients are ψ₀. Both are bit-equal to the stored identity; the
+        # marginals sum |c|² in another order, which moves them by rounding.
+        rng = np.random.default_rng(170 + d_s)
+        space = BipartiteSpace(d_s, 5)
+        h = FAMILIES["diagonal"](space, rng)
+        h_dense = with_dense_basis(h)
+        psis = [haar_random_state(Subspace.full(space.d), rng) for _ in range(3)]
+        cs = np.array([energy_coefficients(psi, h) for psi in psis])
+        assert np.array_equal(cs, [energy_coefficients(psi, h_dense) for psi in psis])
+        n = block_case(blocks, space.d)
+        alpha = rng.uniform(-1e5, 1e5, size=(n, space.d))
+
+        def phases(start, stop, out):
+            np.multiply(alpha[start:stop], 0.5, out=out)
+
+        for c in (cs[0], cs):
+            for reducer in (keep, states_of(space), states_of(space, bath=True)):
+                got = reduced_states(c, h, space, phases, n, reducer)
+                assert np.array_equal(got, reduced_states(c, h_dense, space, phases, n, reducer))
+        for c in cs:
+            for marginal in (dephased_system, dephased_bath):
+                assert np.max(np.abs(marginal(c, h, space) - marginal(c, h_dense, space))) <= 1e-15
+
+    def test_diagonal_build_and_trajectory_hold_no_basis(self):
+        # d = 256. The build stores no d × d eigenbasis (1 MiB of complex128):
+        # its peak, 855 039 B, is the gap check's, under 28 B per gap
+        # (test_memory_per_gap); with the stored I it was 1 903 791 B.
+        # The trajectory's arena holds the factors and the three float planes,
+        # 5 × 64 × 256 × 8 = 655 360 B; with the amplitude plane of a stored
+        # basis it would be 917 504 B, above the bound below. The rest is the
+        # (n,) populations and numpy's iterator buffer (~132 kB). The peak
+        # reads 798 628 B, and 1 060 772 B with the stored I.
+        space, n = BipartiteSpace(2, 128), 500
+        gaps = space.d * (space.d - 1) // 2
+        rng = np.random.default_rng(175)
+        psi = haar_random_state(Subspace.full(space.d), rng)
+        tracemalloc.start()
+        try:
+            h = diagonal_product_hamiltonian(space, rng=rng)
+            build_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        c = energy_coefficients(psi, h)
+        times = sample_times(default_t_max(h), n, rng)
+        tracemalloc.start()
+        try:
+            pops = reduced_states_at_times(
+                c, h, space, times, lambda a: np.vecdot(a[:, 0], a[:, 0]).real
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = block_rows(space.d)
+        arena, bound = rows * space.d * (3 * 8 + 16), 28 * gaps
+        assert h.eigenbasis is None
+        assert build_peak <= bound < 16 * space.d**2, build_peak
+        assert (arena, pops.nbytes) == (655_360, 4000)
+        bound = arena + pops.nbytes + (160 << 10)
+        assert bound < arena + 16 * rows * space.d
+        assert peak <= bound, peak
+
     @pytest.mark.parametrize(
         "shape", [(4,), (2, 3, 10), (0, 16)], ids=["short", "three axes", "empty stack"]
     )
@@ -502,10 +573,13 @@ class TestReducedStates:
 
     @pytest.mark.parametrize("m, n", [(1, 2000), (4, 500)], ids=["thm4", "counterexample"])
     def test_memory_is_one_arena_and_the_output(self, m, n):
-        # d = 64, as in thm4 and the diagonal counterexample at d_B = 32:
-        # 256-row blocks. The arena holds two complex planes (factors,
-        # amplitudes) and three float ones, in which each vector is scaled:
-        # 917 504 B for one vector or four. The populations are read from the
+        # d = 64, as in thm4 at d_B = 32, with four vectors and 500 times as in
+        # the counterexamples: 256-row blocks. The arena holds two complex
+        # planes (factors, amplitudes) and three float ones, in which each
+        # vector is scaled: 917 504 B for one vector or four. (The diagonal
+        # counterexample's Hamiltonian stores no basis, so its arena has no
+        # amplitude plane: test_diagonal_build_and_trajectory_hold_no_basis.)
+        # The populations are read from the
         # amplitude blocks, so no state is formed; the (m, n) populations are
         # 16 000 B. The rest is numpy's iterator buffer for one broadcast
         # ufunc call at a time (8192 elements, ~132 kB).

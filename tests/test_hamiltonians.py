@@ -25,9 +25,20 @@ from eqlab.linalg import (
     kronecker_product,
 )
 from eqlab.states import Subspace, haar_random_state, product_state
-from oracles import dense, density_matrix, noninteracting_hamiltonian, partial_trace_bath
+from oracles import (
+    dense,
+    density_matrix,
+    eigenbasis,
+    noninteracting_hamiltonian,
+    partial_trace_bath,
+    shape_id,
+    with_dense_basis,
+)
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+# The diagonal marginals sum d_B (or d_S) weights of total at most 1 in
+# another order than the dense product with I: a rounding allowance.
+MARGINAL_ROUNDING = 1e-15
 
 
 def brute_force_gap_degenerate(energies: np.ndarray, tol: float) -> bool:
@@ -315,10 +326,13 @@ class TestRandomSpectralHamiltonian:
 
         # The same numbers as building each attempt from scratch.
         rng = np.random.default_rng(seed)
-        basis = haar_random_unitary(6, rng) if builder == "random" else np.eye(6)
+        basis = haar_random_unitary(6, rng) if builder == "random" else None
         rng.uniform(0.0, 1.0, size=6)
         assert np.array_equal(h.energies, np.sort(rng.uniform(0.0, 1.0, size=6)))
-        assert np.array_equal(h.eigenbasis, basis)
+        if basis is None:
+            assert h.eigenbasis is None
+        else:
+            assert np.array_equal(h.eigenbasis, basis)
 
     def test_trusted_checks_energies(self):
         rng = np.random.default_rng(9)
@@ -385,10 +399,55 @@ class TestNoninteractingHamiltonian:
 
 class TestDiagonalProductHamiltonian:
     def test_identity_eigenbasis(self):
+        # The product basis is not stored; its eigenvector blocks are columns of I.
         rng = np.random.default_rng(9)
         h = diagonal_product_hamiltonian(BipartiteSpace(2, 3), (0.0, 1.0), rng=rng)
-        assert np.array_equal(h.eigenbasis, np.eye(6))
+        assert h.eigenbasis is None and h.diagonal
+        assert np.array_equal(eigenbasis(h), np.eye(6))
+        for start, stop in [(0, 6), (0, 4), (2, 5), (4, 64)]:
+            block = h.eigenvectors(start, stop)
+            assert block.dtype == np.complex128
+            assert np.array_equal(block, np.eye(6)[:, start:stop])
         assert gap_analysis(h).passes
+
+    def test_basis_free_constructor_checks_energies(self):
+        h = SpectralHamiltonian([0.0, 0.5, 1.0], None)
+        assert h.diagonal and h.dim == 3
+        assert SpectralHamiltonian.trusted([0.0, 0.5], None).dim == 2
+        assert not random_spectral_hamiltonian(
+            BipartiteSpace(2, 2), rng=np.random.default_rng(9)
+        ).diagonal
+        for build in (SpectralHamiltonian, SpectralHamiltonian.trusted):
+            with pytest.raises(ValueError):
+                build([0.5, 0.0], None)
+            with pytest.raises(ValueError):
+                build([0.0, np.nan], None)
+            with pytest.raises(DimensionMismatchError):
+                build(np.zeros((2, 2)), None)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 8), (8, 2), (3, 5)], ids=shape_id)
+    def test_methods_equal_the_dense_identity(self, shape):
+        # Coefficients, eigenvector blocks and amplitudes are bit-equal to the
+        # stored identity; the marginals sum the weights in another order,
+        # which moves them by rounding only (at most 1.1e-16 measured here).
+        space = BipartiteSpace(*shape)
+        rng = np.random.default_rng(12 + sum(shape))
+        h = SpectralHamiltonian(np.linspace(0.0, 1.0, space.d), None)
+        h_dense = with_dense_basis(h)
+        psi = haar_random_state(Subspace.full(space.d), rng)
+        assert np.array_equal(h.coefficients(psi), h_dense.coefficients(psi))
+        assert h.coefficients(psi) is not psi
+        assert np.array_equal(h.eigenvectors(1, 4), h_dense.eigenvectors(1, 4))
+        scaled = rng.standard_normal((5, space.d)) + 1j * rng.standard_normal((5, space.d))
+        amps = h_dense.amplitudes(scaled, np.empty_like(scaled))
+        assert np.array_equal(h.amplitudes(scaled, np.empty((0, space.d), complex)), amps)
+        weights = np.abs(psi) ** 2
+        for bath in (False, True):
+            diagonal = h.marginal(weights, space, bath)
+            assert diagonal.dtype == np.complex128
+            assert np.count_nonzero(diagonal - np.diag(np.diagonal(diagonal))) == 0
+            reference = h_dense.marginal(weights, space, bath)
+            assert np.max(np.abs(diagonal - reference)) <= MARGINAL_ROUNDING
 
     def test_commutes_with_diagonal_subsystem_operators(self):
         rng = np.random.default_rng(10)

@@ -383,11 +383,11 @@ class TestSharedPerSweep:
         assert [e.size for e in hamiltonian_builds] == [8, 16]
         assert runner._sweep_shared.cache_info().currsize == 0  # released after the run
 
-    @pytest.mark.parametrize(
-        "experiment, subspace_spec",
-        [("thm2", "full"), ("thm3-bath", "product-fixed-system")],
-    )
-    def test_parallel_matches_serial(self, experiment, subspace_spec):
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_parallel_matches_serial(self, experiment):
+        subspace_spec = {
+            "thm3-bath": "product-fixed-system", "thm3-subsystem": "product-fixed-bath"
+        }.get(experiment, "full")
         cfg = small_config(
             experiment=experiment, subspace_spec=subspace_spec, d_B=[4, 8], trials=5
         )
@@ -593,10 +593,13 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: EQLAB_MAX_DIM: ")
         assert not (tmp_path / "results.csv").exists()
 
-    def test_failed_write_exits_1(self, tmp_path, capsys):
+    def test_failed_write_exits_1(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner, "_run_trial", calls.append)
         cfg = self.write_config(tmp_path, output_path=str(tmp_path / "missing" / "results"))
         assert main(["run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: failed writing csv output to ")
+        assert calls == []
 
     def test_walltime(self, tmp_path):
         cfg = self.write_config(tmp_path)

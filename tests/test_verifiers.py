@@ -20,6 +20,7 @@ from eqlab.dynamics import (
     dephased_bath,
     dephased_system,
     energy_coefficients,
+    reduce_to_bath,
     reduce_to_system,
     reduced_states_at_times,
     sample_times,
@@ -62,7 +63,14 @@ from eqlab.verifiers import (
     torus_distances,
     _ks_statistic,
 )
-from oracles import SHAPES, DenseSubspace, random_subspace, shape_id, torus_state
+from oracles import (
+    SHAPES,
+    DenseSubspace,
+    random_subspace,
+    shape_id,
+    torus_state,
+    with_dense_basis,
+)
 
 
 def thm2_sweep(subspace, h, trials, rng):
@@ -283,6 +291,29 @@ class TestDelta:
         assert np.max(np.abs(eigenstate_purities(h, space) - reference)) <= 1e-14
         monkeypatch.setattr(verifiers, "block_rows", lambda d: 3)
         assert np.max(np.abs(eigenstate_purities(h, space) - reference)) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(8, 4), (16, 8), (32, 16), (64, 16), (3, 2)], ids=shape_id)
+    def test_bath_purities_do_not_depend_on_the_block_layout(self, shape):
+        # d_B < d_S, so the purities come from ρ_B. Each block is copied
+        # contiguous for speed alone: the strided view of the eigenbasis gives
+        # bit-equal purities.
+        space = BipartiteSpace(*shape)
+        u = haar_random_unitary(space.d, np.random.default_rng(240 + sum(shape)))
+        h = SpectralHamiltonian.trusted(np.arange(space.d, dtype=np.float64), u)
+        rows = block_rows(space.d)
+        strided = [purity(reduce_to_bath(u.T[s : s + rows], space)) for s in range(0, space.d, rows)]
+        assert np.array_equal(eigenstate_purities(h, space), np.concatenate(strided))
+
+    @pytest.mark.parametrize("kind", ["full", "fixed_system", "fixed_bath"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_diagonal_equals_the_dense_identity(self, kind, shape):
+        # Product-basis eigenstates have purity 1; δ reads columns of I.
+        space = BipartiteSpace(*shape)
+        rng = np.random.default_rng(250 + sum(shape))
+        h = SpectralHamiltonian(np.linspace(0.0, 1.0, space.d), None)
+        sub = random_subspace(kind, space, rng)
+        assert np.array_equal(eigenstate_purities(h, space), np.ones(space.d))
+        assert delta_quantity(h, sub, space) == delta_quantity(with_dense_basis(h), sub, space)
 
     @pytest.mark.parametrize("kind", ["full", "fixed_system", "fixed_bath"])
     @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
