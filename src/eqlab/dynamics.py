@@ -9,7 +9,9 @@ basis (none for a Hamiltonian diagonal in the product basis, whose scaled
 factors are the amplitudes) and hands the (k, d_S, d_B) amplitudes to a
 reducer. Its phase sources (`time_phases`, `torus_phases`) write α/2 into a
 work arena allocated once per call. `per_state` makes a reducer of a function
-of ρ_S or ρ_B, formed in chunks of at most `BLOCK_AMPLITUDES` entries.
+of ρ_S, formed in chunks of at most `BLOCK_AMPLITUDES` entries;
+`marginal_purities` reads tr ρ² of each row from its smaller marginal, so no
+ρ_B on the larger side is formed.
 The infinite-time average is exact through its marginals (`dephased_system`,
 `dephased_bath`, O(d) for a diagonal Hamiltonian); the d×d dephased state ω
 is never formed. Every product with the eigenbasis is a `SpectralHamiltonian`
@@ -30,14 +32,16 @@ from .bipartite import BipartiteSpace
 from .errors import DegenerateHamiltonianError, DimensionMismatchError
 from .hamiltonians import SpectralHamiltonian
 from .linalg import hermitize
-from .states import as_state
+from .states import as_state, purity
 
 DEFAULT_T_MAX_FACTOR = 1e3
 # `reduced_states` works in blocks of 16384 amplitudes (256 KiB of complex128),
 # never fewer than 64 rows, all planes from one arena per call (planes allocated
-# on their own are faulted in again on every call); `per_state` forms states in
+# on their own are faulted in again on every call); `per_state` forms ρ_S in
 # chunks of as many entries (one state if larger). Neither holds the n × d stack
-# (131 MB at n = 2000, d = 4096) nor the n × side² stack (8.4 GB at d_S = 512).
+# (131 MB at n = 2000, d = 4096) nor the n × d_S² stack (8.4 GB at d_S = 512).
+# `marginal_purities` needs no chunks: a block's smaller marginals hold
+# k·min(d_S, d_B)² ≤ k·d entries, no more than its amplitudes.
 BLOCK_AMPLITUDES = 16384
 MIN_BLOCK_ROWS = 64
 Reducer = Callable[[np.ndarray], np.ndarray]  # a (k, d_S, d_B) amplitude block to (k, …) values
@@ -148,6 +152,22 @@ def reduce_to_bath(amps: np.ndarray, space: BipartiteSpace, out=None) -> np.ndar
     return np.matmul(a.transpose(0, 2, 1), a.conj(), out=out)
 
 
+def marginal_purities(amps: np.ndarray, space: BipartiteSpace) -> np.ndarray:
+    """tr ρ² of each row of an (n, d) or (n, d_S, d_B) amplitude stack, read
+    from the smaller marginal: `reduce_to_system` when d_S ≤ d_B, else
+    `reduce_to_bath`, then `purity`.
+
+    A row, read as the d_S × d_B matrix A, is the pure state
+    |ψ⟩ = Σ A_sb |s b⟩, normalised or not. By its Schmidt decomposition
+    ρ_S = A A† and ρ_B = (A† A)ᵀ share their nonzero spectrum, so
+    tr ρ_S² = tr ρ_B² = tr (A A†)². This holds only for amplitude rows, which
+    are pure states, never for a mixed state such as ω_B, whose purity is read
+    from ω_B itself.
+    """
+    reduce = reduce_to_bath if space.d_B < space.d_S else reduce_to_system
+    return purity(reduce(amps, space))
+
+
 def block_rows(d: int) -> int:
     """Rows per `reduced_states` block at dimension d."""
     return max(MIN_BLOCK_ROWS, BLOCK_AMPLITUDES // d)
@@ -167,7 +187,7 @@ def reduced_states(
 
     ``reducer`` maps a block's amplitudes, a (k, d_S, d_B) view with
     a[j, s, b] = ⟨s b|Ψ(α_j)⟩, to (k, …) values, one per row (`per_state` makes
-    one of a function of ρ_S or ρ_B); it is called once per block and vector, in
+    one of a function of ρ_S); it is called once per block and vector, in
     row order, and its result is copied out, so it may return a view.
     ``phases(start, stop, out)`` writes the half-angles α/2 of rows start …
     stop−1 into the (stop − start, d) float array ``out``, block by block in row
@@ -208,19 +228,18 @@ def reduced_states(
     return values.reshape(*cs.shape[:-1], *values.shape[1:])
 
 
-def per_state(fn: Callable, space: BipartiteSpace, bath: bool = False) -> Reducer:
-    """The `Reducer` of ``fn``, a map of (k, side, side) states to (k, …) values,
-    one per state, applied to each block's ρ_S (ρ_B with ``bath``) in chunks of
-    max(1, BLOCK_AMPLITUDES // side²) rows that share one buffer and change no
+def per_state(fn: Callable, space: BipartiteSpace) -> Reducer:
+    """The `Reducer` of ``fn``, a map of (k, d_S, d_S) states to (k, …) values,
+    one per state, applied to each block's ρ_S in chunks of
+    max(1, BLOCK_AMPLITUDES // d_S²) rows that share one buffer and change no
     value; ``fn``'s values are copied into the block's output, so it may return a view."""
-    reduce, side = (reduce_to_bath, space.d_B) if bath else (reduce_to_system, space.d_S)
-    chunk = max(1, BLOCK_AMPLITUDES // side**2)
-    states = np.empty((chunk, side, side), np.complex128)
+    chunk = max(1, BLOCK_AMPLITUDES // space.d_S**2)
+    states = np.empty((chunk, space.d_S, space.d_S), np.complex128)
 
     def reducer(a: np.ndarray) -> np.ndarray:
         values = None
         for lo in range(0, len(a), chunk):
-            value = fn(reduce(a[lo : lo + chunk], space, out=states[: len(a) - lo]))
+            value = fn(reduce_to_system(a[lo : lo + chunk], space, out=states[: len(a) - lo]))
             if values is None:
                 values = np.empty((len(a), *value.shape[1:]), value.dtype)
             values[lo : lo + len(value)] = value

@@ -31,9 +31,8 @@ from .dynamics import (
     dephased_bath,
     dephased_system,
     energy_coefficients,
+    marginal_purities,
     per_state,
-    reduce_to_bath,
-    reduce_to_system,
     reduced_states,
     reduced_states_at_times,
     require_nondegenerate,
@@ -122,8 +121,9 @@ DEFAULT_THRESHOLDS = (2.0, 5.0, 10.0)
 # allowance only has to cover rounding, which it does by a wide margin.
 EXCEED_SLACK = 0.02
 # The global state is pure, so ρ_B(t) and ρ_S(t) share their nonzero spectrum:
-# d_eff(ρ_B(t)) ≤ rank ρ_B(t) = rank ρ_S(t) ≤ d_S holds exactly, and the
-# computed d_eff may exceed d_S by rounding.
+# d_eff(ρ_B(t)) = 1/tr ρ_S(t)² ≤ rank ρ_S(t) ≤ d_S holds exactly, and the
+# computed d_eff, read from the smaller marginal (`marginal_purities`), may
+# exceed d_S by rounding.
 BATH_DEFF_ALLOWANCE = 1e-6
 # Times at which d_eff(ρ_B(t)) is checked, drawn after the n_samples times of
 # the mean distance.
@@ -181,8 +181,10 @@ def theorem1_check(
     weak-subadditivity link tr ω² ≥ tr ω_B²/d_S between them; the largest
     d_eff(ρ_B(t)) against d_S; and the share of times with D above K times
     the mean, for each threshold K in increasing order. ω_S, tr ω_B² and
-    d_eff(ω) are computed once. The rng draws the n_samples times of the
-    mean first, then `BATH_SAMPLES` times for the bath.
+    d_eff(ω) are computed once; d_eff(ρ_B(t)) is read from the smaller
+    marginal (`marginal_purities`), so no ρ_B(t) is formed when d_S ≤ d_B.
+    The rng draws the n_samples times of the mean first, then `BATH_SAMPLES`
+    times for the bath.
     """
     require_nondegenerate(h)
     if t_max is None:
@@ -193,8 +195,9 @@ def theorem1_check(
     distances = time_distances(c, h, space, omega_s, t_max, n_samples, rng)
     mean = math.fsum(distances) / n_samples
     bath_times = sample_times(t_max, BATH_SAMPLES, rng)
-    bath_deff = per_state(effective_dimension, space, bath=True)
-    d_eff_bath = reduced_states_at_times(c, h, space, bath_times, bath_deff)
+    bath_purities = reduced_states_at_times(
+        c, h, space, bath_times, lambda a: marginal_purities(a, space)
+    )
     checks = {
         "mean_distance_bath_bound": BoundCheck.upper(
             mean, 0.5 * math.sqrt(space.d_S / d_eff_b), kind="bath"
@@ -204,7 +207,7 @@ def theorem1_check(
         ),
         "renyi_subadditivity": BoundCheck.lower(1.0 / d_eff_omega, purity_b / space.d_S),
         "bath_deff_max": BoundCheck.upper(
-            float(np.max(d_eff_bath)),
+            float(np.max(1.0 / bath_purities)),
             space.d_S + BATH_DEFF_ALLOWANCE,
             allowance=BATH_DEFF_ALLOWANCE,
         ),
@@ -254,16 +257,15 @@ def theorem2_sweep_check(d_eff_samples, d_r: int) -> dict[str, BoundCheck]:
 
 
 def eigenstate_purities(h: SpectralHamiltonian, space: BipartiteSpace) -> np.ndarray:
-    """tr(ρ_S^{(k)})², ρ_S^{(k)} = tr_B |E_k⟩⟨E_k|, of every eigenstate, from
-    the smaller marginal (a pure state's two share their spectrum), reduced
-    `block_rows(d)` eigenvectors at a time, each block copied contiguous first.
-    The strided view gives bit-equal purities but is slower on both sides
-    (2-core x86_64, one OpenBLAS thread): 1.5 s against 0.16 s at (32, 64) for
-    ρ_S, and 0.170 s against 0.162 s at (64, 32) for ρ_B (medians of 15)."""
-    reduce = reduce_to_bath if space.d_B < space.d_S else reduce_to_system
+    """tr(ρ_S^{(k)})², ρ_S^{(k)} = tr_B |E_k⟩⟨E_k|, of every eigenstate, by
+    `marginal_purities`, `block_rows(d)` eigenvectors at a time, each block
+    copied contiguous first. The strided view gives bit-equal purities but is
+    slower on both sides (2-core x86_64, one OpenBLAS thread): 1.5 s against
+    0.16 s at (32, 64) for ρ_S, and 0.170 s against 0.162 s at (64, 32) for
+    ρ_B (medians of 15)."""
     rows = block_rows(h.dim)
     return np.concatenate([
-        purity(reduce(np.ascontiguousarray(h.eigenvectors(start, start + rows).T), space))
+        marginal_purities(np.ascontiguousarray(h.eigenvectors(start, start + rows).T), space)
         for start in range(0, h.dim, rows)
     ])
 

@@ -15,6 +15,7 @@ from eqlab.dynamics import (
     dephased_bath,
     dephased_system,
     energy_coefficients,
+    marginal_purities,
     per_state,
     reduce_to_bath,
     reduce_to_system,
@@ -49,6 +50,7 @@ from oracles import (
     noninteracting_hamiltonian,
     partial_trace_bath,
     partial_trace_system,
+    shape_id,
     torus_state,
     with_dense_basis,
 )
@@ -61,8 +63,9 @@ def keep(values):
 
 
 def states_of(space, bath=False):
-    """The reducer whose values are the ρ_S, or ρ_B, states themselves."""
-    return per_state(keep, space, bath)
+    """The reducer whose values are the ρ_S states themselves (`per_state`),
+    or with ``bath`` the ρ_B states (`reduce_to_bath` of the whole block)."""
+    return (lambda a: reduce_to_bath(a, space)) if bath else per_state(keep, space)
 
 
 @pytest.fixture(scope="module")
@@ -603,29 +606,31 @@ class TestReducedStates:
         assert (rows, arena, pops.nbytes) == (256, 917_504, 16_000)
         assert peak <= arena + pops.nbytes + (160 << 10), peak
 
-    def test_bath_memory_is_one_arena_one_chunk_and_the_output(self):
-        # theorem1_check's bath trajectory at (2, 32): 200 rows, one block of
-        # 200 × 64 (716 800 B of arena), and `per_state`'s chunk of 16 ρ_B of
-        # 32 × 32, 16 384 entries (256 KiB), against 3.3 MB for the
-        # (200, 32, 32) stack. Each chunk's values go straight into the block's
-        # (200,) output (1600 B), which the kernel copies into its own; the
-        # rest is numpy's iterator buffer (~132 kB). The peak reads 1 112 848 B.
+    def test_bath_purity_memory_is_one_arena_and_the_output(self):
+        # theorem1_check's bath trajectory at (2, 256), d = 512: 200 rows in
+        # 64-row blocks, whose arena holds 7 × 64 × 512 float64 (1 835 008 B).
+        # `marginal_purities` reads each block's 64 ρ_S of 2 × 2, never the
+        # 256 × 256 ρ_B, of which a chunk of one state took 1 MiB more. The
+        # (200,) purities are 1600 B, and each block's are copied into them;
+        # the rest is numpy's iterator buffer (~132 kB). The peak reads
+        # 1 976 016 B, and read 3 024 360 B with the ρ_B chunk.
         rng = np.random.default_rng(165)
-        space, n = BipartiteSpace(2, 32), 200
-        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+        space, n = BipartiteSpace(2, 256), verifiers.BATH_SAMPLES
+        energies = np.sort(rng.uniform(0.0, 1.0, space.d))
+        h = SpectralHamiltonian.trusted(energies, haar_random_unitary(space.d, rng))
         c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
         phases = time_phases(sample_times(default_t_max(h), n, rng), h)
-        arena, chunk = n * space.d * (3 * 8 + 2 * 16), 256 << 10
+        arena = block_rows(space.d) * space.d * (3 * 8 + 2 * 16)
         tracemalloc.start()
         try:
-            d_eff = reduced_states(
-                c, h, space, phases, n, per_state(effective_dimension, space, bath=True)
-            )
+            purities = reduced_states(c, h, space, phases, n, lambda a: marginal_purities(a, space))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (arena, chunk, d_eff.nbytes) == (716_800, 262_144, 1600)
-        assert peak <= arena + chunk + 2 * d_eff.nbytes + (160 << 10), peak
+        assert (arena, purities.nbytes) == (1_835_008, 1600)
+        bound = arena + 2 * purities.nbytes + (160 << 10)
+        assert bound < arena + 16 * space.d_B**2
+        assert peak <= bound, peak
 
     def test_system_heavy_trajectory_memory(self):
         # (d_S, d_B) = (64, 4): chunks of four 64 × 64 states and their trace
@@ -646,11 +651,10 @@ class TestReducedStates:
         assert peak < 3 << 20, peak
 
     @pytest.mark.parametrize("coefficients", ["vector", "stack"])
-    @pytest.mark.parametrize("bath", [False, True], ids=["system", "bath"])
-    def test_values_do_not_depend_on_the_chunks(self, monkeypatch, coefficients, bath):
-        # `per_state` at (3, 24), d = 72: ρ_S chunks hold 1820 rows and ρ_B
-        # chunks 28. In one block of n = 2 chunks + 7 rows, which spans three
-        # chunks, a one-chunk run of the same block must give the same bits.
+    def test_values_do_not_depend_on_the_chunks(self, monkeypatch, coefficients):
+        # `per_state` at (3, 24), d = 72: ρ_S chunks hold 1820 rows. In one
+        # block of n = 2 chunks + 7 rows, which spans three chunks, a
+        # one-chunk run of the same block must give the same bits.
         rng = np.random.default_rng(167)
         space = BipartiteSpace(3, 24)
         h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
@@ -658,9 +662,9 @@ class TestReducedStates:
             energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h) for _ in range(3)
         ])
         c = cs[0] if coefficients == "vector" else cs
-        side = space.d_B if bath else space.d_S
+        side = space.d_S
         chunk = dynamics.BLOCK_AMPLITUDES // side**2
-        assert chunk == (28 if bath else 1820)
+        assert chunk == 1820
         n = 2 * chunk + 7
         phases = time_phases(sample_times(default_t_max(h), n, rng), h)
         calls = []
@@ -670,11 +674,11 @@ class TestReducedStates:
             return trace_distance(rhos, np.eye(side) / side)
 
         monkeypatch.setattr(dynamics, "block_rows", lambda d: n)
-        chunked = reduced_states(c, h, space, phases, n, per_state(distances, space, bath))
+        chunked = reduced_states(c, h, space, phases, n, per_state(distances, space))
         m = len(c) if c.ndim == 2 else 1
         assert calls == [chunk, chunk, 7] * m
         monkeypatch.setattr(dynamics, "BLOCK_AMPLITUDES", n * side**2)
-        one_chunk = reduced_states(c, h, space, phases, n, per_state(distances, space, bath))
+        one_chunk = reduced_states(c, h, space, phases, n, per_state(distances, space))
         assert calls[3 * m :] == [n] * m
         assert chunked.shape == one_chunk.shape == (*c.shape[:-1], n)
         assert np.array_equal(chunked, one_chunk)
@@ -743,7 +747,7 @@ class TestReducedStates:
             c, h, space, phases, len(times), per_state(np.linalg.eigvalsh, space)
         )
         spec_b = reduced_states(
-            c, h, space, phases, len(times), per_state(np.linalg.eigvalsh, space, bath=True)
+            c, h, space, phases, len(times), lambda a: np.linalg.eigvalsh(reduce_to_bath(a, space))
         )
         assert np.max(np.abs(spec_b[:, -space.d_S:] - spec_s)) <= 1e-12
         assert np.max(np.abs(spec_b[:, :-space.d_S])) <= 1e-12
@@ -784,6 +788,21 @@ class TestAmplitudeReducers:
         oracle = _qubit_trace_distance(diff[:, 0, 0].real, diff[:, 1, 1].real, off)
         assert np.array_equal(distances.reshape(-1), oracle)
         assert np.array_equal(pops.reshape(-1, 2), np.diagonal(rhos, 0, 1, 2).real)
+
+    @pytest.mark.parametrize("shape", [(2, 32), (64, 4), (8, 8)], ids=shape_id)
+    def test_marginal_purities_equal_both_marginals(self, shape):
+        # tr ρ_S² = tr ρ_B² = tr (A A†)² for any d_S × d_B amplitude matrix A,
+        # normalised or not, so the smaller side gives either marginal's purity
+        # to rounding, and a row fails a check on it exactly when it did on ρ_B.
+        space, k = BipartiteSpace(*shape), 50
+        rng = np.random.default_rng(190 + sum(shape))
+        amps = rng.standard_normal((k, *shape)) + 1j * rng.standard_normal((k, *shape))
+        amps *= rng.uniform(0.1, 10.0, (k, 1, 1))
+        got = marginal_purities(amps, space)
+        assert got.shape == (k,)
+        for reduce in (reduce_to_system, reduce_to_bath):
+            reference = purity(reduce(amps, space))
+            assert np.max(np.abs(got - reference) / reference) <= 1e-13
 
     def test_nonfinite_entries_raise(self, instance):
         space, h, psi = instance

@@ -488,6 +488,17 @@ class TestSpinBathHamiltonian:
             rho_s = partial_trace_bath(density_matrix(h.eigenbasis[:, k]), space)
             assert np.vdot(rho_s, rho_s).real >= 0.99
 
+    @pytest.mark.parametrize("d_b", [8, 32])
+    def test_eigh_basis_is_unitary_and_trusted(self, monkeypatch, d_b):
+        # LAPACK's eigh returns an orthonormal basis, so the build skips the d³
+        # unitarity check, which the basis would pass.
+        checks = []
+        monkeypatch.setattr(hamiltonians, "_require_unitary", checks.append)
+        h, space = spin_bath_hamiltonian(50.0, d_b, np.random.default_rng(13 + d_b))
+        u = h.eigenbasis
+        assert checks == []
+        assert np.max(np.abs(u.conj().T @ u - np.eye(space.d))) <= 1e-12
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             spin_bath_hamiltonian(0.0, 8, np.random.default_rng(0))

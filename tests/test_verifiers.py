@@ -204,6 +204,32 @@ class TestTheorem1:
         ref.random(300 + BATH_SAMPLES)
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("shape, reductions", [((2, 8), 0), ((8, 2), 1)], ids=["2x8", "8x2"])
+    def test_bath_deff_reads_the_smaller_marginal(self, monkeypatch, shape, reductions):
+        # d_eff(ρ_B(t)) = 1/tr ρ_S(t)², so at d_S ≤ d_B no ρ_B(t) is formed;
+        # at (8, 2) the 200 bath times are one block, reduced to ρ_B once. The
+        # row equals the largest d_eff of the ρ_B(t) themselves to rounding.
+        space = BipartiteSpace(*shape)
+        rng = np.random.default_rng(207 + shape[0])
+        h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+        c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
+        to_bath, calls = dynamics.reduce_to_bath, []
+
+        def counting(amps, space, out=None):
+            calls.append(len(amps))
+            return to_bath(amps, space, out)
+
+        monkeypatch.setattr(dynamics, "reduce_to_bath", counting)
+        row = theorem1_check(c, h, space, n_samples=64, rng=np.random.default_rng(208))
+        assert calls == [BATH_SAMPLES] * reductions
+        ref = np.random.default_rng(208)
+        t_max = default_t_max(h)
+        sample_times(t_max, 64, ref)
+        bath_times = sample_times(t_max, BATH_SAMPLES, ref)
+        rhos_b = reduced_states_at_times(c, h, space, bath_times, lambda a: to_bath(a, space))
+        reference = np.max(effective_dimension(rhos_b))
+        assert abs(row["bath_deff_max"].empirical - reference) <= 1e-13 * reference
+
     def test_both_trajectories_are_sampled_at_times(self, instance, monkeypatch):
         # The mean's times and the bath's times both go through the one
         # time-sampled entry point, the torus phase source through neither.
