@@ -320,28 +320,34 @@ PINNED_CONFIGS = {
     "thm4": {"d_B": [4]},
     "counterexamples": {"d_B": [4], "trials": 1},
     "identities": {"d_B": [2], "trials": 1},
+    # d_S ≠ 2: the distances come from ρ_S and `trace_distance`, not the qubit closed form.
+    "thm1-d3": {"experiment": "thm1", "d_S": 3, "d_B": [8]},
+    "thm4-d3": {"experiment": "thm4", "d_S": 3, "d_B": [8]},
 }
 
 
-def pinned_records(experiment):
-    """The rows of the experiment's tiny config; tests/pinned_rows.csv holds
-    emit()'s CSV of these for every experiment in PINNED_CONFIGS order."""
+def pinned_records(name):
+    """The rows of a tiny config, named by its experiment unless it sets one;
+    tests/pinned_rows.csv holds emit()'s CSV of these for every entry in
+    PINNED_CONFIGS order."""
     doc = {
-        "experiment": experiment, "d_S": 2, "trials": 2, "master_seed": 7,
+        "experiment": name, "d_S": 2, "trials": 2, "master_seed": 7,
         "time_sampling": {"t_max_factor": 1e3, "n_samples": 50},
-        **PINNED_CONFIGS[experiment],
+        **PINNED_CONFIGS[name],
     }
     return run_experiment(ExperimentConfig.from_dict(doc))
 
 
-@pytest.mark.parametrize("experiment", list(PINNED_CONFIGS))
-def test_pinned_rows(experiment):
-    """Rows match the pinned fixture: quantity, trial, seed and satisfied
-    exactly; empirical and bound to a relative 1e-9, with an absolute 1e-12
-    for the values that measure an exact zero at rounding level."""
+@pytest.mark.parametrize("name", list(PINNED_CONFIGS))
+def test_pinned_rows(name):
+    """Rows match the pinned fixture, found by experiment and d_S: quantity,
+    trial, seed and satisfied exactly; empirical and bound to a relative
+    1e-9, with an absolute 1e-12 for the values that measure an exact zero at
+    rounding level."""
+    records = pinned_records(name)
+    key = (records[0].experiment, str(records[0].d_S))
     with open(PINNED_ROWS) as fh:
-        expected = [row for row in csv.DictReader(fh) if row["experiment"] == experiment]
-    records = pinned_records(experiment)
+        expected = [row for row in csv.DictReader(fh) if (row["experiment"], row["d_S"]) == key]
     assert len(records) == len(expected)
     for rec, row in zip(records, expected):
         assert (rec.quantity, rec.trial, rec.seed) == (
