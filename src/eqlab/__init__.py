@@ -22,7 +22,6 @@ from .hamiltonians import (
     spin_bath_hamiltonian,
 )
 from .linalg import (
-    EigenDecomposition,
     haar_random_unitary,
     hermitian_eigendecomposition,
     kronecker_product,

@@ -49,6 +49,8 @@ def _cmd_run(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config {args.config!r}: {exc}", file=sys.stderr)
         return 1
+    if not isinstance(doc, dict):
+        raise ConfigInvalidError(f"config {args.config!r}: must be an object, got {doc!r}")
     for override in args.set or []:
         key, value = _parse_override(override)
         _apply_override(doc, key, value)
@@ -81,6 +83,8 @@ def _cmd_constants(_args) -> int:
 
 
 def _cmd_check_identities(args) -> int:
+    if not 0 <= args.seed < 2**64:  # the range of master_seed
+        raise ConfigInvalidError(f"--seed: must be an integer in [0, 2^64), got {args.seed}")
     checks = identity_checks(np.random.default_rng(args.seed))
     swap = checks["swap_identity_max_dev"]
     moment = checks["haar_pair_moment_dev"]

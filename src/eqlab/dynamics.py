@@ -8,10 +8,11 @@ the factors by each c, maps them back with one matrix product against the
 basis (none for a Hamiltonian diagonal in the product basis, whose scaled
 factors are the amplitudes) and hands the (k, d_S, d_B) amplitudes to a
 reducer. Its phase sources (`time_phases`, `torus_phases`) write α/2 into a
-work arena allocated once per call. `per_state` makes a reducer of a function
-of ρ_S, formed in chunks of at most `BLOCK_AMPLITUDES` entries;
-`marginal_purities` reads tr ρ² of each row from its smaller marginal, so no
-ρ_B on the larger side is formed.
+work arena allocated once per call. `distances_to` makes the reducer of
+D(ρ_S, ω_S), the one path from amplitudes to distances: at d_S = 2 in closed
+form from the amplitudes, else from ρ_S formed in chunks of at most
+`BLOCK_AMPLITUDES` entries; `marginal_purities` reads tr ρ² of each row from
+its smaller marginal, so no ρ_B on the larger side is formed.
 The infinite-time average is exact through its marginals (`dephased_system`,
 `dephased_bath`, O(d) for a diagonal Hamiltonian); the d×d dephased state ω
 is never formed. Every product with the eigenbasis is a `SpectralHamiltonian`
@@ -29,17 +30,18 @@ from collections.abc import Callable
 import numpy as np
 
 from .bipartite import BipartiteSpace
-from .errors import DegenerateHamiltonianError, DimensionMismatchError
+from .errors import DegenerateHamiltonianError, DimensionMismatchError, NotHermitianError
 from .hamiltonians import SpectralHamiltonian
-from .linalg import hermitize
-from .states import as_state, purity
+from .linalg import HERMITICITY_TOL, as_matrix, hermitize, is_hermitian
+from .states import _qubit_trace_distance, as_state, purity, trace_distance
 
 DEFAULT_T_MAX_FACTOR = 1e3
 # `reduced_states` works in blocks of 16384 amplitudes (256 KiB of complex128),
 # never fewer than 64 rows, all planes from one arena per call (planes allocated
-# on their own are faulted in again on every call); `per_state` forms ρ_S in
-# chunks of as many entries (one state if larger). Neither holds the n × d stack
-# (131 MB at n = 2000, d = 4096) nor the n × d_S² stack (8.4 GB at d_S = 512).
+# on their own are faulted in again on every call); `distances_to` forms ρ_S,
+# where d_S ≠ 2, in chunks of as many entries (one state if larger). Neither
+# holds the n × d stack (131 MB at n = 2000, d = 4096) nor the n × d_S² stack
+# (8.4 GB at d_S = 512).
 # `marginal_purities` needs no chunks: a block's smaller marginals hold
 # k·min(d_S, d_B)² ≤ k·d entries, no more than its amplitudes.
 BLOCK_AMPLITUDES = 16384
@@ -144,12 +146,11 @@ def reduce_to_system(amps: np.ndarray, space: BipartiteSpace, out=None) -> np.nd
     return np.vecdot(a[:, None], a[:, :, None], out=out)
 
 
-def reduce_to_bath(amps: np.ndarray, space: BipartiteSpace, out=None) -> np.ndarray:
-    """ρ_B = tr_S |ψ⟩⟨ψ| of each row of an amplitude stack, into ``out`` when
-    given: (n, d_B, d_B) with ρ[n, b, c] = Σ_s a[n,s,b] conj(a[n,s,c]), one
-    batched matrix product."""
+def reduce_to_bath(amps: np.ndarray, space: BipartiteSpace) -> np.ndarray:
+    """ρ_B = tr_S |ψ⟩⟨ψ| of each row of an amplitude stack: (n, d_B, d_B) with
+    ρ[n, b, c] = Σ_s a[n,s,b] conj(a[n,s,c]), one batched matrix product."""
     a = amps.reshape(-1, space.d_S, space.d_B)
-    return np.matmul(a.transpose(0, 2, 1), a.conj(), out=out)
+    return np.matmul(a.transpose(0, 2, 1), a.conj())
 
 
 def marginal_purities(amps: np.ndarray, space: BipartiteSpace) -> np.ndarray:
@@ -186,8 +187,8 @@ def reduced_states(
     vectors, which all sample the same phases, each block's e^{iα} formed once.
 
     ``reducer`` maps a block's amplitudes, a (k, d_S, d_B) view with
-    a[j, s, b] = ⟨s b|Ψ(α_j)⟩, to (k, …) values, one per row (`per_state` makes
-    one of a function of ρ_S); it is called once per block and vector, in
+    a[j, s, b] = ⟨s b|Ψ(α_j)⟩, to (k, …) values, one per row (`distances_to`
+    makes the one of D(ρ_S, ω_S)); it is called once per block and vector, in
     row order, and its result is copied out, so it may return a view.
     ``phases(start, stop, out)`` writes the half-angles α/2 of rows start …
     stop−1 into the (stop − start, d) float array ``out``, block by block in row
@@ -228,24 +229,44 @@ def reduced_states(
     return values.reshape(*cs.shape[:-1], *values.shape[1:])
 
 
-def per_state(fn: Callable, space: BipartiteSpace) -> Reducer:
-    """The `Reducer` of ``fn``, a map of (k, d_S, d_S) states to (k, …) values,
-    one per state, applied to each block's ρ_S in chunks of
-    max(1, BLOCK_AMPLITUDES // d_S²) rows that share one buffer and change no
-    value; ``fn``'s values are copied into the block's output, so it may return a view."""
-    chunk = max(1, BLOCK_AMPLITUDES // space.d_S**2)
-    states = np.empty((chunk, space.d_S, space.d_S), np.complex128)
+def distances_to(omega_s, space: BipartiteSpace) -> Reducer:
+    """The `Reducer` of D(ρ_S, ω_S) for each amplitude row, the one path from
+    amplitude blocks to distances, with `trace_distance`'s errors: ω_S is
+    checked once, and a block with a non-finite entry raises.
 
-    def reducer(a: np.ndarray) -> np.ndarray:
-        values = None
+    At d_S = 2 no state is formed: the closed form `_qubit_trace_distance`
+    reads ρ_S's populations Σ_b |a_sb|² and ρ₀₁ = Σ_b a_0b a*_1b. Otherwise
+    ρ_S is formed by `reduce_to_system` in chunks of
+    max(1, BLOCK_AMPLITUDES // d_S²) rows that share one buffer and change no
+    value, and each chunk goes to `trace_distance`.
+    """
+    w, side = as_matrix(omega_s, "reference state"), space.d_S
+    if w.shape != (side, side):
+        raise DimensionMismatchError(f"expected a {side}×{side} reference state, got {w.shape}")
+    if not is_hermitian(w):
+        raise NotHermitianError(f"reference state is not Hermitian within {HERMITICITY_TOL}")
+    if side == 2:
+        w00, w11, w01 = w[0, 0].real, w[1, 1].real, (w[0, 1] + w[1, 0].conj()) / 2
+
+        def qubit(a: np.ndarray) -> np.ndarray:
+            pops, rho01 = np.vecdot(a, a).real, np.vecdot(a[:, 1], a[:, 0])
+            d = _qubit_trace_distance(pops[:, 0] - w00, pops[:, 1] - w11, rho01 - w01)
+            if not np.isfinite(d).all():
+                raise ValueError("density matrices contain non-finite entries")
+            return d
+
+        return qubit
+    chunk = max(1, BLOCK_AMPLITUDES // side**2)
+    states = np.empty((chunk, side, side), np.complex128)
+
+    def chunked(a: np.ndarray) -> np.ndarray:
+        values = np.empty(len(a))
         for lo in range(0, len(a), chunk):
-            value = fn(reduce_to_system(a[lo : lo + chunk], space, out=states[: len(a) - lo]))
-            if values is None:
-                values = np.empty((len(a), *value.shape[1:]), value.dtype)
-            values[lo : lo + len(value)] = value
+            rhos = reduce_to_system(a[lo : lo + chunk], space, out=states[: len(a) - lo])
+            values[lo : lo + len(rhos)] = trace_distance(rhos, w)
         return values
 
-    return reducer
+    return chunked
 
 
 def time_phases(

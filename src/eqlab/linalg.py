@@ -9,7 +9,6 @@ unitaries that the rest of the package is built on.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,19 +72,10 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool((np.abs(a - dagger(a)) <= tol).all())
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues (real, ascending) and matching orthonormal eigenvectors.
-
-    Column k of ``eigenvectors`` belongs to ``eigenvalues[k]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigendecomposition(m) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix with LAPACK (``np.linalg.eigh``).
+def hermitian_eigendecomposition(m):
+    """Diagonalize a Hermitian matrix with LAPACK: ``np.linalg.eigh``'s result,
+    whose ``eigenvalues`` ascend and whose column k of ``eigenvectors``
+    belongs to ``eigenvalues[k]``.
 
     Raises DimensionMismatchError for a non-square input, NotHermitianError
     if the input is not symmetric to 1e-12 entrywise, and NoConvergenceError
@@ -100,10 +90,9 @@ def hermitian_eigendecomposition(m) -> EigenDecomposition:
             f"max |m - m†| = {np.max(np.abs(a - dagger(a))):.3e} exceeds {HERMITICITY_TOL}"
         )
     try:
-        values, vectors = np.linalg.eigh(hermitize(a))
+        return np.linalg.eigh(hermitize(a))
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -108,6 +108,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigInvalidError(f"config document: must be an object, got {doc!r}")
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
@@ -175,16 +177,26 @@ class ExperimentConfig:
         _require_object("hamiltonian", ham, tuple(HAMILTONIAN_DEFAULTS))
         if _hamiltonian(self, "name") != "random-spectral":
             raise ConfigInvalidError(f"hamiltonian.name: unknown model {ham['name']!r}")
+        # The energies are drawn as lo + (hi − lo)·U, so the width must be finite too.
         window = _hamiltonian(self, "window")
         if not (
             isinstance(window, (list, tuple)) and len(window) == 2
             and all(_finite(x) for x in window) and window[0] < window[1]
+            and math.isfinite(float(window[1]) - float(window[0]))
         ):
-            raise ConfigInvalidError(f"hamiltonian.window: need finite lo < hi, got {window!r}")
-        field_strength = _hamiltonian(self, "field")
-        if not _finite(field_strength) or field_strength <= 0:
             raise ConfigInvalidError(
-                f"hamiltonian.field: must be positive and finite, got {field_strength!r}"
+                f"hamiltonian.window: need finite lo < hi with finite hi - lo, got {window!r}"
+            )
+        # The spin-bath diagonal holds |H_ii| ≤ field + 2, and its Hermitian
+        # part is formed from H + H†, so 2·(field + 2) must be finite.
+        field_strength = _hamiltonian(self, "field")
+        if not (
+            _finite(field_strength) and field_strength > 0
+            and math.isfinite(2 * (float(field_strength) + 2))
+        ):
+            raise ConfigInvalidError(
+                "hamiltonian.field: must be positive with 2*(field + 2) finite, "
+                f"got {field_strength!r}"
             )
         for b in self.d_B:
             BipartiteSpace(self.d_S, b)  # raises DimensionOverflow on cap breach
@@ -343,8 +355,8 @@ def _thm3_trial(cfg, space, rng, shared):
 
 def _thm3_aggregate(cfg, space, results, shared):
     h, sub = shared()
-    checks, per_state = theorem3_sweep_check(np.array([r.payload for r in results]), h, sub, space)
-    return _sweep_rows(checks) + [(t, "distance_to_mean", chk) for t, chk in enumerate(per_state)]
+    checks, distances = theorem3_sweep_check(np.array([r.payload for r in results]), h, sub, space)
+    return _sweep_rows(checks) + [(t, "distance_to_mean", chk) for t, chk in enumerate(distances)]
 
 
 def _thm4_trial(cfg, space, rng, shared):

@@ -126,28 +126,6 @@ def _qubit_trace_distance(d00, d11, d01) -> np.ndarray:
     return np.maximum(np.abs((d00 + d11) / 2), r)
 
 
-def qubit_distances_to(omega):
-    """D(ρ_S, ω) of each row of a (k, 2, d_B) amplitude block a, in the closed
-    form `_qubit_trace_distance` of ρ_S's populations Σ_b |a_sb|² and
-    ρ₀₁ = Σ_b a_0b a*_1b, with `trace_distance`'s checks (of ω once; any
-    non-finite entry of a block makes its distances, checked, non-finite)."""
-    w = _as_stack(omega)
-    if w.shape != (2, 2):
-        raise DimensionMismatchError(f"expected a 2×2 reference state, got shape {w.shape}")
-    if not is_hermitian(w):
-        raise NotHermitianError(f"reference state is not Hermitian within {HERMITICITY_TOL}")
-    w00, w11, w01 = w[0, 0].real, w[1, 1].real, (w[0, 1] + w[1, 0].conj()) / 2
-
-    def distances(a: np.ndarray) -> np.ndarray:
-        pops, rho01 = np.vecdot(a, a).real, np.vecdot(a[:, 1], a[:, 0])
-        d = _qubit_trace_distance(pops[:, 0] - w00, pops[:, 1] - w11, rho01 - w01)
-        if not np.isfinite(d).all():
-            raise ValueError("density matrices contain non-finite entries")
-        return d
-
-    return distances
-
-
 def trace_distance(rho1, rho2):
     """½ Σ|λ_i| over the eigenvalues of the Hermitian difference ρ₁ − ρ₂.
 

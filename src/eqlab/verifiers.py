@@ -12,8 +12,9 @@ keyed by CSV quantity name, in output order: one per trial
 states (`theorem2_sweep_check`; `theorem3_sweep_check`, which also returns
 one diagnostic per state), which `eqlab.runner.REGISTRY`'s aggregates call.
 Sampled distances to ω_S come from `time_distances` (stratified times) and
-`torus_distances` (uniform phases). δ reads Π_R through p_k and the eigenstates
-through their purities, blocked: no d × d or (d, d_S, d_S) array is formed.
+`torus_distances` (uniform phases), both through `dynamics.distances_to`.
+δ reads Π_R through p_k and the eigenstates through their purities, blocked:
+no d × d or (d, d_S, d_S) array is formed.
 Eigenvectors are read in blocks through `SpectralHamiltonian.eigenvectors`.
 """
 
@@ -30,9 +31,9 @@ from .dynamics import (
     default_t_max,
     dephased_bath,
     dephased_system,
+    distances_to,
     energy_coefficients,
     marginal_purities,
-    per_state,
     reduced_states,
     reduced_states_at_times,
     require_nondegenerate,
@@ -48,7 +49,6 @@ from .states import (
     haar_random_state,
     product_state,
     purity,
-    qubit_distances_to,
     trace_distance,
 )
 
@@ -140,13 +140,6 @@ def d_eff_of_time_average(c) -> float:
     return float(1.0 / np.sum(np.abs(c) ** 4))
 
 
-def _distances_to(omega_s: np.ndarray, space: BipartiteSpace):
-    """D(ρ_S, ω_S) per amplitude row, at d_S = 2 from the amplitudes themselves."""
-    if space.d_S == 2:
-        return qubit_distances_to(omega_s)
-    return per_state(lambda rhos: trace_distance(rhos, omega_s), space)
-
-
 def time_distances(
     c,
     h: SpectralHamiltonian,
@@ -161,7 +154,7 @@ def time_distances(
     if n < 2:
         raise ValueError(f"n_samples must be >= 2, got {n}")
     times = sample_times(t_max, n, rng)
-    return reduced_states_at_times(c, h, space, times, _distances_to(omega_s, space))
+    return reduced_states_at_times(c, h, space, times, distances_to(omega_s, space))
 
 
 def theorem1_check(
@@ -337,7 +330,7 @@ def torus_distances(
 ) -> np.ndarray:
     """D(ρ_S(α), ω_S) for uniform independent phase vectors α (`torus_phases`):
     the torus-sampled twin of `time_distances`."""
-    return reduced_states(c, h, space, torus_phases(rng), samples, _distances_to(omega_s, space))
+    return reduced_states(c, h, space, torus_phases(rng), samples, distances_to(omega_s, space))
 
 
 # A fixed gate on the KS statistic, whatever the two sample sizes: at small

@@ -3,7 +3,10 @@
 eqlab never builds a d×d global operator on a run path: ρ_S(t), ρ_B(t), ω_S
 and ω_B come from the blocked kernel `reduced_states`, the reductions
 `reduce_to_system` / `reduce_to_bath` and `dephased_system` /
-`dephased_bath`, and a subspace is stored by its pinned vector. The
+`dephased_bath`, and a subspace is stored by its pinned vector; distances
+to ω_S are read from the amplitudes (`dynamics.distances_to`), ρ_S formed in
+chunks where d_S ≠ 2. `system_states` is the reducer that keeps every ρ_S of
+a block, from one unchunked `reduce_to_system`. The other
 functions here build the same objects the direct way (the density matrix,
 its partial traces, the dephased state, the evolved state and the torus
 state Ψ(α) as one unblocked (n, d) stack, a subspace's
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from eqlab.bipartite import BipartiteSpace
-from eqlab.dynamics import _phase_factors, energy_coefficients
+from eqlab.dynamics import _phase_factors, energy_coefficients, reduce_to_system
 from eqlab.errors import DimensionMismatchError
 from eqlab.hamiltonians import SpectralHamiltonian
 from eqlab.linalg import as_matrix, hermitize, kronecker_product
@@ -98,6 +101,12 @@ def evolve(psi0, h: SpectralHamiltonian, t: float) -> np.ndarray:
         raise ValueError(f"time must be finite, got {t}")
     c = energy_coefficients(psi0, h)
     return eigenbasis(h) @ (np.exp(-1j * h.energies * t) * c)
+
+
+def system_states(space: BipartiteSpace):
+    """The `reduced_states` reducer whose values are the ρ_S of a block's
+    rows themselves, (k, d_S, d_S), from one unchunked `reduce_to_system`."""
+    return lambda a: reduce_to_system(a, space)
 
 
 def torus_state(c, h: SpectralHamiltonian, alpha) -> np.ndarray:

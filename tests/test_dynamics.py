@@ -14,9 +14,9 @@ from eqlab.dynamics import (
     default_t_max,
     dephased_bath,
     dephased_system,
+    distances_to,
     energy_coefficients,
     marginal_purities,
-    per_state,
     reduce_to_bath,
     reduce_to_system,
     reduced_states,
@@ -38,7 +38,6 @@ from eqlab.states import (
     effective_dimension,
     haar_random_state,
     purity,
-    qubit_distances_to,
     trace_distance,
 )
 from eqlab.verifiers import theorem1_check, theorem4_check, time_distances
@@ -51,30 +50,35 @@ from oracles import (
     partial_trace_bath,
     partial_trace_system,
     shape_id,
+    system_states,
     torus_state,
     with_dense_basis,
 )
 
 
 def keep(values):
-    """The identity reducer: `reduced_states` then returns the amplitudes
-    themselves, and `per_state(keep, …)` the states."""
+    """The identity reducer: `reduced_states` then returns the amplitudes themselves."""
     return values
 
 
 def states_of(space, bath=False):
-    """The reducer whose values are the ρ_S states themselves (`per_state`),
+    """The reducer whose values are the ρ_S states themselves (`system_states`),
     or with ``bath`` the ρ_B states (`reduce_to_bath` of the whole block)."""
-    return (lambda a: reduce_to_bath(a, space)) if bath else per_state(keep, space)
+    return (lambda a: reduce_to_bath(a, space)) if bath else system_states(space)
+
+
+def make_instance(d_s):
+    """A random Hamiltonian at (d_s, 8) and a Haar state."""
+    rng = np.random.default_rng(100)
+    space = BipartiteSpace(d_s, 8)
+    h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
+    psi = haar_random_state(Subspace.full(space.d), rng)
+    return space, h, psi
 
 
 @pytest.fixture(scope="module")
 def instance():
-    rng = np.random.default_rng(100)
-    space = BipartiteSpace(2, 8)
-    h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
-    psi = haar_random_state(Subspace.full(space.d), rng)
-    return space, h, psi
+    return make_instance(2)
 
 
 class TestEnergyCoefficients:
@@ -551,28 +555,31 @@ class TestReducedStates:
         with pytest.raises(DimensionMismatchError):
             reduced_states_at_times(np.ones(shape), h, space, np.zeros(3), keep)
 
-    def test_memory_is_one_block(self, dft_1024):
+    @pytest.mark.parametrize("d_s", [2, 4])
+    def test_memory_is_one_block(self, dft_1024, d_s):
         # One 64-row block's arena (three float and two complex planes of
-        # 64 × 1024, 3 670 016 B), `per_state`'s chunk of 4096 states of 2 × 2
-        # (256 KiB) and the (n,) purities (16 000 B), against 31 MiB for the
-        # n × d amplitude stack alone. The rest is numpy's iterator buffer for
-        # one broadcast ufunc call at a time (8192 elements, ~132 kB).
+        # 64 × 1024, 3 670 016 B) and the (n,) distances (16 000 B), against
+        # 31 MiB for the n × d amplitude stack alone. At d_S = 2 no state is
+        # formed; at d_S = 4 `distances_to` holds one chunk of 1024 states of
+        # 4 × 4 (256 KiB), of which each block fills 64. The rest is numpy's
+        # iterator buffer for one broadcast ufunc call at a time (8192
+        # elements, ~132 kB).
         h = dft_1024
-        space = BipartiteSpace(2, 512)
+        space = BipartiteSpace(d_s, h.dim // d_s)
         rng = np.random.default_rng(151)
         c = energy_coefficients(haar_random_state(Subspace.full(h.dim), rng), h)
+        omega_s = dephased_system(c, h, space)
         times = sample_times(default_t_max(h), 2000, rng)
-        arena, chunk = block_rows(h.dim) * h.dim * (3 * 8 + 2 * 16), 4096 * 4 * 16
+        arena = block_rows(h.dim) * h.dim * (3 * 8 + 2 * 16)
+        chunk = 0 if d_s == 2 else 1024 * 16 * 16
         tracemalloc.start()
         try:
-            purities = reduced_states_at_times(
-                c, h, space, times, per_state(purity, space)
-            )
+            distances = reduced_states_at_times(c, h, space, times, distances_to(omega_s, space))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (arena, purities.nbytes) == (3_670_016, 16_000)
-        assert peak <= arena + chunk + purities.nbytes + (160 << 10), peak
+        assert (arena, distances.nbytes) == (3_670_016, 16_000)
+        assert peak <= arena + chunk + distances.nbytes + (160 << 10), peak
 
     @pytest.mark.parametrize("m, n", [(1, 2000), (4, 500)], ids=["thm4", "counterexample"])
     def test_memory_is_one_arena_and_the_output(self, m, n):
@@ -652,9 +659,10 @@ class TestReducedStates:
 
     @pytest.mark.parametrize("coefficients", ["vector", "stack"])
     def test_values_do_not_depend_on_the_chunks(self, monkeypatch, coefficients):
-        # `per_state` at (3, 24), d = 72: ρ_S chunks hold 1820 rows. In one
-        # block of n = 2 chunks + 7 rows, which spans three chunks, a
-        # one-chunk run of the same block must give the same bits.
+        # `distances_to` at (3, 24), d = 72: ρ_S chunks hold 1820 rows. In one
+        # block of n = 2 chunks + 7 rows, which spans three chunks, each chunk
+        # reaches `trace_distance` once, and a one-chunk run of the same block
+        # must give the same bits.
         rng = np.random.default_rng(167)
         space = BipartiteSpace(3, 24)
         h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
@@ -667,37 +675,40 @@ class TestReducedStates:
         assert chunk == 1820
         n = 2 * chunk + 7
         phases = time_phases(sample_times(default_t_max(h), n, rng), h)
+        omega_s = dephased_system(cs[0], h, space)
         calls = []
 
-        def distances(rhos):
+        def counting(rhos, omega):
             calls.append(len(rhos))
-            return trace_distance(rhos, np.eye(side) / side)
+            return trace_distance(rhos, omega)
 
+        monkeypatch.setattr(dynamics, "trace_distance", counting)
         monkeypatch.setattr(dynamics, "block_rows", lambda d: n)
-        chunked = reduced_states(c, h, space, phases, n, per_state(distances, space))
+        chunked = reduced_states(c, h, space, phases, n, distances_to(omega_s, space))
         m = len(c) if c.ndim == 2 else 1
         assert calls == [chunk, chunk, 7] * m
         monkeypatch.setattr(dynamics, "BLOCK_AMPLITUDES", n * side**2)
-        one_chunk = reduced_states(c, h, space, phases, n, per_state(distances, space))
+        one_chunk = reduced_states(c, h, space, phases, n, distances_to(omega_s, space))
         assert calls[3 * m :] == [n] * m
         assert chunked.shape == one_chunk.shape == (*c.shape[:-1], n)
         assert np.array_equal(chunked, one_chunk)
 
-    def test_small_states_reach_the_function_once_per_block(self, instance):
-        # 2 × 2 states fit chunks of 4096 rows, so each block of a 2000-row
-        # trajectory at (2, 8), 1024 rows, reaches `per_state`'s function in
-        # one call, and the reducer is called once per block.
-        space, h, psi = instance
+    def test_small_states_reach_the_function_once_per_block(self, monkeypatch):
+        # 3 × 3 states fit chunks of 1820 rows, so each block of a 2000-row
+        # trajectory at (3, 8), 682 rows, reaches `trace_distance` in one call.
+        space, h, psi = make_instance(3)
+        c = energy_coefficients(psi, h)
         calls = []
 
-        def recording(rhos):
+        def recording(rhos, omega):
             calls.append(len(rhos))
-            return rhos
+            return trace_distance(rhos, omega)
 
+        monkeypatch.setattr(dynamics, "trace_distance", recording)
         times = sample_times(default_t_max(h), 2000, np.random.default_rng(168))
-        reducer = per_state(recording, space)
-        reduced_states_at_times(energy_coefficients(psi, h), h, space, times, reducer)
-        assert calls == [1024, 976]
+        reducer = distances_to(dephased_system(c, h, space), space)
+        reduced_states_at_times(c, h, space, times, reducer)
+        assert calls == [682, 682, 636]
 
     def test_rejects_no_rows(self, instance):
         space, h, psi = instance
@@ -744,7 +755,7 @@ class TestReducedStates:
         times = sample_times(default_t_max(h), 50, np.random.default_rng(109))
         phases = time_phases(times, h)
         spec_s = reduced_states(
-            c, h, space, phases, len(times), per_state(np.linalg.eigvalsh, space)
+            c, h, space, phases, len(times), lambda a: np.linalg.eigvalsh(system_states(space)(a))
         )
         spec_b = reduced_states(
             c, h, space, phases, len(times), lambda a: np.linalg.eigvalsh(reduce_to_bath(a, space))
@@ -780,7 +791,7 @@ class TestAmplitudeReducers:
         omega_s = dephased_system(cs[0], h, space)
         amps = reduced_states(c, h, space, phases, n, keep)
         rhos = reduce_to_system(amps.reshape(-1, space.d), space)
-        distances = reduced_states(c, h, space, phases, n, qubit_distances_to(omega_s))
+        distances = reduced_states(c, h, space, phases, n, distances_to(omega_s, space))
         pops = reduced_states(c, h, space, phases, n, lambda a: np.vecdot(a, a).real)
         assert distances.shape == (*c.shape[:-1], n) and pops.shape == (*c.shape[:-1], n, 2)
         diff = rhos - omega_s
@@ -804,35 +815,49 @@ class TestAmplitudeReducers:
             reference = purity(reduce(amps, space))
             assert np.max(np.abs(got - reference) / reference) <= 1e-13
 
-    def test_nonfinite_entries_raise(self, instance):
-        space, h, psi = instance
+    @pytest.mark.parametrize("d_s", [2, 3])
+    def test_nonfinite_entries_raise(self, d_s):
+        # A non-finite ω_S, or a non-finite block: in the closed form at
+        # d_S = 2, in `trace_distance`'s check of ρ_S otherwise.
+        space, h, psi = make_instance(d_s)
         c = energy_coefficients(psi, h)
         omega_s = dephased_system(c, h, space)
         rng = np.random.default_rng(185)
         with pytest.raises(ValueError, match="non-finite"):
-            time_distances(c, h, space, np.where(np.eye(2), np.nan, omega_s), 10.0, 8, rng)
+            time_distances(c, h, space, np.where(np.eye(d_s), np.nan, omega_s), 10.0, 8, rng)
         c[3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             time_distances(c, h, space, omega_s, 10.0, 8, rng)
 
-    def test_non_hermitian_reference_raises_and_is_checked_once(self, instance, monkeypatch):
-        space, h, psi = instance
+    @pytest.mark.parametrize("d_s", [2, 3])
+    def test_reference_of_the_wrong_shape_raises(self, d_s):
+        space, h, psi = make_instance(d_s)
+        c = energy_coefficients(psi, h)
+        rng = np.random.default_rng(189)
+        for omega in (np.eye(5 - d_s) / (5 - d_s), np.eye(d_s * d_s) / d_s**2, np.ones(d_s)):
+            with pytest.raises(DimensionMismatchError):
+                time_distances(c, h, space, omega, 10.0, 8, rng)
+
+    @pytest.mark.parametrize("d_s", [2, 3])
+    def test_non_hermitian_reference_raises_and_is_checked_once(self, monkeypatch, d_s):
+        space, h, psi = make_instance(d_s)
         c = energy_coefficients(psi, h)
         rng = np.random.default_rng(186)
-        skew = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=np.complex128)
+        skew = np.eye(d_s, dtype=np.complex128) / d_s
+        skew[0, 1] = 0.1
         with pytest.raises(NotHermitianError):
             time_distances(c, h, space, skew, 10.0, 8, rng)
         checks = []
-        is_hermitian = states.is_hermitian
+        is_hermitian = dynamics.is_hermitian
 
         def counting(a):
             checks.append(a.shape)
             return is_hermitian(a)
 
-        monkeypatch.setattr(states, "is_hermitian", counting)
+        monkeypatch.setattr(dynamics, "is_hermitian", counting)
         n = 2 * block_rows(space.d) + 7
         distances = time_distances(c, h, space, dephased_system(c, h, space), 10.0, n, rng)
-        assert distances.shape == (n,) and checks == [(2, 2)]
+        assert distances.shape == (n,) and checks == [(d_s, d_s)]
 
     def test_thm4_trajectories_reach_the_distances_once_per_block(self, monkeypatch):
         # theorem4_check at (2, 32), as in thm4: three 2000-row trajectories
@@ -843,10 +868,9 @@ class TestAmplitudeReducers:
         h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
         c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
         rows = []
-        distances_to = verifiers.qubit_distances_to
 
-        def recording(omega):
-            distances = distances_to(omega)
+        def recording(omega, space):
+            distances = distances_to(omega, space)
 
             def recorded(a):
                 rows.append(len(a))
@@ -854,7 +878,7 @@ class TestAmplitudeReducers:
 
             return recorded
 
-        monkeypatch.setattr(verifiers, "qubit_distances_to", recording)
+        monkeypatch.setattr(verifiers, "distances_to", recording)
         theorem4_check(c, h, space, 0.2, n_samples=2000, rng=rng)
         assert rows == ([256] * 7 + [208]) * 3
 

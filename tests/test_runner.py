@@ -7,6 +7,7 @@ import dataclasses
 import inspect
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,10 @@ class TestSeedDerivation:
         assert 0 <= derive_seed(2**64 - 1, 5, 9) < 2**64
 
 
+# The largest accepted |window| and field: hi − lo = max at [−HALF_MAX, HALF_MAX],
+# and 2·(HALF_MAX + 2) = max; ABOVE_HALF_MAX is the next float above.
+HALF_MAX = sys.float_info.max / 2
+ABOVE_HALF_MAX = math.nextafter(HALF_MAX, math.inf)
 # Configs whose run would crash, or whose field would mean nothing: each is
 # refused by validate(), which names the field. A case is keyed by the field,
 # or by "field=value" where a field has more than one case. The integer
@@ -113,6 +118,15 @@ UNRUNNABLE = {
         "time_sampling": {"t_max_factor": 10**400, "n_samples": 200}
     },
     "hamiltonian.field=1e400": {"experiment": "counterexamples", "hamiltonian": {"field": 10**400}},
+    # Finite values whose run would overflow: the energies are drawn as
+    # lo + (hi − lo)·U, and the spin-bath Hamiltonian, |H_ii| ≤ field + 2, is
+    # made Hermitian from H + H†. Just outside the largest accepted values.
+    "hamiltonian.window=[-1e308,1e308]": {"hamiltonian": {"window": [-1e308, 1e308]}},
+    "hamiltonian.window=width": {"hamiltonian": {"window": [-HALF_MAX, ABOVE_HALF_MAX]}},
+    "hamiltonian.field=1e308": {"experiment": "counterexamples", "hamiltonian": {"field": 1e308}},
+    "hamiltonian.field=max": {
+        "experiment": "counterexamples", "hamiltonian": {"field": ABOVE_HALF_MAX}
+    },
     # The output files are named <output_path>.csv and .json.
     "output_path=5": {"output_path": 5},
     "output_path=''": {"output_path": ""},
@@ -155,6 +169,11 @@ class TestConfigValidation:
         # one-level Hamiltonian passes the gap check.
         with pytest.raises(ConfigInvalidError, match="^d_B: "):
             small_config(experiment=experiment, d_S=1, d_B=[4, 1])
+
+    @pytest.mark.parametrize("doc", [[{}], 5, None, "experiment", []], ids=repr)
+    def test_document_that_is_not_an_object(self, doc):
+        with pytest.raises(ConfigInvalidError, match="^config document: must be an object"):
+            ExperimentConfig.from_dict(doc)
 
     def test_identities_admit_one_level_space(self):
         assert small_config(experiment="identities", d_S=1, d_B=[1]).d_B == (1,)
@@ -557,6 +576,37 @@ class TestCli:
         cfg = self.write_config(tmp_path, **UNRUNNABLE[case])
         assert main(["run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {case.split('=')[0]}: ")
+
+    @pytest.mark.parametrize("text", ["[{}]", "5", "null", '"experiment"', "[]"])
+    @pytest.mark.parametrize("overrides", [[], ["--set", "trials=1"]], ids=["plain", "--set"])
+    def test_document_that_is_not_an_object_exits_1(self, tmp_path, capsys, text, overrides):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), *overrides]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config {str(path)!r}: must be an object")
+
+    @pytest.mark.parametrize(
+        "experiment, hamiltonian, code",
+        [
+            ("thm1", {"window": [-HALF_MAX, HALF_MAX]}, 0),
+            ("counterexamples", {"field": HALF_MAX}, 2),
+        ],
+        ids=["window", "field"],
+    )
+    def test_largest_window_and_field_run(self, tmp_path, experiment, hamiltonian, code):
+        # The widest window runs and passes. No spin-bath draw at the
+        # strongest field passes the gap check, a clean exit 2, as at 5e307.
+        cfg = self.write_config(
+            tmp_path, experiment=experiment, d_B=[2], trials=1, hamiltonian=hamiltonian
+        )
+        assert main(["run", "--config", str(cfg)]) == code
+
+    @pytest.mark.parametrize("seed, code", [(-1, 1), (0, 0), (2**64 - 1, 0), (2**64, 1)])
+    def test_check_identities_seed_range(self, capsys, seed, code):
+        # --seed takes master_seed's range, [0, 2^64).
+        assert main(["check-identities", "--seed", str(seed)]) == code
+        err = capsys.readouterr().err
+        assert err == "" if code == 0 else err.startswith("error: --seed: ")
 
     def test_epsilon_fourth_power_beyond_float_range(self, tmp_path):
         # ε⁴ = 1e400 is no float: the tail bound e^{−c″ε⁴d_eff} reads 0, and

@@ -333,7 +333,7 @@ class TestTraceDistance:
 
     def test_qubit_stack_agrees_with_the_closed_form(self, monkeypatch):
         # A 2 × 2 stack takes the one batched eigvalsh path, and agrees to
-        # rounding with the closed form that `qubit_distances_to` uses.
+        # rounding with the closed form that `dynamics.distances_to` uses at d_S = 2.
         calls = []
         eigvalsh = np.linalg.eigvalsh
 

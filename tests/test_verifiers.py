@@ -68,6 +68,7 @@ from oracles import (
     DenseSubspace,
     random_subspace,
     shape_id,
+    system_states,
     torus_state,
     with_dense_basis,
 )
@@ -215,9 +216,9 @@ class TestTheorem1:
         c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
         to_bath, calls = dynamics.reduce_to_bath, []
 
-        def counting(amps, space, out=None):
+        def counting(amps, space):
             calls.append(len(amps))
-            return to_bath(amps, space, out)
+            return to_bath(amps, space)
 
         monkeypatch.setattr(dynamics, "reduce_to_bath", counting)
         row = theorem1_check(c, h, space, n_samples=64, rng=np.random.default_rng(208))
@@ -698,7 +699,8 @@ class TestIdentities:
 
 def per_state_diagonal_counterexample(space, rng, n_times):
     """The reference form of `diagonal_counterexample`: the same draws, and
-    one single-vector trajectory call per initial state."""
+    one single-vector trajectory call per initial state, whose populations
+    are the diagonals of the unchunked ρ_S (`system_states`)."""
     h = diagonal_product_hamiltonian(space, rng=rng)
     phi_b = haar_random_state(Subspace.full(space.d_B), rng)
     times = sample_times(default_t_max(h, 100.0), n_times, rng)
@@ -707,8 +709,7 @@ def per_state_diagonal_counterexample(space, rng, n_times):
     drifts, omegas = [], []
     for psi_s in psis:
         c = energy_coefficients(product_state(psi_s, phi_b, space), h)
-        reducer = dynamics.per_state(lambda r: r, space)
-        rhos = reduced_states_at_times(c, h, space, times, reducer)
+        rhos = reduced_states_at_times(c, h, space, times, system_states(space))
         pops = np.real(np.diagonal(rhos, axis1=1, axis2=2))
         drifts.append(float(np.max(np.abs(pops - np.abs(psi_s) ** 2))))
         omegas.append(dephased_system(c, h, space))
