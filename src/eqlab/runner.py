@@ -16,7 +16,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache, partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.random import default_rng  # numpy loads it lazily; load it with eqlab, not in a trial
@@ -49,10 +49,6 @@ _SHARED_STREAM = 0xFFFFFFFF  # trial slot reserved for per-sweep shared objects
 
 _MASK64 = (1 << 64) - 1
 
-# A `hamiltonian` field left out is run at its default here, which is not
-# written into the config: config_hash() covers the document as given.
-HAMILTONIAN_DEFAULTS = {"name": "random-spectral", "window": (0.0, 1.0), "field": 50.0}
-
 
 def splitmix64(x: int) -> int:
     """The splitmix64 finalizer; the published per-trial seed mixer."""
@@ -80,22 +76,16 @@ def _finite(x) -> bool:
     return isinstance(x, float) and math.isfinite(x)
 
 
-def _require_object(name: str, value, known: tuple[str, ...]) -> None:
-    if not isinstance(value, dict):
-        raise ConfigInvalidError(f"{name}: must be an object, got {value!r}")
-    for key in value:
-        if key not in known:
-            raise ConfigInvalidError(f"{name}.{key}: unknown field; known are {list(known)}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
     d_S: int = 2
     d_B: tuple[int, ...] = (32,)
     subspace_spec: str = "full"
+    # A key left out runs at its FIELDS default, which config_hash() does not
+    # cover; `field` is left out here too, as when the pinned hashes were taken.
     hamiltonian: dict = field(default_factory=lambda: {
-        "name": HAMILTONIAN_DEFAULTS["name"], "window": list(HAMILTONIAN_DEFAULTS["window"])
+        key: FIELDS[f"hamiltonian.{key}"].default for key in ("name", "window")
     })
     trials: int = 10
     time_sampling: dict = field(default_factory=lambda: {
@@ -127,87 +117,24 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
+    def value(self, name: str):
+        """The field that FIELDS calls `name`; an object's key left out reads as its default."""
+        parent, _, key = name.partition(".")
+        return getattr(self, parent).get(key, FIELDS[name].default) if key else getattr(self, name)
+
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigInvalidError(
-                f"experiment: {self.experiment!r} not one of {EXPERIMENTS}"
-            )
-        if not _integer(self.d_S) or self.d_S < 1:
-            raise ConfigInvalidError(f"d_S: must be an integer >= 1, got {self.d_S!r}")
-        if not self.d_B or not all(_integer(b) and b >= 1 for b in self.d_B):
-            raise ConfigInvalidError(f"d_B: entries must be integers >= 1, got {list(self.d_B)!r}")
-        # Every experiment but identities builds a Hamiltonian; the gap check needs d >= 2.
-        if self.experiment != "identities" and self.d_S * min(self.d_B) < 2:
-            raise ConfigInvalidError(f"d_B: {self.experiment} needs d_S*d_B >= 2: {self.d_B}")
-        # The diagonal model compares two system basis states; the spin-bath
-        # model needs a bath of at least two levels.
-        if self.experiment == "counterexamples" and self.d_S < 2:
-            raise ConfigInvalidError(f"d_S: counterexamples needs d_S >= 2, got {self.d_S}")
-        if self.experiment == "counterexamples" and min(self.d_B) < 2:
-            raise ConfigInvalidError(f"d_B: counterexamples needs entries >= 2, got {self.d_B}")
-        if not _integer(self.trials) or self.trials < 1:
-            raise ConfigInvalidError(f"trials: must be an integer >= 1, got {self.trials!r}")
-        if self.subspace_spec not in ("full", "product-fixed-system", "product-fixed-bath"):
-            raise ConfigInvalidError(f"subspace_spec: unknown value {self.subspace_spec!r}")
-        if not _finite(self.epsilon) or self.epsilon <= 0:
-            raise ConfigInvalidError(f"epsilon: must be positive and finite, got {self.epsilon!r}")
-        ks = self.thresholds_K
-        if not isinstance(ks, (list, tuple)) or not all(_finite(k) and k > 0 for k in ks):
-            shown = list(ks) if isinstance(ks, tuple) else ks
-            raise ConfigInvalidError(
-                f"thresholds_K: must be a list of finite numbers > 0, got {shown!r}"
-            )
-        names = [exceed_fraction_name(k) for k in ks]
-        if len(set(names)) < len(names):
-            raise ConfigInvalidError(f"thresholds_K: row names must be distinct, got {names}")
-        _require_object("time_sampling", self.time_sampling, ("t_max_factor", "n_samples"))
-        for key in ("t_max_factor", "n_samples"):
-            if key not in self.time_sampling:
-                raise ConfigInvalidError(f"time_sampling.{key}: missing")
-        t_max_factor = self.time_sampling["t_max_factor"]
-        if not _finite(t_max_factor) or t_max_factor <= 0:
-            raise ConfigInvalidError("time_sampling.t_max_factor: must be positive and finite")
-        n_samples = self.time_sampling["n_samples"]
-        if not _integer(n_samples) or n_samples < 2:
-            raise ConfigInvalidError(
-                f"time_sampling.n_samples: must be an integer >= 2, got {n_samples!r}"
-            )
-        # Every experiment's model fields are checked, whether or not it reads them.
-        ham = self.hamiltonian
-        _require_object("hamiltonian", ham, tuple(HAMILTONIAN_DEFAULTS))
-        if _hamiltonian(self, "name") != "random-spectral":
-            raise ConfigInvalidError(f"hamiltonian.name: unknown model {ham['name']!r}")
-        # The energies are drawn as lo + (hi − lo)·U, so the width must be finite too.
-        window = _hamiltonian(self, "window")
-        if not (
-            isinstance(window, (list, tuple)) and len(window) == 2
-            and all(_finite(x) for x in window) and window[0] < window[1]
-            and math.isfinite(float(window[1]) - float(window[0]))
-        ):
-            raise ConfigInvalidError(
-                f"hamiltonian.window: need finite lo < hi with finite hi - lo, got {window!r}"
-            )
-        # The spin-bath diagonal holds |H_ii| ≤ field + 2, and its Hermitian
-        # part is formed from H + H†, so 2·(field + 2) must be finite.
-        field_strength = _hamiltonian(self, "field")
-        if not (
-            _finite(field_strength) and field_strength > 0
-            and math.isfinite(2 * (float(field_strength) + 2))
-        ):
-            raise ConfigInvalidError(
-                "hamiltonian.field: must be positive with 2*(field + 2) finite, "
-                f"got {field_strength!r}"
-            )
+        """Refuse the first field, in FIELDS order, whose value fails its test."""
+        for name, spec in FIELDS.items():
+            value = self.value(name)
+            if not spec.test(value, self):
+                shown = list(value) if isinstance(value, tuple) else value
+                raise ConfigInvalidError(f"{name}: {spec.rule}, got {shown!r}")
+            for key in value if isinstance(value, dict) else ():  # an object's keys are in FIELDS
+                if f"{name}.{key}" not in FIELDS:
+                    known = [n.partition(".")[2] for n in FIELDS if n.startswith(name + ".")]
+                    raise ConfigInvalidError(f"{name}.{key}: unknown field; known are {known}")
         for b in self.d_B:
             BipartiteSpace(self.d_S, b)  # raises DimensionOverflow on cap breach
-        if not _integer(self.master_seed) or not 0 <= self.master_seed <= _MASK64:
-            raise ConfigInvalidError(
-                f"master_seed: must be an integer in [0, 2^64), got {self.master_seed!r}"
-            )
-        if not isinstance(self.output_path, str) or not self.output_path:
-            raise ConfigInvalidError(
-                f"output_path: must be a nonempty string, got {self.output_path!r}"
-            )
 
     def canonical_json(self) -> str:
         """The config as sorted-key JSON that from_dict() reads back."""
@@ -262,14 +189,8 @@ def _shared_rng(cfg: ExperimentConfig, sweep_index: int) -> np.random.Generator:
     return default_rng(derive_seed(cfg.master_seed, sweep_index, _SHARED_STREAM))
 
 
-def _hamiltonian(cfg: ExperimentConfig, key: str):
-    """A `hamiltonian` field of the config, or its default."""
-    return cfg.hamiltonian.get(key, HAMILTONIAN_DEFAULTS[key])
-
-
 def _build_hamiltonian(cfg: ExperimentConfig, space: BipartiteSpace, rng):
-    window = tuple(_hamiltonian(cfg, "window"))
-    return random_spectral_hamiltonian(space, window, rng=rng)
+    return random_spectral_hamiltonian(space, tuple(cfg.value("hamiltonian.window")), rng=rng)
 
 
 def _build_subspace(spec: str, space: BipartiteSpace, rng) -> Subspace:
@@ -282,6 +203,11 @@ def _build_subspace(spec: str, space: BipartiteSpace, rng) -> Subspace:
     return Subspace.fixed_bath(psi, space)
 
 
+@lru_cache(maxsize=1)  # read and validated once per process, not once per trial
+def _config(cfg_json: str) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(json.loads(cfg_json))
+
+
 @lru_cache(maxsize=1)
 def _sweep_shared(cfg_json: str, sweep_index: int) -> tuple:
     """The sweep's shared (H, subspace), built once per sweep and process.
@@ -292,7 +218,7 @@ def _sweep_shared(cfg_json: str, sweep_index: int) -> tuple:
     returned arrays: later trials of the sweep receive the same objects.
     run_experiment clears the memo when it returns.
     """
-    cfg = ExperimentConfig.from_dict(json.loads(cfg_json))
+    cfg = _config(cfg_json)
     space = BipartiteSpace(cfg.d_S, cfg.d_B[sweep_index])
     shared = _shared_rng(cfg, sweep_index)
     h = _build_hamiltonian(cfg, space, shared)
@@ -316,11 +242,17 @@ def _sweep_shared(cfg_json: str, sweep_index: int) -> tuple:
 
 
 def _n_samples(cfg: ExperimentConfig) -> int:
-    return cfg.time_sampling["n_samples"]
+    return cfg.value("time_sampling.n_samples")
 
 
 def _t_max(cfg: ExperimentConfig, h) -> float:
-    return default_t_max(h, float(cfg.time_sampling["t_max_factor"]))
+    t_max = default_t_max(h, float(cfg.value("time_sampling.t_max_factor")))
+    # time_phases writes the half-angles t·E/2, which must be finite floats.
+    if not math.isfinite(t_max * (0.5 * float(np.max(np.abs(h.energies))))):
+        raise ConfigInvalidError(
+            f"time_sampling.t_max_factor: t_max*max|E|/2 must be finite, got t_max = {t_max!r}"
+        )
+    return t_max
 
 
 def _thm1_trial(cfg, space, rng, shared):
@@ -368,7 +300,7 @@ def _thm4_trial(cfg, space, rng, shared):
 
 
 def _counterexamples_trial(cfg, space, rng, shared):
-    field_strength = float(_hamiltonian(cfg, "field"))
+    field_strength = float(cfg.value("hamiltonian.field"))
     checks = counterexample_checks(space, rng, field_strength, _n_samples(cfg))
     return space.d, list(checks.items()), None
 
@@ -395,10 +327,77 @@ REGISTRY = {
 EXPERIMENTS = tuple(REGISTRY)
 
 
+class Field(NamedTuple):
+    """A field's test of (value, config), its refusal's rule, and an object key's default."""
+
+    test: Callable[[object, ExperimentConfig], bool]
+    rule: str
+    default: object = None
+
+
+def _one_of(*values: str, default: str | None = None) -> Field:
+    return Field(lambda v, c: v in values, f"must be one of {', '.join(values)}", default)
+
+
+# The fields validate() checks, in order: an object before its keys, its only
+# dotted entries. Every experiment's model fields are checked, read or not.
+FIELDS = {
+    "experiment": _one_of(*EXPERIMENTS),
+    # Counterexamples needs two bath levels and, for the diagonal model, two
+    # system levels; every other experiment but identities builds a Hamiltonian,
+    # whose gap check needs d >= 2. d_B comes first: it names a one-level space.
+    "d_B": Field(
+        lambda v, c: bool(v) and all(_integer(b) and b >= 1 for b in v) and (
+            min(v) >= 2 or c.experiment == "identities"
+            or c.experiment != "counterexamples" and c.d_S != 1
+        ),
+        "counterexamples needs a list of integers >= 2, the others a nonempty list of"
+        " integers >= 1 with d_S*d_B >= 2 but for identities",
+    ),
+    "d_S": Field(
+        lambda v, c: _integer(v) and v >= (2 if c.experiment == "counterexamples" else 1),
+        "counterexamples needs an integer >= 2, the others an integer >= 1",
+    ),
+    "trials": Field(lambda v, c: _integer(v) and v >= 1, "must be an integer >= 1"),
+    "subspace_spec": _one_of("full", "product-fixed-system", "product-fixed-bath"),
+    "epsilon": Field(lambda v, c: _finite(v) and v > 0, "must be a finite number > 0"),
+    "thresholds_K": Field(
+        lambda v, c: isinstance(v, (list, tuple)) and all(_finite(k) and k > 0 for k in v)
+        and len({exceed_fraction_name(k) for k in v}) == len(v),
+        "must be a list of finite numbers > 0 with distinct row names exceed_fraction_K<%g>",
+    ),
+    "time_sampling": Field(lambda v, c: isinstance(v, dict), "must be an object"),
+    "time_sampling.t_max_factor": Field(
+        lambda v, c: _finite(v) and v > 0, "must be a finite number > 0", DEFAULT_T_MAX_FACTOR
+    ),
+    "time_sampling.n_samples": Field(
+        lambda v, c: _integer(v) and v >= 2, "must be an integer >= 2", DEFAULT_N_SAMPLES
+    ),
+    "hamiltonian": Field(lambda v, c: isinstance(v, dict), "must be an object"),
+    "hamiltonian.name": _one_of("random-spectral", default="random-spectral"),
+    # The energies are drawn as lo + (hi − lo)·U, so the width must be finite too.
+    "hamiltonian.window": Field(
+        lambda v, c: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite, v))
+        and v[0] < v[1] and math.isfinite(float(v[1]) - float(v[0])),
+        "must be [lo, hi], finite numbers with lo < hi and a finite hi - lo", (0.0, 1.0),
+    ),
+    # The spin-bath eigenvalues lie within ±(field + 2) up to eigh's rounding, so
+    # a finite 4·(field + 2) keeps each difference gap_analysis takes within max/2.
+    "hamiltonian.field": Field(
+        lambda v, c: _finite(v) and v > 0 and math.isfinite(4 * (float(v) + 2)),
+        "must be a finite number > 0 with 4*(field + 2) finite", 50.0,
+    ),
+    "master_seed": Field(
+        lambda v, c: _integer(v) and 0 <= v <= _MASK64, "must be an integer in [0, 2^64)"
+    ),
+    "output_path": Field(lambda v, c: isinstance(v, str) and v != "", "must be a nonempty string"),
+}
+
+
 def _run_trial(payload: tuple) -> TrialResult:
     """Execute one trial; fully self-contained for process-pool dispatch."""
     cfg_json, sweep_index, trial_index = payload
-    cfg = ExperimentConfig.from_dict(json.loads(cfg_json))
+    cfg = _config(cfg_json)
     space = BipartiteSpace(cfg.d_S, cfg.d_B[sweep_index])
     seed = derive_seed(cfg.master_seed, sweep_index, trial_index)
     trial_fn, _ = REGISTRY[cfg.experiment]

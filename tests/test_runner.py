@@ -72,9 +72,10 @@ class TestSeedDerivation:
 
 
 # The largest accepted |window| and field: hi − lo = max at [−HALF_MAX, HALF_MAX],
-# and 2·(HALF_MAX + 2) = max; ABOVE_HALF_MAX is the next float above.
+# and 4·(QUARTER_MAX + 2) = max; ABOVE_HALF_MAX is the next float above HALF_MAX.
 HALF_MAX = sys.float_info.max / 2
 ABOVE_HALF_MAX = math.nextafter(HALF_MAX, math.inf)
+QUARTER_MAX = sys.float_info.max / 4
 # Configs whose run would crash, or whose field would mean nothing: each is
 # refused by validate(), which names the field. A case is keyed by the field,
 # or by "field=value" where a field has more than one case. The integer
@@ -119,8 +120,10 @@ UNRUNNABLE = {
     },
     "hamiltonian.field=1e400": {"experiment": "counterexamples", "hamiltonian": {"field": 10**400}},
     # Finite values whose run would overflow: the energies are drawn as
-    # lo + (hi − lo)·U, and the spin-bath Hamiltonian, |H_ii| ≤ field + 2, is
-    # made Hermitian from H + H†. Just outside the largest accepted values.
+    # lo + (hi − lo)·U, and the spin-bath gaps reach 2·(field + 2) and more by
+    # eigh's rounding. Just outside the widest window, and beyond the field's
+    # old limit, 2·(field + 2) finite; tests/test_config_fields.py walks the
+    # field's limit.
     "hamiltonian.window=[-1e308,1e308]": {"hamiltonian": {"window": [-1e308, 1e308]}},
     "hamiltonian.window=width": {"hamiltonian": {"window": [-HALF_MAX, ABOVE_HALF_MAX]}},
     "hamiltonian.field=1e308": {"experiment": "counterexamples", "hamiltonian": {"field": 1e308}},
@@ -264,9 +267,9 @@ class TestRunExperiment:
             run_experiment(small_config(trials=1), workers=workers)
 
     def test_field_default(self):
-        # A config that leaves hamiltonian.field out runs at the named default.
+        # A config that leaves hamiltonian.field out runs at its FIELDS default.
         base = {"experiment": "counterexamples", "d_B": [4], "trials": 1}
-        field = runner.HAMILTONIAN_DEFAULTS["field"]
+        field = runner.FIELDS["hamiltonian.field"].default
         left_out = run_experiment(small_config(**base))
         given = run_experiment(small_config(**base, hamiltonian={"field": field}))
         assert strip_walltime(left_out) == strip_walltime(given)
@@ -589,7 +592,7 @@ class TestCli:
         "experiment, hamiltonian, code",
         [
             ("thm1", {"window": [-HALF_MAX, HALF_MAX]}, 0),
-            ("counterexamples", {"field": HALF_MAX}, 2),
+            ("counterexamples", {"field": QUARTER_MAX}, 2),
         ],
         ids=["window", "field"],
     )
@@ -600,6 +603,24 @@ class TestCli:
             tmp_path, experiment=experiment, d_B=[2], trials=1, hamiltonian=hamiltonian
         )
         assert main(["run", "--config", str(cfg)]) == code
+
+    def test_readme_override_without_time_sampling(self, tmp_path):
+        # A key left out of time_sampling runs at its default, as in hamiltonian.
+        cfg = self.write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        del doc["time_sampling"]
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--set", "time_sampling.n_samples=500"]) == 0
+
+    @pytest.mark.parametrize("experiment", ["thm1", "thm4"])
+    def test_phase_overflow_exits_1(self, tmp_path, capsys, experiment):
+        # t_max·max|E|/2 beyond float range: the half-angles would be inf.
+        cfg = self.write_config(
+            tmp_path, experiment=experiment, d_B=[2], trials=1,
+            time_sampling={"t_max_factor": 1e308, "n_samples": 200},
+        )
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: time_sampling.t_max_factor: ")
 
     @pytest.mark.parametrize("seed, code", [(-1, 1), (0, 0), (2**64 - 1, 0), (2**64, 1)])
     def test_check_identities_seed_range(self, capsys, seed, code):
