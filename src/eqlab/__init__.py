@@ -14,12 +14,12 @@ from .errors import (
     NotHermitianError,
 )
 from .hamiltonians import (
-    GapReport,
     SpectralHamiltonian,
     diagonal_product_hamiltonian,
     gap_analysis,
     random_spectral_hamiltonian,
     spin_bath_hamiltonian,
+    with_nondegenerate_gaps,
 )
 from .linalg import (
     haar_random_unitary,

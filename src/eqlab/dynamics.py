@@ -63,10 +63,22 @@ def energy_coefficients(psi0, h: SpectralHamiltonian) -> np.ndarray:
 
 
 def require_nondegenerate(h: SpectralHamiltonian) -> None:
-    report = h.gap_report
-    if not report.passes:
+    """Theorem 1's hypothesis, which Theorem 4 reuses: each nonzero gap
+    E_k − E_l fixes the pair (k, l), so the time average of ρ(t)'s fluctuations
+    about ω has no cross terms. Reads `h.gap_violations`, counted once per H."""
+    if h.gap_violations:
         raise DegenerateHamiltonianError(
-            f"Hamiltonian fails the gap check: {report.violations} violations"
+            f"non-degenerate gaps: H at d = {h.dim} has {h.gap_violations} violations"
+        )
+
+
+def require_distinct_levels(h: SpectralHamiltonian) -> None:
+    """The hypothesis under which ω = Σ_k |c_k|² |E_k⟩⟨E_k| is the time
+    average of |ψ(t)⟩⟨ψ(t)|, as Theorem 3 and the counterexamples read it: a
+    positive minimum level gap, which `default_t_max` divides by too."""
+    if h.min_level_gap() <= 0:
+        raise DegenerateHamiltonianError(
+            f"distinct levels: the minimum level gap at d = {h.dim} is not positive"
         )
 
 
@@ -296,7 +308,5 @@ def reduced_states_at_times(
 
 def default_t_max(h: SpectralHamiltonian, factor: float = DEFAULT_T_MAX_FACTOR) -> float:
     """Heuristic averaging window: factor / (minimum level spacing)."""
-    gap = h.min_level_gap()
-    if gap <= 0:
-        raise DegenerateHamiltonianError("minimum level gap is not positive")
-    return factor / gap
+    require_distinct_levels(h)
+    return factor / h.min_level_gap()

@@ -3,20 +3,24 @@
 Includes the model families the experiments build: generic random spectral
 Hamiltonians, the diagonal product model with conserved subsystem
 populations, and the strong-field spin-bath model whose eigenstates are
-near-product. The diagonal model stores no eigenbasis: its basis is the product
-basis, which `SpectralHamiltonian`'s methods (coefficients, eigenvector blocks,
-the kernel's amplitudes, the dephased marginals) use without forming it.
+near-product. Each builder makes one draw and checks no spectral hypothesis.
+The gap hypothesis belongs to Theorem 1 and to Theorem 4, which reuses its
+dephasing argument: `with_nondegenerate_gaps` redraws a model's energies
+until it holds, and the runner applies it for thm1 and thm4 only.
+The diagonal model stores no eigenbasis: its basis is the product basis,
+which `SpectralHamiltonian`'s methods (coefficients, eigenvector blocks, the
+kernel's amplitudes, the dephased marginals) use without forming it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .bipartite import BipartiteSpace
-from .errors import DimensionMismatchError, EqlabError
+from .errors import DegenerateHamiltonianError, DimensionMismatchError
 from .linalg import (
     as_matrix,
     haar_random_unitary,
@@ -127,22 +131,9 @@ class SpectralHamiltonian:
         return float(np.min(np.diff(self.energies)))
 
     @cached_property
-    def gap_report(self) -> GapReport:
+    def gap_violations(self) -> int:
         """gap_analysis at the default tolerance, computed once per Hamiltonian."""
         return gap_analysis(self)
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Outcome of the non-degenerate-energy-gaps check."""
-
-    violations: int
-    min_gap_separation: float
-    tolerance: float
-
-    @property
-    def passes(self) -> bool:
-        return self.violations == 0
 
 
 def default_gap_tolerance(energies: np.ndarray) -> float:
@@ -150,7 +141,7 @@ def default_gap_tolerance(energies: np.ndarray) -> float:
     return GAP_TOL_FACTOR * width if width > 0 else GAP_TOL_FACTOR
 
 
-def gap_analysis(h: SpectralHamiltonian, tol: float | None = None) -> GapReport:
+def gap_analysis(h: SpectralHamiltonian, tol: float | None = None) -> int:
     """Count the violations of the condition that every nonzero gap E_k - E_l
     determines the pair (k, l): each zero gap (degenerate levels, within tol)
     and each pair of neighbouring sorted nonzero gaps within tol of each other.
@@ -172,45 +163,39 @@ def gap_analysis(h: SpectralHamiltonian, tol: float | None = None) -> GapReport:
     gaps = np.subtract.outer(e, e)[np.tri(d, k=-1, dtype=bool)]
     gaps.sort()
     zero = int(np.count_nonzero(gaps <= tol))
-    seps = np.diff(gaps[zero:])
-    close = seps <= tol
-    return GapReport(
-        violations=zero + int(np.count_nonzero(close)),
-        min_gap_separation=float(np.min(seps, where=~close, initial=np.inf)),
-        tolerance=float(tol),
-    )
+    return zero + int(np.count_nonzero(np.diff(gaps[zero:]) <= tol))
 
 
-def _resample(build, rng: np.random.Generator, what: str) -> SpectralHamiltonian:
-    """Draw Hamiltonians until gap_analysis passes.
+def _on_window(energy_window, dim: int, basis, rng: np.random.Generator) -> SpectralHamiltonian:
+    """H in the trusted ``basis`` (None for the product basis) with ``dim``
+    sorted i.i.d. uniform energies on the window: ``dim`` draws from the rng."""
+    lo, hi = energy_window
+    if not hi > lo:
+        raise ValueError(f"energy window {energy_window} is empty")
+    return SpectralHamiltonian.trusted(np.sort(rng.uniform(lo, hi, size=dim)), basis)
+
+
+def with_nondegenerate_gaps(
+    h: SpectralHamiltonian, energy_window: tuple[float, float], rng: np.random.Generator
+) -> SpectralHamiltonian:
+    """h, or h's basis with its energies redrawn on the window until the gap
+    check passes, `RESAMPLE_LIMIT` draws in all, h's own the first: Theorem 1's
+    hypothesis, which Theorem 4 reuses and no other claim reads.
 
     With tol > 0 a draw fails with a probability that grows with d: for
     i.i.d. uniform energies at d = 512, all 100 draws fail (seeds 0-2).
     """
-    for _ in range(RESAMPLE_LIMIT):
-        h = build(rng)
-        if h.gap_report.passes:
-            return h
-    report = h.gap_report
-    raise EqlabError(
-        f"{what}: no gap-nondegenerate sample at d = {h.dim} in {RESAMPLE_LIMIT} attempts "
-        f"(tol {report.tolerance:.3g}; the last draw has {report.violations} violations)"
-    )
-
-
-def _spectral_model(space, energy_window, rng, eigenbasis, what) -> SpectralHamiltonian:
-    """Uniform i.i.d. energies on the window in the trusted basis ``eigenbasis()``
-    (None for the product basis), drawn once the window is checked; energies are
-    redrawn until the gap check passes."""
-    lo, hi = energy_window
-    if not hi > lo:
-        raise ValueError(f"energy window {energy_window} is empty")
-    basis = eigenbasis()
-
-    def build(r: np.random.Generator) -> SpectralHamiltonian:
-        return SpectralHamiltonian.trusted(np.sort(r.uniform(lo, hi, size=space.d)), basis)
-
-    return _resample(build, rng, what)
+    draws = 1
+    while h.gap_violations and draws < RESAMPLE_LIMIT:
+        h = _on_window(energy_window, h.dim, h.eigenbasis, rng)
+        draws += 1
+    if h.gap_violations:
+        raise DegenerateHamiltonianError(
+            f"non-degenerate gaps: no draw passes at d = {h.dim} in {draws} attempts "
+            f"(tol {default_gap_tolerance(h.energies):.3g}; the last draw has "
+            f"{h.gap_violations} violations)"
+        )
+    return h
 
 
 def random_spectral_hamiltonian(
@@ -219,9 +204,8 @@ def random_spectral_hamiltonian(
     *,
     rng: np.random.Generator,
 ) -> SpectralHamiltonian:
-    """Uniform i.i.d. energies on the window, Haar-random eigenbasis."""
-    basis = partial(haar_random_unitary, space.d, rng)
-    return _spectral_model(space, energy_window, rng, basis, "random_spectral_hamiltonian")
+    """Uniform i.i.d. energies on the window, Haar-random eigenbasis, drawn first."""
+    return _on_window(energy_window, space.d, haar_random_unitary(space.d, rng), rng)
 
 
 def diagonal_product_hamiltonian(
@@ -232,7 +216,7 @@ def diagonal_product_hamiltonian(
 ) -> SpectralHamiltonian:
     """Interacting but population-conserving model, diagonal in the product
     basis, which it does not store: its eigenbasis is None."""
-    return _spectral_model(space, energy_window, rng, lambda: None, "diagonal_product_hamiltonian")
+    return _on_window(energy_window, space.d, None, rng)
 
 
 def _random_hermitian_unit_radius(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -257,16 +241,12 @@ def spin_bath_hamiltonian(
     if d_B < 2:
         raise DimensionMismatchError(f"d_B must be >= 2, got {d_B}")
     space = BipartiteSpace(2, d_B)
-
-    def build(r: np.random.Generator) -> SpectralHamiltonian:
-        h_int = _random_hermitian_unit_radius(space.d, r)
-        h_bath = _random_hermitian_unit_radius(d_B, r)
-        dense = (
-            field * kronecker_product(SIGMA_Z, np.eye(d_B))
-            + h_int
-            + kronecker_product(np.eye(2), h_bath)
-        )
-        eig = hermitian_eigendecomposition(dense)
-        return SpectralHamiltonian.trusted(eig.eigenvalues, eig.eigenvectors)
-
-    return _resample(build, rng, "spin_bath_hamiltonian"), space
+    h_int = _random_hermitian_unit_radius(space.d, rng)
+    h_bath = _random_hermitian_unit_radius(d_B, rng)
+    dense = (
+        field * kronecker_product(SIGMA_Z, np.eye(d_B))
+        + h_int
+        + kronecker_product(np.eye(2), h_bath)
+    )
+    eig = hermitian_eigendecomposition(dense)
+    return SpectralHamiltonian.trusted(eig.eigenvalues, eig.eigenvectors), space

@@ -24,7 +24,7 @@ from numpy.random import default_rng  # numpy loads it lazily; load it with eqla
 from .bipartite import BipartiteSpace
 from .dynamics import DEFAULT_T_MAX_FACTOR, default_t_max, dephased_system, energy_coefficients
 from .errors import ConfigInvalidError
-from .hamiltonians import random_spectral_hamiltonian
+from .hamiltonians import random_spectral_hamiltonian, with_nondegenerate_gaps
 from .states import Subspace, haar_random_state
 from .verifiers import (
     DEFAULT_N_SAMPLES,
@@ -190,7 +190,10 @@ def _shared_rng(cfg: ExperimentConfig, sweep_index: int) -> np.random.Generator:
 
 
 def _build_hamiltonian(cfg: ExperimentConfig, space: BipartiteSpace, rng):
-    return random_spectral_hamiltonian(space, tuple(cfg.value("hamiltonian.window")), rng=rng)
+    window = tuple(cfg.value("hamiltonian.window"))
+    h = random_spectral_hamiltonian(space, window, rng=rng)
+    # Theorems 1 and 4 assume non-degenerate gaps; no other claim reads them.
+    return with_nondegenerate_gaps(h, window, rng) if cfg.experiment in ("thm1", "thm4") else h
 
 
 def _build_subspace(spec: str, space: BipartiteSpace, rng) -> Subspace:
@@ -345,7 +348,8 @@ FIELDS = {
     "experiment": _one_of(*EXPERIMENTS),
     # Counterexamples needs two bath levels and, for the diagonal model, two
     # system levels; every other experiment but identities builds a Hamiltonian,
-    # whose gap check needs d >= 2. d_B comes first: it names a one-level space.
+    # and thm1/thm4's gap check and thm3's level check need d >= 2. d_B comes
+    # first: it names a one-level space.
     "d_B": Field(
         lambda v, c: bool(v) and all(_integer(b) and b >= 1 for b in v) and (
             min(v) >= 2 or c.experiment == "identities"

@@ -36,6 +36,7 @@ from .dynamics import (
     marginal_purities,
     reduced_states,
     reduced_states_at_times,
+    require_distinct_levels,
     require_nondegenerate,
     sample_times,
     torus_phases,
@@ -297,8 +298,10 @@ def theorem3_sweep_check(
     each state's D(ω_S^Ψ, Ω_S) as a diagnostic against the weak bound.
 
     Ω_S is estimated by the mean of the same states, which biases the
-    distances by O(1/√n).
+    distances by O(1/√n). The ω_S^Ψ are time averages only if h's levels are
+    distinct, which is checked here.
     """
+    require_distinct_levels(h)
     trials = len(omegas)
     delta = delta_quantity(h, subspace, space)
     distances = trace_distance(omegas, hermitize(np.mean(omegas, axis=0)))

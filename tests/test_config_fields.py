@@ -170,3 +170,25 @@ def test_readme_table_is_fields():
     assert [name for name, _, _ in rows] == list(FIELDS)
     for name, rule, default in rows:
         assert (rule, default) == (FIELDS[name].rule, expected_default(name)), name
+
+
+@pytest.mark.parametrize("d_s, d_b", [(2, 8), (4, 4)])
+def test_max_dim_reached_runs(d_s, d_b, tmp_path, monkeypatch, capsys):
+    """At d_S·d_B = EQLAB_MAX_DIM every experiment exits 0 or 2, or 1 naming a field."""
+    monkeypatch.setenv("EQLAB_MAX_DIM", "16")
+    monkeypatch.chdir(tmp_path)
+    for experiment in EXPERIMENTS:
+        Path("config.json").write_text(json.dumps({**cheapest(experiment), "d_S": d_s, "d_B": [d_b]}))
+        code = main(["run", "--config", "config.json"])
+        err = capsys.readouterr().err
+        assert code in (0, 2) or code == 1 and re.match(r"error: [\w.]+: ", err), (experiment, err)
+
+
+def test_max_dim_exceeded_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("EQLAB_MAX_DIM", "16")
+    monkeypatch.chdir(tmp_path)
+    for experiment in EXPERIMENTS:
+        Path("config.json").write_text(json.dumps({**cheapest(experiment), "d_B": [9]}))
+        assert main(["run", "--config", "config.json"]) == 1
+        err = capsys.readouterr().err
+        assert "dimension 18 exceeds configured maximum 16" in err and "Traceback" not in err

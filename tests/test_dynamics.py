@@ -40,7 +40,13 @@ from eqlab.states import (
     purity,
     trace_distance,
 )
-from eqlab.verifiers import theorem1_check, theorem4_check, time_distances
+from eqlab.verifiers import (
+    diagonal_counterexample,
+    theorem1_check,
+    theorem3_sweep_check,
+    theorem4_check,
+    time_distances,
+)
 from oracles import (
     dense,
     density_matrix,
@@ -212,7 +218,7 @@ def _spectral(d, basis, rng):
     return SpectralHamiltonian(np.sort(rng.uniform(0.0, 1.0, d)), basis)
 
 
-# Built without the generators' gap-check resampling, so that d = 1 is allowed.
+# Built through the unitarity-checked constructor; d = 1 is allowed.
 FAMILIES = {
     "random": lambda space, rng: _spectral(space.d, haar_random_unitary(space.d, rng), rng),
     "noninteracting": lambda space, rng: noninteracting_hamiltonian(
@@ -363,10 +369,26 @@ class TestTrajectoryStatistics:
         h_s = SpectralHamiltonian(np.array([0.0, 1.0]), ident2)
         h = noninteracting_hamiltonian(h_s, h_s, space)
         c = energy_coefficients(haar_random_state(Subspace.full(4), rng), h)
-        with pytest.raises(DegenerateHamiltonianError):
+        with pytest.raises(DegenerateHamiltonianError, match="^non-degenerate gaps: "):
             theorem1_check(c, h, space, 1.0, 8, rng=rng)
-        with pytest.raises(DegenerateHamiltonianError):
+        with pytest.raises(DegenerateHamiltonianError, match="^non-degenerate gaps: "):
             theorem4_check(c, h, space, 0.2, 1.0, 8, rng=rng)
+
+    def test_equal_levels_rejected_by_one_check(self, monkeypatch):
+        # default_t_max, thm3's verifier and the diagonal counterexample (through
+        # default_t_max) refuse equal levels with one message.
+        h = SpectralHamiltonian(np.array([0.0, 0.5, 0.5, 1.0]), None)
+        space = BipartiteSpace(2, 2)
+        monkeypatch.setattr(verifiers, "diagonal_product_hamiltonian", lambda space, rng: h)
+        calls = [
+            lambda: default_t_max(h),
+            lambda: theorem3_sweep_check(np.zeros((2, 2, 2)), h, Subspace.full(4), space),
+            lambda: diagonal_counterexample(space, np.random.default_rng(0)),
+        ]
+        for call in calls:
+            with pytest.raises(DegenerateHamiltonianError) as caught:
+                call()
+            assert str(caught.value) == "distinct levels: the minimum level gap at d = 4 is not positive"
 
     def test_sample_times_stratified(self):
         times = sample_times(10.0, 5, np.random.default_rng(108))
@@ -510,16 +532,16 @@ class TestReducedStates:
                 assert np.max(np.abs(marginal(c, h, space) - marginal(c, h_dense, space))) <= 1e-15
 
     def test_diagonal_build_and_trajectory_hold_no_basis(self):
-        # d = 256. The build stores no d × d eigenbasis (1 MiB of complex128):
-        # its peak, 855 039 B, is the gap check's, under 28 B per gap
-        # (test_memory_per_gap); with the stored I it was 1 903 791 B.
+        # d = 256. The build stores no d × d eigenbasis (1 MiB of complex128)
+        # and runs no gap check: its peak, 6 984 B, holds the energy draw and
+        # its sorted copy. With the gap check it was 855 039 B, and with the
+        # stored I 1 903 791 B.
         # The trajectory's arena holds the factors and the three float planes,
         # 5 × 64 × 256 × 8 = 655 360 B; with the amplitude plane of a stored
         # basis it would be 917 504 B, above the bound below. The rest is the
         # (n,) populations and numpy's iterator buffer (~132 kB). The peak
         # reads 798 628 B, and 1 060 772 B with the stored I.
         space, n = BipartiteSpace(2, 128), 500
-        gaps = space.d * (space.d - 1) // 2
         rng = np.random.default_rng(175)
         psi = haar_random_state(Subspace.full(space.d), rng)
         tracemalloc.start()
@@ -539,9 +561,9 @@ class TestReducedStates:
         finally:
             tracemalloc.stop()
         rows = block_rows(space.d)
-        arena, bound = rows * space.d * (3 * 8 + 16), 28 * gaps
+        arena = rows * space.d * (3 * 8 + 16)
         assert h.eigenbasis is None
-        assert build_peak <= bound < 16 * space.d**2, build_peak
+        assert build_peak <= 16 * 8 * space.d, build_peak
         assert (arena, pops.nbytes) == (655_360, 4000)
         bound = arena + pops.nbytes + (160 << 10)
         assert bound < arena + 16 * rows * space.d

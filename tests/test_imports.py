@@ -101,11 +101,11 @@ status = eqlab.cli.main(["run", "--config", sys.argv[1]])
 print(status, [m for m in {heavy!r} if m in sys.modules])
 """
 
-# thm2 at d = 256 and master_seed 7: the first draw of its shared Hamiltonian
-# fails the gap check, so the violation path runs too. numpy.ma is loaded
-# by the first call of np.unique or np.isin and costs 13-25 ms.
+# thm1 at d = 256 and master_seed 7: the first energy draw of its trial
+# fails the gap check, so the redraw step runs too; thm2 runs no gap check.
+# numpy.ma is loaded by the first call of np.unique or np.isin and costs 13-25 ms.
 SERIAL_CONFIGS = (
-    {"experiment": "thm1", "d_S": 2, "d_B": [4], "trials": 1},
+    {"experiment": "thm1", "d_S": 2, "d_B": [128], "trials": 1},
     {"experiment": "thm2", "d_S": 2, "d_B": [128], "trials": 1},
 )
 

@@ -168,8 +168,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "identities"])
     def test_one_level_space_rejected(self, experiment):
-        # Every experiment but identities builds a Hamiltonian, and no
-        # one-level Hamiltonian passes the gap check.
+        # The rule holds for every experiment but identities: a one-level
+        # Hamiltonian has no gap (thm1, thm4) and no level spacing (thm3).
         with pytest.raises(ConfigInvalidError, match="^d_B: "):
             small_config(experiment=experiment, d_S=1, d_B=[4, 1])
 
@@ -360,13 +360,11 @@ def pinned_records(name):
     return run_experiment(ExperimentConfig.from_dict(doc))
 
 
-@pytest.mark.parametrize("name", list(PINNED_CONFIGS))
-def test_pinned_rows(name):
+def assert_pinned(records):
     """Rows match the pinned fixture, found by experiment and d_S: quantity,
     trial, seed and satisfied exactly; empirical and bound to a relative
     1e-9, with an absolute 1e-12 for the values that measure an exact zero at
     rounding level."""
-    records = pinned_records(name)
     key = (records[0].experiment, str(records[0].d_S))
     with open(PINNED_ROWS) as fh:
         expected = [row for row in csv.DictReader(fh) if (row["experiment"], row["d_S"]) == key]
@@ -380,6 +378,21 @@ def test_pinned_rows(name):
             assert math.isclose(
                 getattr(rec, key), float(row[key]), rel_tol=1e-9, abs_tol=1e-12
             ), (rec.quantity, key)
+
+
+@pytest.mark.parametrize("name", list(PINNED_CONFIGS))
+def test_pinned_rows(name):
+    assert_pinned(pinned_records(name))
+
+
+@pytest.mark.parametrize("name", ["thm2", "thm3-bath", "thm3-subsystem", "counterexamples"])
+def test_pinned_rows_without_the_gap_check(name, monkeypatch):
+    # Only Theorems 1 and 4 assume non-degenerate gaps; no other row reads the check.
+    def refused(h, tol=None):
+        raise AssertionError(f"gap check on the {name} path")
+
+    monkeypatch.setattr(hamiltonians, "gap_analysis", refused)
+    assert_pinned(pinned_records(name))
 
 
 @pytest.fixture
@@ -597,12 +610,57 @@ class TestCli:
         ids=["window", "field"],
     )
     def test_largest_window_and_field_run(self, tmp_path, experiment, hamiltonian, code):
-        # The widest window runs and passes. No spin-bath draw at the
-        # strongest field passes the gap check, a clean exit 2, as at 5e307.
+        # The widest window runs and passes. At the strongest field the
+        # conserved spin-bath difference exceeds 2E + 4 by rounding, so
+        # energy_diff_max fails: a clean exit 2.
         cfg = self.write_config(
             tmp_path, experiment=experiment, d_B=[2], trials=1, hamiltonian=hamiltonian
         )
         assert main(["run", "--config", str(cfg)]) == code
+
+    @pytest.mark.parametrize(
+        "experiment, trials, code",
+        [
+            ("thm2", 2, 0),
+            ("thm3-bath", 2, 0),
+            ("thm3-subsystem", 2, 0),
+            ("counterexamples", 1, 0),
+            ("thm1", 1, 2),
+            ("thm4", 1, 2),
+        ],
+    )
+    def test_d512_runs_but_for_the_gap_hypothesis(
+        self, tmp_path, capsys, experiment, trials, code
+    ):
+        # At d = 512 no energy draw tried has non-degenerate gaps: only the
+        # claims that assume them, Theorems 1 and 4, stop, and say why.
+        cfg = self.write_config(
+            tmp_path, experiment=experiment, d_B=[256], trials=trials,
+            time_sampling={"t_max_factor": 1e3, "n_samples": 50},
+        )
+        assert main(["run", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-degenerate gaps: ") if code else err == ""
+
+    @pytest.mark.parametrize(
+        "experiment, code, message",
+        [
+            ("thm2", 0, None),
+            ("thm3-bath", 2, "distinct levels: "),
+            ("thm1", 2, "non-degenerate gaps: no draw passes at d = 16 in 100 attempts"),
+            ("thm4", 2, "non-degenerate gaps: no draw passes at d = 16 in 100 attempts"),
+        ],
+    )
+    def test_window_narrower_than_the_levels(self, tmp_path, capsys, experiment, code, message):
+        # [0, 5e-324] holds two floats, so every draw at d = 16 repeats a level.
+        # thm2 reads the basis alone; thm3 needs distinct levels and stops at
+        # its one draw; thm1 and thm4 redraw 100 times for non-degenerate gaps.
+        cfg = self.write_config(
+            tmp_path, experiment=experiment, hamiltonian={"window": [0.0, 5e-324]}
+        )
+        assert main(["run", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") if message else err == ""
 
     def test_readme_override_without_time_sampling(self, tmp_path):
         # A key left out of time_sampling runs at its default, as in hamiltonian.
