@@ -385,11 +385,12 @@ FIELDS = {
         and v[0] < v[1] and math.isfinite(float(v[1]) - float(v[0])),
         "must be [lo, hi], finite numbers with lo < hi and a finite hi - lo", (0.0, 1.0),
     ),
-    # The spin-bath eigenvalues lie within ±(field + 2) up to eigh's rounding, so
-    # a finite 4·(field + 2) keeps each difference gap_analysis takes within max/2.
+    # The spin-bath energies lie within ±(field + 2), so Σ_k E_k(|c⁺_k|² − |c⁻_k|²)
+    # over d = 2·max(d_B) levels is summed with an error of at most about
+    # (d + 2)·2⁻⁵³·2(field + 2): this keeps it within SPIN_BATH_ENERGY_SLACK / 2.
     "hamiltonian.field": Field(
-        lambda v, c: _finite(v) and v > 0 and math.isfinite(4 * (float(v) + 2)),
-        "must be a finite number > 0 with 4*(field + 2) finite", 50.0,
+        lambda v, c: _finite(v) and v > 0 and (2 * max(c.d_B) + 2) * (float(v) + 2) <= 2**53,
+        "must be a finite number > 0 with (2*max(d_B) + 2)*(field + 2) <= 2^53", 50.0,
     ),
     "master_seed": Field(
         lambda v, c: _integer(v) and 0 <= v <= _MASK64, "must be an integer in [0, 2^64)"

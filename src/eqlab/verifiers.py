@@ -1,9 +1,11 @@
 """One check per theorem or identity: empirical quantity vs stated bound.
 
-Checks that bound a true expectation are tested on sample means with a
-one-sided 3-standard-error allowance. Tail bounds that exceed 1 at desk
-scale are flagged vacuous in the check metadata rather than claimed
-meaningful. A check of one initial state takes its energy coefficients c.
+Of the checks that bound a true expectation, `mean_d_eff` (Theorem 2) and
+the two Theorem 3 mean rows test sample means with a one-sided 3-standard-error
+allowance; Theorem 1's `mean_distance_bath_bound` and `mean_distance_total_bound`
+test the sample mean with none. Tail bounds that exceed 1 at desk scale are
+flagged vacuous in the check metadata rather than claimed meaningful. A check
+of one initial state takes its energy coefficients c.
 Every experiment's rows come from verifiers here, each of which computes
 every shared quantity once and returns its rows as a dict of `BoundCheck`s
 keyed by CSV quantity name, in output order: one per trial
@@ -13,9 +15,9 @@ states (`theorem2_sweep_check`; `theorem3_sweep_check`, which also returns
 one diagnostic per state), which `eqlab.runner.REGISTRY`'s aggregates call.
 Sampled distances to ω_S come from `time_distances` (stratified times) and
 `torus_distances` (uniform phases), both through `dynamics.distances_to`.
-δ reads Π_R through p_k and the eigenstates through their purities, blocked:
-no d × d or (d, d_S, d_S) array is formed.
-Eigenvectors are read in blocks through `SpectralHamiltonian.eigenvectors`.
+δ reads Π_R through p_k and the eigenstates through their purities, both in
+one pass over the eigenvectors (`SpectralHamiltonian.eigenvectors`) in blocks
+of `block_rows(d)`: no d × d or (d, d_S, d_S) array is formed.
 """
 
 from __future__ import annotations
@@ -250,39 +252,38 @@ def theorem2_sweep_check(d_eff_samples, d_r: int) -> dict[str, BoundCheck]:
 # Theorem 3: initial-state independence of the equilibrium state
 
 
-def eigenstate_purities(h: SpectralHamiltonian, space: BipartiteSpace) -> np.ndarray:
-    """tr(ρ_S^{(k)})², ρ_S^{(k)} = tr_B |E_k⟩⟨E_k|, of every eigenstate, by
-    `marginal_purities`, `block_rows(d)` eigenvectors at a time, each block
-    copied contiguous first. The strided view gives bit-equal purities but is
-    slower on both sides (2-core x86_64, one OpenBLAS thread): 1.5 s against
-    0.16 s at (32, 64) for ρ_S, and 0.170 s against 0.162 s at (64, 32) for
-    ρ_B (medians of 15)."""
+def _eigenstate_blocks(h: SpectralHamiltonian, space: BipartiteSpace):
+    """Each block of `block_rows(d)` eigenvectors, in order: its (d, k) columns
+    and its eigenstate purities, by `marginal_purities` on a contiguous copy
+    of its rows that is freed before the columns are handed on. The strided view
+    gives bit-equal purities but is slower on both sides (2-core x86_64, one
+    OpenBLAS thread, medians of 15): 1.5 s against 0.16 s at (32, 64) for ρ_S,
+    and 0.170 s against 0.162 s at (64, 32) for ρ_B."""
     rows = block_rows(h.dim)
-    return np.concatenate([
-        marginal_purities(np.ascontiguousarray(h.eigenvectors(start, start + rows).T), space)
-        for start in range(0, h.dim, rows)
-    ])
+    for start in range(0, h.dim, rows):
+        columns = h.eigenvectors(start, start + rows)
+        yield columns, marginal_purities(np.ascontiguousarray(columns.T), space)
+
+
+def eigenstate_purities(h: SpectralHamiltonian, space: BipartiteSpace) -> np.ndarray:
+    """tr(ρ_S^{(k)})², ρ_S^{(k)} = tr_B |E_k⟩⟨E_k|, of every eigenstate, in one
+    pass over U in blocks of `block_rows(d)` eigenvectors (`_eigenstate_blocks`)."""
+    return np.concatenate([purities for _, purities in _eigenstate_blocks(h, space)])
 
 
 def delta_quantity(
     h: SpectralHamiltonian, subspace: Subspace, space: BipartiteSpace
 ) -> float:
-    """δ = Σ_k p_k tr(ρ_S^{(k)})² / d_R with p_k = ⟨E_k|Π_R|E_k⟩.
-
-    The p_k are taken 64 eigenvectors at a time, so a pinned subspace holds
+    """δ = Σ_k p_k tr(ρ_S^{(k)})² / d_R with p_k = ⟨E_k|Π_R|E_k⟩, in one pass
+    over U: each block of `block_rows(d)` eigenvectors (`_eigenstate_blocks`)
+    gives its purities and, from its columns, its p_k. So a pinned subspace holds
     one block of its contraction: at (d_S, d_B) = (2, 1024) the peak is
-    3.0 MiB under tracemalloc, against 48 MiB for all d columns at once.
-    Blocks that tile d keep p_k bit-equal to one call; a short last block
-    (64 ∤ d) moved p_k by ≤ 5.8e-16 relative against one call at (d_S, d_B) =
-    (3, 43), (9, 121), (11, 99), (2, 77), (2, 1000) and (1000, 2).
-    """
+    3.1 MiB under tracemalloc, against 48 MiB for all d columns at once."""
     if subspace.ambient_dim != h.dim or h.dim != space.d:
         raise DimensionMismatchError("Hamiltonian, subspace and space dimensions disagree")
-    weights = np.concatenate([
-        subspace.projector_diagonal(h.eigenvectors(start, start + 64))
-        for start in range(0, h.dim, 64)
-    ])
-    return float(np.sum(weights * eigenstate_purities(h, space)) / subspace.d_R)
+    blocks = [(subspace.projector_diagonal(u), p) for u, p in _eigenstate_blocks(h, space)]
+    weights, purities = (np.concatenate(values) for values in zip(*blocks))
+    return float(np.sum(weights * purities) / subspace.d_R)
 
 
 # δ is a Π_R-weighted mean of eigenstate purities, each at most 1, so δ ≤ 1

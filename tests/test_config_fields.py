@@ -18,7 +18,9 @@ from eqlab.runner import EXPERIMENTS, FIELDS, ExperimentConfig
 MAX = sys.float_info.max
 TINY = math.nextafter(0.0, 1.0)  # the least positive float
 HALF_MAX = MAX / 2
-QUARTER_MAX = MAX / 4
+# The largest field admitted at each max(d_B): (2·max(d_B) + 2)·(field + 2),
+# computed in floats, reaches 2⁵³ there, and the next float is refused.
+LARGEST_FIELD = {2: 1501199875790163.5, 16: 264917625139438.97, 64: 69286148113390.25}
 
 # Each field's values just inside and just outside its limits, as overrides
 # keyed by dotted field name. Where a limit reads another field, the override
@@ -88,10 +90,12 @@ WALK = {
         ],
     ),
     "hamiltonian.field": (
-        [{"hamiltonian.field": TINY}, {"hamiltonian.field": QUARTER_MAX}],
-        [
-            {"hamiltonian.field": 0.0},
-            {"hamiltonian.field": math.nextafter(QUARTER_MAX, math.inf)},
+        [{"hamiltonian.field": TINY}]
+        + [{"d_B": [b], "hamiltonian.field": LARGEST_FIELD[b]} for b in (2, 64)],
+        [{"hamiltonian.field": 0.0}]
+        + [
+            {"d_B": [b], "hamiltonian.field": math.nextafter(LARGEST_FIELD[b], math.inf)}
+            for b in (2, 64)
         ],
     ),
     "master_seed": (

@@ -374,8 +374,9 @@ class TestDelta:
     @pytest.mark.parametrize("kind", ["full", "fixed_system", "fixed_bath"])
     @pytest.mark.parametrize("shape", [(3, 64), (5, 64), (64, 3), (2, 96), (4, 37)], ids=shape_id)
     def test_weights_in_blocks_equal_one_call(self, kind, shape):
-        # d = 192, 320 or 192 in 64-column blocks, and d = 148 in blocks of
-        # 64, 64 and 20: δ equals the unblocked formula bit for bit.
+        # d = 192 in blocks of 85, 85 and 22, d = 320 in five blocks of 64,
+        # and d = 148 in blocks of 110 and 38: δ equals the unblocked formula
+        # bit for bit.
         space = BipartiteSpace(*shape)
         rng = np.random.default_rng(235 + sum(shape))
         h = random_spectral_hamiltonian(space, (0.0, 1.0), rng=rng)
@@ -390,9 +391,9 @@ class TestDelta:
     def test_pinned_subspace_memory(self, kind, shape):
         # d = 2048. Taken over all d columns at once, the contraction with the
         # pinned vector is a (1024, 2048) complex array, 32 MiB, and δ peaked
-        # at 48 MiB with its |·|² copies. In blocks of 64 columns the
-        # contraction holds 1 MiB; the peak, 3.0 and 4.1 MiB, is set by the
-        # blocks of `eigenstate_purities`.
+        # at 48 MiB with its |·|² copies. In the block_rows(2048) = 64 columns
+        # of one block the contraction holds 1 MiB; the peak, 3.1 and 4.1 MiB,
+        # is set by the purities of the block.
         space = BipartiteSpace(*shape)
         k = np.arange(space.d)
         dft = np.exp(2j * np.pi * np.outer(k, k) / space.d) / np.sqrt(space.d)
@@ -410,12 +411,32 @@ class TestDelta:
         assert peak < 5 << 20, peak
 
     @pytest.mark.parametrize("kind", ["fixed_system", "fixed_bath"])
+    @pytest.mark.parametrize("shape", [(2, 8), (3, 43), (2, 1024)], ids=shape_id)
+    def test_one_pass_over_the_eigenbasis(self, monkeypatch, kind, shape):
+        # p_k and the purities come from the same blocks: U is read once per
+        # block of block_rows(d) eigenvectors, in order.
+        space = BipartiteSpace(*shape)
+        k = np.arange(space.d)
+        dft = np.exp(2j * np.pi * np.outer(k, k) / space.d) / np.sqrt(space.d)
+        h = SpectralHamiltonian.trusted(np.linspace(0.0, 1.0, space.d), dft)
+        sub = random_subspace(kind, space, np.random.default_rng(248))
+        starts, read = [], SpectralHamiltonian.eigenvectors
+
+        def counted(self, start, stop):
+            starts.append(start)
+            return read(self, start, stop)
+
+        monkeypatch.setattr(SpectralHamiltonian, "eigenvectors", counted)
+        delta_quantity(h, sub, space)
+        assert starts == list(range(0, space.d, block_rows(space.d)))
+
+    @pytest.mark.parametrize("kind", ["fixed_system", "fixed_bath"])
     @pytest.mark.parametrize("shape", [(3, 43), (33, 33), (2, 1000)], ids=shape_id)
     def test_short_last_block_moves_delta_by_rounding(self, kind, shape):
-        # d = 129, 1089 and 2000 end in a block of 1, 1 and 16 columns, which
-        # may move p_k against one call by rounding (≤ 5.8e-16 relative where
-        # measured). The blocks cap the peak: taken over all d columns at once,
-        # the contraction at (2, 1000) peaked at 45.8 MiB.
+        # d = 129, 1089 and 2000 end in a block of 2, 1 and 16 columns, which
+        # may move p_k against one call by rounding (none did where measured).
+        # The blocks cap the peak: taken over all d columns at once, the
+        # contraction at (2, 1000) peaked at 45.8 MiB.
         space = BipartiteSpace(*shape)
         rng = np.random.default_rng(245 + sum(shape))
         k = np.arange(space.d)
