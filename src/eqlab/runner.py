@@ -14,7 +14,7 @@ import math
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -38,10 +38,6 @@ from .verifiers import (
     theorem2_sweep_check,
     theorem3_sweep_check,
     theorem4_check,
-)
-
-CSV_HEADER = (
-    "experiment,d_S,d_B,d_R,trial,seed,quantity,empirical,bound,satisfied,wall_ms"
 )
 
 AGGREGATE_TRIAL = -1
@@ -107,9 +103,11 @@ class ExperimentConfig:
         if "experiment" not in doc:
             raise ConfigInvalidError("experiment: field is required")
         merged = dict(doc)
-        if "d_B" in merged:
-            d_b = merged["d_B"]
-            merged["d_B"] = tuple(d_b) if isinstance(d_b, (list, tuple)) else (d_b,)
+        d_b = merged.get("d_B")
+        if _integer(d_b):  # one integer reads as a list of one
+            d_b = [d_b]
+        if isinstance(d_b, (list, tuple)):  # validate() refuses any other type
+            merged["d_B"] = tuple(d_b)
         ks = merged.get("thresholds_K")
         if isinstance(ks, (list, tuple)):  # validate() refuses any other type
             merged["thresholds_K"] = tuple(float(k) if _finite(k) else k for k in ks)
@@ -162,6 +160,9 @@ class ExperimentRecord:
     wall_ms: float
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ExperimentRecord))
+
+
 def _csv_cell(value):
     """Floats with 17 significant digits, booleans as true/false literals."""
     if isinstance(value, bool):
@@ -177,12 +178,15 @@ class TrialResult(NamedTuple):
     payload: object
 
 
-def _record(cfg, d_b, d_r, trial, seed, quantity, check, wall_ms) -> ExperimentRecord:
-    """The output row of a named BoundCheck."""
-    return ExperimentRecord(
-        cfg.experiment, cfg.d_S, d_b, d_r, trial, seed, quantity,
-        float(check.empirical), float(check.bound), bool(check.satisfied), wall_ms,
-    )
+def _records(cfg, d_b, d_r, trial, seed, checks, wall_ms) -> list[ExperimentRecord]:
+    """The output rows of a verifier's named BoundChecks, in its order."""
+    return [
+        ExperimentRecord(
+            cfg.experiment, cfg.d_S, d_b, d_r, trial, seed, quantity,
+            float(check.empirical), float(check.bound), bool(check.satisfied), wall_ms,
+        )
+        for quantity, check in checks.items()
+    ]
 
 
 def _shared_rng(cfg: ExperimentConfig, sweep_index: int) -> np.random.Generator:
@@ -237,11 +241,12 @@ def _sweep_shared(cfg_json: str, sweep_index: int) -> tuple:
 # ---------------------------------------------------------------------------
 # The experiment registry. A trial function maps (cfg, space, rng, shared) to
 # (d_R, named checks, payload); an aggregate function maps (cfg, space, the
-# sweep's TrialResults in trial order, shared) to (trial, quantity, check)
-# rows, where trial is AGGREGATE_TRIAL for the sweep's own rows. Every check
-# is a verifier's BoundCheck, taken as it is; the one gate set here is
-# fraction_satisfied's 1.0. shared() returns the sweep's memoised
-# (H, subspace). Verifiers are called through this module's names.
+# sweep's TrialResults in trial order, shared) to the sweep's named checks,
+# written at AGGREGATE_TRIAL with the seed of the sweep's shared stream. Named
+# checks are a verifier's dict of BoundChecks keyed by quantity in output
+# order, taken as they are; the one gate set here is fraction_satisfied's 1.0.
+# shared() returns the sweep's memoised (H, subspace). Verifiers are called
+# through this module's names.
 
 
 def _n_samples(cfg: ExperimentConfig) -> int:
@@ -265,33 +270,28 @@ def _thm1_trial(cfg, space, rng, shared):
     checks = theorem1_check(
         c, h, space, _t_max(cfg, h), _n_samples(cfg), cfg.thresholds_K, rng=rng
     )
-    return space.d, list(checks.items()), None
-
-
-def _sweep_rows(checks: dict[str, BoundCheck]) -> list:
-    return [(AGGREGATE_TRIAL, name, check) for name, check in checks.items()]
+    return space.d, checks, None
 
 
 def _thm2_trial(cfg, space, rng, shared):
     h, sub = shared()
     checks = theorem2_check(energy_coefficients(haar_random_state(sub, rng), h), sub.d_R)
-    return sub.d_R, list(checks.items()), checks["d_eff_omega"].empirical
+    return sub.d_R, checks, checks["d_eff_omega"].empirical
 
 
 def _thm2_aggregate(cfg, space, results, shared):
-    return _sweep_rows(theorem2_sweep_check([r.payload for r in results], results[0].d_r))
+    return theorem2_sweep_check([r.payload for r in results], results[0].d_r)
 
 
 def _thm3_trial(cfg, space, rng, shared):
     h, sub = shared()
     c = energy_coefficients(haar_random_state(sub, rng), h)
-    return sub.d_R, [], dephased_system(c, h, space)
+    return sub.d_R, {}, dephased_system(c, h, space)
 
 
 def _thm3_aggregate(cfg, space, results, shared):
     h, sub = shared()
-    checks, distances = theorem3_sweep_check(np.array([r.payload for r in results]), h, sub, space)
-    return _sweep_rows(checks) + [(t, "distance_to_mean", chk) for t, chk in enumerate(distances)]
+    return theorem3_sweep_check(np.array([r.payload for r in results]), h, sub, space)
 
 
 def _thm4_trial(cfg, space, rng, shared):
@@ -299,22 +299,21 @@ def _thm4_trial(cfg, space, rng, shared):
     psi0 = haar_random_state(_build_subspace(cfg.subspace_spec, space, rng), rng)
     c = energy_coefficients(psi0, h)
     checks = theorem4_check(c, h, space, cfg.epsilon, _t_max(cfg, h), _n_samples(cfg), rng=rng)
-    return space.d, list(checks.items()), None
+    return space.d, checks, None
 
 
 def _counterexamples_trial(cfg, space, rng, shared):
     field_strength = float(cfg.value("hamiltonian.field"))
-    checks = counterexample_checks(space, rng, field_strength, _n_samples(cfg))
-    return space.d, list(checks.items()), None
+    return space.d, counterexample_checks(space, rng, field_strength, _n_samples(cfg)), None
 
 
 def _identities_trial(cfg, space, rng, shared):
-    return space.d, list(identity_checks(rng).items()), None
+    return space.d, identity_checks(rng), None
 
 
 def _fraction_satisfied(cfg, space, results, shared):
     passed = [all(r.satisfied for r in res.records) for res in results]
-    return _sweep_rows({"fraction_satisfied": BoundCheck.at_least(np.mean(passed), 1.0)})
+    return {"fraction_satisfied": BoundCheck.at_least(np.mean(passed), 1.0)}
 
 
 REGISTRY = {
@@ -351,12 +350,14 @@ FIELDS = {
     # and thm1/thm4's gap check and thm3's level check need d >= 2. d_B comes
     # first: it names a one-level space.
     "d_B": Field(
-        lambda v, c: bool(v) and all(_integer(b) and b >= 1 for b in v) and (
+        lambda v, c: isinstance(v, (list, tuple)) and bool(v)
+        and all(_integer(b) and b >= 1 for b in v) and (
             min(v) >= 2 or c.experiment == "identities"
             or c.experiment != "counterexamples" and c.d_S != 1
         ),
         "counterexamples needs a list of integers >= 2, the others a nonempty list of"
-        " integers >= 1 with d_S*d_B >= 2 but for identities",
+        " integers >= 1 with d_S*d_B >= 2 but for identities; one integer reads as a"
+        " list of one",
     ),
     "d_S": Field(
         lambda v, c: _integer(v) and v >= (2 if c.experiment == "counterexamples" else 1),
@@ -410,23 +411,17 @@ def _run_trial(payload: tuple) -> TrialResult:
     shared = partial(_sweep_shared, cfg_json, sweep_index)
     d_r, checks, result = trial_fn(cfg, space, default_rng(seed), shared)
     wall = (time.perf_counter() - t0) * 1e3
-    records = [
-        _record(cfg, space.d_B, d_r, trial_index, seed, name, chk, wall) for name, chk in checks
-    ]
-    return TrialResult(d_r, records, result)
+    return TrialResult(d_r, _records(cfg, space.d_B, d_r, trial_index, seed, checks, wall), result)
 
 
 def _aggregate_rows(cfg, cfg_json, sweep_index, results) -> list[ExperimentRecord]:
-    """The sweep's aggregate rows from its trial results, in trial order."""
+    """The sweep's aggregate rows from its trial results, in trial order, with
+    the seed of its shared stream."""
     space = BipartiteSpace(cfg.d_S, cfg.d_B[sweep_index])
     _, aggregate = REGISTRY[cfg.experiment]
-    shared = partial(_sweep_shared, cfg_json, sweep_index)
-    rows = []
-    for trial, name, chk in aggregate(cfg, space, results, shared):
-        stream = _SHARED_STREAM if trial == AGGREGATE_TRIAL else trial
-        seed = derive_seed(cfg.master_seed, sweep_index, stream)
-        rows.append(_record(cfg, space.d_B, results[0].d_r, trial, seed, name, chk, 0.0))
-    return rows
+    checks = aggregate(cfg, space, results, partial(_sweep_shared, cfg_json, sweep_index))
+    seed = derive_seed(cfg.master_seed, sweep_index, _SHARED_STREAM)
+    return _records(cfg, space.d_B, results[0].d_r, AGGREGATE_TRIAL, seed, checks, 0.0)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ExperimentRecord]:
@@ -475,14 +470,14 @@ def emit(
         raise ValueError("records must be nonempty")
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    fields = CSV_HEADER.split(",")
+    columns = CSV_HEADER.split(",")
     rows = [{**vars(r), "wall_ms": r.wall_ms if include_walltime else 0.0} for r in records]
     try:
         if fmt == "csv":
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(fields)
-                writer.writerows([_csv_cell(row[key]) for key in fields] for row in rows)
+                writer.writerow(columns)
+                writer.writerows([_csv_cell(row[key]) for key in columns] for row in rows)
         else:
             with open(path, "w") as fh:
                 json.dump(rows, fh, indent=1)

@@ -11,8 +11,8 @@ every shared quantity once and returns its rows as a dict of `BoundCheck`s
 keyed by CSV quantity name, in output order: one per trial
 (`theorem1_check`, `theorem2_check`, `theorem4_check`,
 `counterexample_checks`, `identity_checks`) and one per sweep over many
-states (`theorem2_sweep_check`; `theorem3_sweep_check`, which also returns
-one diagnostic per state), which `eqlab.runner.REGISTRY`'s aggregates call.
+states (`theorem2_sweep_check`, `theorem3_sweep_check`), which
+`eqlab.runner.REGISTRY`'s aggregates call.
 Sampled distances to ω_S come from `time_distances` (stratified times) and
 `torus_distances` (uniform phases), both through `dynamics.distances_to`.
 δ reads Π_R through p_k and the eigenstates through their purities, both in
@@ -70,18 +70,20 @@ CONSTANTS = ConstantsTable()
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Uniform result carrier: satisfied iff margin >= 0."""
+    """Uniform result carrier: satisfied iff margin >= 0, so never at a NaN margin."""
 
     empirical: float
     bound: float
-    satisfied: bool
     margin: float
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def satisfied(self) -> bool:
+        return self.margin >= 0
+
     @classmethod
     def upper(cls, empirical: float, bound: float, **metadata) -> "BoundCheck":
-        margin = bound - empirical
-        return cls(float(empirical), float(bound), margin >= 0, float(margin), metadata)
+        return cls(float(empirical), float(bound), float(bound - empirical), metadata)
 
     @classmethod
     def at_least(
@@ -90,7 +92,7 @@ class BoundCheck:
         """Check quantity + allowance >= lower_bound, with the quantity in
         `empirical` and margin = quantity + allowance − lower_bound."""
         margin = quantity + allowance - lower_bound
-        return cls(float(quantity), float(lower_bound), margin >= 0, float(margin), metadata)
+        return cls(float(quantity), float(lower_bound), float(margin), metadata)
 
     @classmethod
     def lower(cls, quantity: float, lower_bound: float, **metadata) -> "BoundCheck":
@@ -98,13 +100,6 @@ class BoundCheck:
         satisfied/margin invariant still reads empirical <= bound."""
         metadata = {"orientation": "lower", **metadata}
         return cls.upper(lower_bound, quantity, **metadata)
-
-    @classmethod
-    def diagnostic(cls, value: float, reference: float, **metadata) -> "BoundCheck":
-        """A reported value beside a reference, outside the pass/fail set:
-        always satisfied, with an infinite margin."""
-        metadata = {"diagnostic": True, **metadata}
-        return cls(float(value), float(reference), True, math.inf, metadata)
 
 
 def _standard_error(samples: np.ndarray) -> float:
@@ -293,10 +288,10 @@ DELTA_ALLOWANCE = 1e-10
 
 def theorem3_sweep_check(
     omegas: np.ndarray, h: SpectralHamiltonian, subspace: Subspace, space: BipartiteSpace
-) -> tuple[dict[str, BoundCheck], list[BoundCheck]]:
+) -> dict[str, BoundCheck]:
     """Theorem 3's rows over the equilibrium states ω_S^Ψ, shape (n, d_S, d_S),
-    of n states drawn from the subspace: the sweep's rows in output order, and
-    each state's D(ω_S^Ψ, Ω_S) as a diagnostic against the weak bound.
+    of n states drawn from the subspace, in output order: the mean of each
+    state's D(ω_S^Ψ, Ω_S) against the weak and the δ bound, and δ itself.
 
     Ω_S is estimated by the mean of the same states, which biases the
     distances by O(1/√n). The ω_S^Ψ are time averages only if h's levels are
@@ -309,15 +304,15 @@ def theorem3_sweep_check(
     mean = float(np.mean(distances))
     se = _standard_error(distances)
     d_s, d_r = space.d_S, subspace.d_R
-    weak = BoundCheck.upper(mean, math.sqrt(d_s / (4 * d_r)) + 3 * se, std_error=se, trials=trials)
-    checks = {
-        "mean_distance_weak_bound": weak,
+    return {
+        "mean_distance_weak_bound": BoundCheck.upper(
+            mean, math.sqrt(d_s / (4 * d_r)) + 3 * se, std_error=se, trials=trials
+        ),
         "mean_distance_delta_bound": BoundCheck.upper(
             mean, math.sqrt(d_s * delta / (4 * d_r)) + 3 * se, std_error=se, trials=trials
         ),
         "delta": BoundCheck.upper(delta, 1.0 + DELTA_ALLOWANCE, allowance=DELTA_ALLOWANCE),
     }
-    return checks, [BoundCheck.diagnostic(d, weak.bound) for d in distances]
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_criterion_04_bath_state_independence():
     sub = Subspace.fixed_system(psi_s, space)
     cs = [energy_coefficients(haar_random_state(sub, rng), h) for _ in range(100)]
     omegas = np.array([dephased_system(c, h, space) for c in cs])
-    weak = theorem3_sweep_check(omegas, h, sub, space)[0]["mean_distance_weak_bound"]
+    weak = theorem3_sweep_check(omegas, h, sub, space)["mean_distance_weak_bound"]
     elapsed = time.perf_counter() - t0
     bound = math.sqrt(2 / (4 * 64))
     ok = weak.empirical <= bound + 3 * weak.metadata["std_error"]

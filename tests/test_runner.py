@@ -189,6 +189,14 @@ class TestConfigValidation:
         cfg = small_config(d_B=16)
         assert cfg.d_B == (16,)
 
+    @pytest.mark.parametrize("d_b", [True, "abc", 8.5, {}], ids=repr)
+    def test_d_b_refused_as_written(self, d_b):
+        # Only one integer reads as a list of one; any other value that is
+        # not a list is refused and quoted as the config wrote it.
+        with pytest.raises(ConfigInvalidError, match="^d_B: ") as caught:
+            small_config(d_B=d_b)
+        assert str(caught.value).endswith(f", got {d_b!r}")
+
     def test_config_hash_stable(self):
         assert small_config().config_hash() == small_config().config_hash()
         assert small_config().config_hash() != small_config(master_seed=8).config_hash()
@@ -335,6 +343,37 @@ def test_smallest_trials_and_samples(experiment, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == CSV_HEADER.split(",")
     assert all(len(row) == len(rows[0]) for row in rows)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_written_check_has_a_finite_margin(experiment, monkeypatch):
+    """No row is hard-wired to pass: every check the runner writes compares a
+    value with a bound, and every aggregate row carries the shared stream's seed."""
+    written = []
+    records_of = runner._records
+
+    def capturing(cfg, d_b, d_r, trial, seed, checks, wall_ms):
+        written.extend(checks.items())
+        return records_of(cfg, d_b, d_r, trial, seed, checks, wall_ms)
+
+    monkeypatch.setattr(runner, "_records", capturing)
+    cfg = small_config(
+        experiment=experiment, d_B=[4], trials=3,
+        time_sampling={"t_max_factor": 1e3, "n_samples": 50},
+    )
+    records = run_experiment(cfg)
+    assert [name for name, _ in written] == [r.quantity for r in records]
+    assert [name for name, chk in written if not math.isfinite(chk.margin)] == []
+    shared_seed = derive_seed(7, 0, runner._SHARED_STREAM)
+    assert {r.seed for r in records if r.trial == AGGREGATE_TRIAL} == {shared_seed}
+
+
+@pytest.mark.parametrize("experiment", ["thm3-bath", "thm3-subsystem"])
+def test_thm3_writes_only_sweep_rows(experiment):
+    records = run_experiment(small_config(experiment=experiment, d_B=[4, 8], trials=3))
+    assert {r.trial for r in records} == {AGGREGATE_TRIAL}
+    quantities = ["mean_distance_weak_bound", "mean_distance_delta_bound", "delta"]
+    assert [r.quantity for r in records] == quantities * 2
 
 
 PINNED_ROWS = Path(__file__).with_name("pinned_rows.csv")
