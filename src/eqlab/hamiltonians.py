@@ -3,7 +3,8 @@
 Includes the model families the experiments build: generic random spectral
 Hamiltonians, the diagonal product model with conserved subsystem
 populations, and the strong-field spin-bath model whose eigenstates are
-near-product. Each builder makes one draw and checks no spectral hypothesis.
+near-product, its matrix assembled in place without Kronecker products.
+Each builder makes one draw and checks no spectral hypothesis.
 The gap hypothesis belongs to Theorem 1 and to Theorem 4, which reuses its
 dephasing argument: `with_nondegenerate_gaps` redraws a model's energies
 until it holds, and the runner applies it for thm1 and thm4 only.
@@ -23,16 +24,14 @@ from .bipartite import BipartiteSpace
 from .errors import DegenerateHamiltonianError, DimensionMismatchError
 from .linalg import (
     as_matrix,
+    complex_gaussian,
     haar_random_unitary,
     hermitian_eigendecomposition,
     hermitize,
-    kronecker_product,
 )
 
 GAP_TOL_FACTOR = 1e-9
 RESAMPLE_LIMIT = 100
-
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
 def _checked_energies(energies, dim: int | None) -> np.ndarray:
@@ -220,11 +219,11 @@ def diagonal_product_hamiltonian(
 
 
 def _random_hermitian_unit_radius(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian Hermitian matrix rescaled to spectral radius 1."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    a = hermitize(g) / np.sqrt(2)
-    radius = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    return a / radius
+    """Gaussian Hermitian matrix rescaled to spectral radius 1, scaled in place."""
+    a = hermitize(complex_gaussian((dim, dim), rng))
+    a /= np.sqrt(2)
+    a /= float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    return a
 
 
 def spin_bath_hamiltonian(
@@ -234,19 +233,19 @@ def spin_bath_hamiltonian(
 
     H_int acts on the full 2·d_B space and H_B on the bath, both rescaled to
     spectral radius 1, so their joint contribution to any expectation value
-    lies in [-2, 2].
+    lies in [-2, 2]. H is assembled in H_int's buffer, ±E onto its diagonal and
+    then H_B into its two diagonal blocks: entry by entry the order of
+    (E σ^z ⊗ 1 + H_int) + 1 ⊗ H_B, whose Kronecker zeros add exactly, so H has its bits.
     """
     if field <= 0:
         raise ValueError(f"field strength must be positive, got {field}")
     if d_B < 2:
         raise DimensionMismatchError(f"d_B must be >= 2, got {d_B}")
     space = BipartiteSpace(2, d_B)
-    h_int = _random_hermitian_unit_radius(space.d, rng)
+    h = _random_hermitian_unit_radius(space.d, rng)
     h_bath = _random_hermitian_unit_radius(d_B, rng)
-    dense = (
-        field * kronecker_product(SIGMA_Z, np.eye(d_B))
-        + h_int
-        + kronecker_product(np.eye(2), h_bath)
-    )
-    eig = hermitian_eigendecomposition(dense)
+    h.reshape(-1)[:: space.d + 1] += np.repeat([field, -field], d_B)
+    h[:d_B, :d_B] += h_bath
+    h[d_B:, d_B:] += h_bath
+    eig = hermitian_eigendecomposition(h)
     return SpectralHamiltonian.trusted(eig.eigenvalues, eig.eigenvectors), space

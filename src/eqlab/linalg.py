@@ -2,8 +2,8 @@
 
 Matrices are plain numpy complex128 arrays in row-major (C) order. This
 module provides the validation helpers, Kronecker products, the Hermitian
-eigendecomposition (LAPACK through ``np.linalg.eigh``) and Haar-random
-unitaries that the rest of the package is built on.
+eigendecomposition (LAPACK through ``np.linalg.eigh``), the complex Gaussian
+draw and Haar-random unitaries that the rest of the package is built on.
 """
 
 from __future__ import annotations
@@ -95,20 +95,30 @@ def hermitian_eigendecomposition(m):
         raise NoConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
 
 
+def complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
+    """a + ib of standard normal a, b of ``shape`` from one draw, a first: the bits
+    of ``rng.standard_normal(shape) + 1j * rng.standard_normal(shape)``, one array."""
+    z = np.empty(shape, dtype=np.complex128)
+    z.real, z.imag = rng.standard_normal((2, *z.shape))
+    return z
+
+
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: complex Ginibre matrix, QR-orthonormalized.
 
     The phases of the triangular factor's diagonal are absorbed into Q so
     that the factorization has real positive diagonal, which makes the
-    distribution exactly Haar.
+    distribution exactly Haar (Mezzadri, Notices AMS 54, 592, 2007).
     """
     if dim < 1:
         raise DimensionMismatchError(f"dim must be >= 1, got {dim}")
     check_dimension(dim)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    z = complex_gaussian((dim, dim), rng)
+    z /= np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    q *= d / np.abs(d)
+    return q
 
 
 def kronecker_product(a, b) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .bipartite import BipartiteSpace
 from .errors import DimensionMismatchError, NotHermitianError
-from .linalg import HERMITICITY_TOL, hermitize, is_hermitian
+from .linalg import HERMITICITY_TOL, complex_gaussian, hermitize, is_hermitian
 
 STATE_NORM_TOL = 1e-12
 
@@ -62,7 +62,8 @@ class Subspace:
         """The state of H with coordinates z in R: z, ψ ⊗ z or z ⊗ φ."""
         if self.pinned is None:
             return z
-        return np.kron(self.pinned, z) if self.side == "system" else np.kron(z, self.pinned)
+        pair = (self.pinned, z) if self.side == "system" else (z, self.pinned)
+        return np.multiply.outer(*pair).ravel()
 
     def projector_diagonal(self, u: np.ndarray) -> np.ndarray:
         """p_k = ⟨u_k|Π_R|u_k⟩ for each column u_k of the (d, n) array u: 1 on
@@ -78,16 +79,16 @@ class Subspace:
 def haar_random_state(subspace: Subspace, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform pure state within the given subspace: a normalised
     complex Gaussian z of dimension d_R, placed in H by `subspace.embed`."""
-    z = rng.standard_normal(subspace.d_R) + 1j * rng.standard_normal(subspace.d_R)
+    z = complex_gaussian(subspace.d_R, rng)
     z /= np.linalg.norm(z)
     return subspace.embed(z)
 
 
 def product_state(psi_s, phi_b, space: BipartiteSpace) -> np.ndarray:
-    """Global state with amplitudes[(s,b)] = ψ_S[s]·φ_B[b]."""
+    """Global state with amplitudes[(s,b)] = ψ_S[s]·φ_B[b], the raveled outer product."""
     vs = as_state(psi_s, space.d_S)
     vb = as_state(phi_b, space.d_B)
-    return np.kron(vs, vb)
+    return np.multiply.outer(vs, vb).ravel()
 
 
 def _as_stack(rho) -> np.ndarray:

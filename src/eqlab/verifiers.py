@@ -45,7 +45,7 @@ from .dynamics import (
 )
 from .errors import DimensionMismatchError
 from .hamiltonians import SpectralHamiltonian, diagonal_product_hamiltonian, spin_bath_hamiltonian
-from .linalg import as_matrix, check_dimension, hermitize, kronecker_product
+from .linalg import as_matrix, check_dimension, complex_gaussian, hermitize, kronecker_product
 from .states import (
     Subspace,
     effective_dimension,
@@ -424,7 +424,7 @@ def haar_pair_moment_check(dim: int, trials: int, rng: np.random.Generator) -> f
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     check_dimension(dim * dim)
-    z = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
+    z = complex_gaussian((trials, dim), rng)
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     v = (z[:, :, None] * z[:, None, :]).reshape(trials, dim * dim)
     estimate = (v.T @ v.conj()) / trials
@@ -438,8 +438,8 @@ def identity_checks(rng: np.random.Generator) -> dict[str, BoundCheck]:
     pairs = 100
     swap_dev = 0.0
     for _ in range(pairs):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a = complex_gaussian((4, 4), rng)
+        b = complex_gaussian((4, 4), rng)
         swap_dev = max(swap_dev, swap_trace_identity_check(a, b))
     trials = 10_000
     moment_dev = haar_pair_moment_check(4, trials, rng)

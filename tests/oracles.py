@@ -21,7 +21,11 @@ place, and `DenseSubspace.of` gives the dense form of a structured subspace;
 eqlab run path needs a rank. A Hamiltonian diagonal in the product basis
 stores no eigenbasis; `eigenbasis` gives it as the dense identity, and
 `with_dense_basis` the same Hamiltonian with that identity stored, the
-reference its basis-free methods are compared against.
+reference its basis-free methods are compared against. The random models'
+former forms are kept as bit-exact references: the complex Gaussian as two
+draws (`two_draw_gaussian`), the Haar unitary as one out-of-place expression
+(`two_draw_haar_unitary`) and the spin-bath matrix as its Kronecker sum
+(`kronecker_sum_spin_bath`); `same_bits` compares arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from eqlab.linalg import as_matrix, hermitize, kronecker_product
 from eqlab.states import Subspace, _as_stack, as_state, haar_random_state
 
 RANK_THRESHOLD = 1e-10
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 # (d_S, d_B) shapes on which a structured form is compared with its dense
 # oracle: d_S = 1, d_S < d_B, d_S > d_B, d_S = d_B and coprime sides.
 SHAPES = [(1, 4), (2, 8), (8, 2), (4, 4), (3, 5)]
@@ -159,6 +164,42 @@ def noninteracting_hamiltonian(
     basis = kronecker_product(eigenbasis(h_s), eigenbasis(h_b))
     order = np.argsort(energies, kind="stable")
     return SpectralHamiltonian(energies[order], basis[:, order])
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bits, entry by entry (so -0.0 ≠ 0.0 and NaN = NaN)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def two_draw_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
+    """a + ib from two ``standard_normal`` draws, a first."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def two_draw_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Q·diag(r_ii/|r_ii|) of the QR of a Ginibre matrix, out of place."""
+    z = two_draw_gaussian((dim, dim), rng) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def kronecker_sum_spin_bath(field: float, d_B: int, rng: np.random.Generator) -> np.ndarray:
+    """E σ^z ⊗ 1 + H_int + 1 ⊗ H_B as a dense Kronecker sum, H_int then H_B
+    drawn out of place and rescaled to spectral radius 1."""
+
+    def unit_radius(dim: int) -> np.ndarray:
+        a = hermitize(two_draw_gaussian((dim, dim), rng)) / np.sqrt(2)
+        return a / float(np.max(np.abs(np.linalg.eigvalsh(a))))
+
+    h_int = unit_radius(2 * d_B)
+    h_bath = unit_radius(d_B)
+    return (
+        field * kronecker_product(SIGMA_Z, np.eye(d_B))
+        + h_int
+        + kronecker_product(np.eye(2), h_bath)
+    )
 
 
 def numerical_rank(rho, threshold: float = RANK_THRESHOLD):

@@ -20,7 +20,13 @@ TINY = math.nextafter(0.0, 1.0)  # the least positive float
 HALF_MAX = MAX / 2
 # The largest field admitted at each max(d_B): (2·max(d_B) + 2)·(field + 2),
 # computed in floats, reaches 2⁵³ there, and the next float is refused.
-LARGEST_FIELD = {2: 1501199875790163.5, 16: 264917625139438.97, 64: 69286148113390.25}
+LARGEST_FIELD = {
+    2: 1501199875790163.5,
+    3: 1125899906842622.1,
+    16: 264917625139438.97,
+    32: 136472715980922.12,
+    64: 69286148113390.25,
+}
 
 # Each field's values just inside and just outside its limits, as overrides
 # keyed by dotted field name. Where a limit reads another field, the override

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from eqlab import hamiltonians, runner
 from eqlab.bipartite import BipartiteSpace
-from eqlab.errors import DegenerateHamiltonianError, DimensionMismatchError
+from eqlab.errors import ConfigInvalidError, DegenerateHamiltonianError, DimensionMismatchError
 from eqlab.hamiltonians import (
     SpectralHamiltonian,
     default_gap_tolerance,
@@ -26,16 +27,19 @@ from eqlab.linalg import (
 )
 from eqlab.states import Subspace, haar_random_state, product_state
 from oracles import (
+    SIGMA_Z,
     dense,
     density_matrix,
     eigenbasis,
+    kronecker_sum_spin_bath,
     noninteracting_hamiltonian,
     partial_trace_bath,
+    same_bits,
     shape_id,
     with_dense_basis,
 )
+from test_config_fields import LARGEST_FIELD
 
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 # The diagonal marginals sum d_B (or d_S) weights of total at most 1 in
 # another order than the dense product with I: a rounding allowance.
 MARGINAL_ROUNDING = 1e-15
@@ -508,4 +512,50 @@ class TestSpinBathHamiltonian:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             spin_bath_hamiltonian(0.0, 8, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("field", [0.5, 50.0, "largest"])
+    @pytest.mark.parametrize("d_b", [2, 3, 16, 32])
+    def test_bits_equal_the_kronecker_sum(self, monkeypatch, d_b, field):
+        # H assembled in H_int's buffer has the bits of the Kronecker sum, so
+        # its eigendecomposition does too, at the strongest admitted field as well.
+        if field == "largest":
+            field = LARGEST_FIELD[d_b]
+            doc = {"experiment": "counterexamples", "d_B": [d_b]}
+            runner.ExperimentConfig.from_dict({**doc, "hamiltonian": {"field": field}})
+            with pytest.raises(ConfigInvalidError, match="^hamiltonian.field: "):
+                runner.ExperimentConfig.from_dict(
+                    {**doc, "hamiltonian": {"field": math.nextafter(field, math.inf)}}
+                )
+        assembled = []
+
+        def recording(m):
+            assembled.append(m.copy())
+            return hermitian_eigendecomposition(m)
+
+        monkeypatch.setattr(hamiltonians, "hermitian_eigendecomposition", recording)
+        h, _ = spin_bath_hamiltonian(field, d_b, np.random.default_rng(d_b))
+        oracle = kronecker_sum_spin_bath(field, d_b, np.random.default_rng(d_b))
+        (m,) = assembled
+        assert same_bits(m, oracle)
+        assert np.array_equal(m, m.conj().T)  # exactly Hermitian, up to the sign of zero
+        eig = hermitian_eigendecomposition(oracle)
+        assert same_bits(h.energies, eig.eigenvalues)
+        assert same_bits(h.eigenbasis, eig.eigenvectors)
+
+    def test_memory(self):
+        # Live at the peak: H (assembled in H_int's buffer), H_B (a quarter of
+        # H) and two d × d temporaries of the eigendecomposition (a − a† or
+        # a + a† and its half, or the Hermitized copy and the eigenvectors):
+        # 3.25 complex d × d arrays. O(d) vectors and one ufunc buffer of
+        # 8192 complex numbers come on top. The Kronecker sum held a fourth.
+        d_b = 128
+        d = 2 * d_b
+        spin_bath_hamiltonian(50.0, d_b, np.random.default_rng(0))  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            spin_bath_hamiltonian(50.0, d_b, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * (3.25 * d * d + 16 * d + 8192), peak / (16 * d * d)
 

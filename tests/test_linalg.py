@@ -19,6 +19,7 @@ from eqlab.errors import (
 from eqlab.linalg import (
     DEFAULT_MAX_DIM,
     check_dimension,
+    complex_gaussian,
     haar_random_unitary,
     hermitian_eigendecomposition,
     hermitize,
@@ -26,6 +27,7 @@ from eqlab.linalg import (
     kronecker_product,
     max_dimension,
 )
+from oracles import same_bits, two_draw_gaussian, two_draw_haar_unitary
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
@@ -153,9 +155,28 @@ class TestHaarUnitary:
         se = np.sqrt(1.0 / 12.0 / n)
         assert abs(np.mean(samples) - 0.5) <= 3 * se
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 64, 256])
+    def test_bits_equal_the_out_of_place_form(self, d):
+        # Scaling by 1/√2 and absorbing R's phases in place round as the
+        # out-of-place expression does.
+        u = haar_random_unitary(d, np.random.default_rng(d))
+        assert same_bits(u, two_draw_haar_unitary(d, np.random.default_rng(d)))
+
     def test_rejects_bad_dim(self):
         with pytest.raises(DimensionMismatchError):
             haar_random_unitary(0, np.random.default_rng(0))
+
+
+class TestComplexGaussian:
+    @pytest.mark.parametrize("shape", [16, (16, 16), (5, 16)], ids=str)
+    def test_bits_equal_two_draws(self, shape):
+        # One draw of both halves fills them in the order of two draws, and
+        # leaves the stream where the two draws leave it.
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        z = complex_gaussian(shape, ours)
+        assert z.dtype == np.complex128
+        assert same_bits(z, two_draw_gaussian(shape, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestKroneckerProduct:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import eqlab
-from eqlab import dynamics, hamiltonians, runner, verifiers
+from eqlab import dynamics, hamiltonians, linalg, runner, verifiers
 from eqlab.bipartite import BipartiteSpace
 from eqlab.cli import main
 from eqlab.errors import ConfigInvalidError
@@ -436,6 +436,16 @@ def test_pinned_rows_without_the_gap_check(name, monkeypatch):
 
     monkeypatch.setattr(hamiltonians, "gap_analysis", refused)
     assert_pinned(pinned_records(name))
+
+
+def test_pinned_rows_without_kronecker_products(monkeypatch):
+    # The spin-bath matrix and the product states are built in place.
+    def refused(*args):
+        raise AssertionError("Kronecker product on the counterexamples path")
+
+    monkeypatch.setattr(np, "kron", refused)
+    monkeypatch.setattr(linalg, "kronecker_product", refused)
+    assert_pinned(pinned_records("counterexamples"))
 
 
 @pytest.fixture

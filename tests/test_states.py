@@ -29,6 +29,7 @@ from oracles import (
     numerical_rank,
     partial_trace_bath,
     random_subspace,
+    same_bits,
     shape_id,
 )
 
@@ -204,6 +205,25 @@ class TestProductState:
             space,
         )
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_bits_equal_kron(self, shape):
+        # The raveled outer product of two vectors is np.kron's product, entry
+        # by entry; so is each pinned subspace's embedding.
+        space = BipartiteSpace(*shape)
+        rng = np.random.default_rng(sum(shape))
+        psi_s = haar_random_state(Subspace.full(space.d_S), rng)
+        phi_b = haar_random_state(Subspace.full(space.d_B), rng)
+        assert same_bits(product_state(psi_s, phi_b, space), np.kron(psi_s, phi_b))
+        assert same_bits(Subspace.fixed_system(psi_s, space).embed(phi_b), np.kron(psi_s, phi_b))
+        assert same_bits(Subspace.fixed_bath(phi_b, space).embed(psi_s), np.kron(psi_s, phi_b))
+
+    def test_checks_both_factors(self):
+        space = BipartiteSpace(2, 3)
+        with pytest.raises(ValueError):
+            product_state([1.0, 1.0], [1.0, 0.0, 0.0], space)
+        with pytest.raises(DimensionMismatchError):
+            product_state([1.0, 0.0], [1.0, 0.0], space)
 
 
 class TestPurityAndEffectiveDimension:
