@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .bipartite import BipartiteSpace, swap_operator
+from .bipartite import BipartiteSpace
 from .dynamics import energy_coefficients
 from .errors import (
     ConfigInvalidError,
@@ -21,11 +21,7 @@ from .hamiltonians import (
     spin_bath_hamiltonian,
     with_nondegenerate_gaps,
 )
-from .linalg import (
-    haar_random_unitary,
-    hermitian_eigendecomposition,
-    kronecker_product,
-)
+from .linalg import haar_random_unitary, hermitian_eigendecomposition
 from .runner import ExperimentConfig, ExperimentRecord, emit, run_experiment
 from .states import (
     Subspace,
@@ -41,8 +37,6 @@ from .verifiers import (
     ConstantsTable,
     counterexample_checks,
     delta_quantity,
-    haar_pair_moment_check,
-    swap_trace_identity_check,
     theorem1_check,
     theorem4_check,
 )

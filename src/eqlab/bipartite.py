@@ -1,4 +1,4 @@
-"""Tensor-product structure of the total Hilbert space, and the SWAP operator.
+"""Tensor-product structure of the total Hilbert space.
 
 The global basis convention is |s⟩_S |b⟩_B ↔ i = s * d_B + b, i.e. the
 subsystem index is most significant. Every consumer reads an amplitude
@@ -10,8 +10,6 @@ contracts its pinned axis, and `dynamics` traces out one axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DimensionMismatchError
 from .linalg import check_dimension
@@ -35,14 +33,3 @@ class BipartiteSpace:
     def d(self) -> int:
         return self.d_S * self.d_B
 
-
-def swap_operator(dim: int) -> np.ndarray:
-    """SWAP on H ⊗ H: S|i⟩|j⟩ = |j⟩|i⟩."""
-    if dim < 1:
-        raise DimensionMismatchError(f"dim must be >= 1, got {dim}")
-    check_dimension(dim * dim)
-    s = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for i in range(dim):
-        for j in range(dim):
-            s[i * dim + j, j * dim + i] = 1.0
-    return s

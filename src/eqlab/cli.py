@@ -1,4 +1,4 @@
-"""Command-line interface: run experiment suites, print constants, quick identity checks.
+"""Command-line interface: run experiment suites, print constants and the version.
 
 Exit status: 0 when every guaranteed bound is satisfied, 2 when any fails,
 1 on usage or configuration errors.
@@ -11,12 +11,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigInvalidError, DimensionOverflowError, EqlabError
 from .runner import ExperimentConfig, all_bounds_satisfied, emit, run_experiment
-from .verifiers import CONSTANTS, identity_checks
+from .verifiers import CONSTANTS
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -82,19 +80,6 @@ def _cmd_constants(_args) -> int:
     return 0
 
 
-def _cmd_check_identities(args) -> int:
-    if not 0 <= args.seed < 2**64:  # the range of master_seed
-        raise ConfigInvalidError(f"--seed: must be an integer in [0, 2^64), got {args.seed}")
-    checks = identity_checks(np.random.default_rng(args.seed))
-    swap = checks["swap_identity_max_dev"]
-    moment = checks["haar_pair_moment_dev"]
-    print(f"swap trace identity: max deviation {swap.empirical:.3e} "
-          f"({'ok' if swap.satisfied else 'FAIL'})")
-    print(f"haar pair moment:    max deviation {moment.empirical:.3e} at "
-          f"{moment.metadata['trials']} trials ({'ok' if moment.satisfied else 'FAIL'})")
-    return 0 if swap.satisfied and moment.satisfied else 2
-
-
 def _cmd_version(_args) -> int:
     print(f"eqlab {__version__}")
     return 0
@@ -115,10 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     constants = sub.add_parser("constants", help="print the concentration constants")
     constants.set_defaults(func=_cmd_constants)
-
-    check = sub.add_parser("check-identities", help="quick SWAP + pair-moment suite")
-    check.add_argument("--seed", type=int, default=0)
-    check.set_defaults(func=_cmd_check_identities)
 
     version = sub.add_parser("version", help="print the package version")
     version.set_defaults(func=_cmd_version)

@@ -247,5 +247,6 @@ def spin_bath_hamiltonian(
     h.reshape(-1)[:: space.d + 1] += np.repeat([field, -field], d_B)
     h[:d_B, :d_B] += h_bath
     h[d_B:, d_B:] += h_bath
+    del h_bath  # not held through the eigendecomposition's peak
     eig = hermitian_eigendecomposition(h)
     return SpectralHamiltonian.trusted(eig.eigenvalues, eig.eigenvectors), space

@@ -1,9 +1,9 @@
 """Dense complex linear algebra kernel.
 
 Matrices are plain numpy complex128 arrays in row-major (C) order. This
-module provides the validation helpers, Kronecker products, the Hermitian
-eigendecomposition (LAPACK through ``np.linalg.eigh``), the complex Gaussian
-draw and Haar-random unitaries that the rest of the package is built on.
+module provides the validation helpers, the Hermitian eigendecomposition
+(LAPACK through ``np.linalg.eigh``), the complex Gaussian draw and
+Haar-random unitaries that the rest of the package is built on.
 """
 
 from __future__ import annotations
@@ -120,11 +120,3 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q *= d / np.abs(d)
     return q
 
-
-def kronecker_product(a, b) -> np.ndarray:
-    """Kronecker product with the fixed (A ⊗ B)[(i·rB+k),(j·cB+l)] layout."""
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
-    check_dimension(am.shape[0] * bm.shape[0])
-    check_dimension(am.shape[1] * bm.shape[1])
-    return np.kron(am, bm)

@@ -32,7 +32,6 @@ from .verifiers import (
     BoundCheck,
     counterexample_checks,
     exceed_fraction_name,
-    identity_checks,
     theorem1_check,
     theorem2_check,
     theorem2_sweep_check,
@@ -215,12 +214,17 @@ def _config(cfg_json: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(json.loads(cfg_json))
 
 
+# The experiments whose trials or aggregate read _sweep_shared.
+_SHARED_EXPERIMENTS = ("thm2", "thm3-bath", "thm3-subsystem", "thm4")
+
+
 @lru_cache(maxsize=1)
 def _sweep_shared(cfg_json: str, sweep_index: int) -> tuple:
-    """The sweep's shared (H, subspace), built once per sweep and process.
+    """The sweep's shared (H, subspace), built once per sweep.
 
     Both come from the shared stream of (master_seed, sweep_index), so every
-    trial and every worker sees the same objects. The subspace is None where
+    trial sees the same objects. A parallel run builds them before its
+    workers fork, and the workers inherit the memo. The subspace is None where
     the experiment draws it per trial (thm4). Callers must not modify the
     returned arrays: later trials of the sweep receive the same objects.
     run_experiment clears the memo when it returns.
@@ -307,10 +311,6 @@ def _counterexamples_trial(cfg, space, rng, shared):
     return space.d, counterexample_checks(space, rng, field_strength, _n_samples(cfg)), None
 
 
-def _identities_trial(cfg, space, rng, shared):
-    return space.d, identity_checks(rng), None
-
-
 def _fraction_satisfied(cfg, space, results, shared):
     passed = [all(r.satisfied for r in res.records) for res in results]
     return {"fraction_satisfied": BoundCheck.at_least(np.mean(passed), 1.0)}
@@ -323,7 +323,6 @@ REGISTRY = {
     "thm3-subsystem": (_thm3_trial, _thm3_aggregate),
     "thm4": (_thm4_trial, _fraction_satisfied),
     "counterexamples": (_counterexamples_trial, _fraction_satisfied),
-    "identities": (_identities_trial, _fraction_satisfied),
 }
 
 EXPERIMENTS = tuple(REGISTRY)
@@ -346,18 +345,14 @@ def _one_of(*values: str, default: str | None = None) -> Field:
 FIELDS = {
     "experiment": _one_of(*EXPERIMENTS),
     # Counterexamples needs two bath levels and, for the diagonal model, two
-    # system levels; every other experiment but identities builds a Hamiltonian,
-    # and thm1/thm4's gap check and thm3's level check need d >= 2. d_B comes
-    # first: it names a one-level space.
+    # system levels; thm1/thm4's gap check and thm3's level check need d >= 2.
+    # d_B comes first: it names a one-level space.
     "d_B": Field(
         lambda v, c: isinstance(v, (list, tuple)) and bool(v)
-        and all(_integer(b) and b >= 1 for b in v) and (
-            min(v) >= 2 or c.experiment == "identities"
-            or c.experiment != "counterexamples" and c.d_S != 1
-        ),
+        and all(_integer(b) and b >= 1 for b in v)
+        and (min(v) >= 2 or c.experiment != "counterexamples" and c.d_S != 1),
         "counterexamples needs a list of integers >= 2, the others a nonempty list of"
-        " integers >= 1 with d_S*d_B >= 2 but for identities; one integer reads as a"
-        " list of one",
+        " integers >= 1 with d_S*d_B >= 2; one integer reads as a list of one",
     ),
     "d_S": Field(
         lambda v, c: _integer(v) and v >= (2 if c.experiment == "counterexamples" else 1),
@@ -424,28 +419,39 @@ def _aggregate_rows(cfg, cfg_json, sweep_index, results) -> list[ExperimentRecor
     return _records(cfg, space.d_B, results[0].d_r, AGGREGATE_TRIAL, seed, checks, 0.0)
 
 
+def _forked_pool(config: ExperimentConfig, cfg_json: str, sweep_index: int, workers: int):
+    """A pool for one sweep, forked after the sweep's shared objects are
+    built here, so that its workers and the aggregate read one build."""
+    from concurrent.futures import ProcessPoolExecutor  # a serial run never loads multiprocessing
+    from multiprocessing import get_context
+
+    if config.experiment in _SHARED_EXPERIMENTS:
+        _sweep_shared(cfg_json, sweep_index)
+    return ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"))
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ExperimentRecord]:
     """Execute the configured suite; records are sorted by (sweep, trial).
 
-    Sweeps run one after another, so a process builds each sweep's shared
-    objects once, for its trials and then for the sweep's aggregate rows.
+    Sweeps run one after another, and each sweep's shared objects are built
+    once, for its trials and then for its aggregate rows. A serial run builds
+    them in its first trial that reads them; a parallel one before it forks
+    the sweep's pool.
     """
     config.validate()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cfg_json = config.canonical_json()
     records: list[ExperimentRecord] = []
-    if workers > 1:  # imported here, so that a serial run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
     try:
-        with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-            run = pool.map if pool else map
-            for sweep_index in range(len(config.d_B)):
-                tasks = [(cfg_json, sweep_index, trial) for trial in range(config.trials)]
-                results = list(run(_run_trial, tasks))  # in task order: by trial
-                for result in results:
-                    records.extend(result.records)
-                records.extend(_aggregate_rows(config, cfg_json, sweep_index, results))
+        for sweep_index in range(len(config.d_B)):
+            tasks = [(cfg_json, sweep_index, trial) for trial in range(config.trials)]
+            pool = _forked_pool(config, cfg_json, sweep_index, workers) if workers > 1 else None
+            with pool or nullcontext():
+                results = list((pool.map if pool else map)(_run_trial, tasks))  # by trial
+            for result in results:
+                records.extend(result.records)
+            records.extend(_aggregate_rows(config, cfg_json, sweep_index, results))
     finally:
         _sweep_shared.cache_clear()  # the memo serves one run; release its arrays
     return records

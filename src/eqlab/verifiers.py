@@ -1,4 +1,4 @@
-"""One check per theorem or identity: empirical quantity vs stated bound.
+"""One check per theorem or counterexample: empirical quantity vs stated bound.
 
 Of the checks that bound a true expectation, `mean_d_eff` (Theorem 2) and
 the two Theorem 3 mean rows test sample means with a one-sided 3-standard-error
@@ -8,11 +8,10 @@ flagged vacuous in the check metadata rather than claimed meaningful. A check
 of one initial state takes its energy coefficients c.
 Every experiment's rows come from verifiers here, each of which computes
 every shared quantity once and returns its rows as a dict of `BoundCheck`s
-keyed by CSV quantity name, in output order: one per trial
-(`theorem1_check`, `theorem2_check`, `theorem4_check`,
-`counterexample_checks`, `identity_checks`) and one per sweep over many
-states (`theorem2_sweep_check`, `theorem3_sweep_check`), which
-`eqlab.runner.REGISTRY`'s aggregates call.
+keyed by CSV quantity name, in output order: one per trial (`theorem1_check`,
+`theorem2_check`, `theorem4_check`, `counterexample_checks`) and one per
+sweep over many states (`theorem2_sweep_check`, `theorem3_sweep_check`),
+which `eqlab.runner.REGISTRY`'s aggregates call.
 Sampled distances to ω_S come from `time_distances` (stratified times) and
 `torus_distances` (uniform phases), both through `dynamics.distances_to`.
 δ reads Π_R through p_k and the eigenstates through their purities, both in
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bipartite import BipartiteSpace, swap_operator
+from .bipartite import BipartiteSpace
 from .dynamics import (
     block_rows,
     default_t_max,
@@ -45,7 +44,7 @@ from .dynamics import (
 )
 from .errors import DimensionMismatchError
 from .hamiltonians import SpectralHamiltonian, diagonal_product_hamiltonian, spin_bath_hamiltonian
-from .linalg import as_matrix, check_dimension, complex_gaussian, hermitize, kronecker_product
+from .linalg import hermitize
 from .states import (
     Subspace,
     effective_dimension,
@@ -399,55 +398,6 @@ def theorem4_check(
             assumption="i.i.d. uniform spectrum treated as rationally independent",
         ),
         "ks_statistic": BoundCheck.upper(_ks_statistic(time_d, torus_d), KS_STATISTIC_GATE),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Operator identities
-
-
-def swap_trace_identity_check(a, b) -> float:
-    """|tr(AB) - tr((A⊗B)S)|; exactly zero up to rounding."""
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
-    if am.shape != bm.shape or am.shape[0] != am.shape[1]:
-        raise DimensionMismatchError(f"need equal square shapes, got {am.shape}, {bm.shape}")
-    s = swap_operator(am.shape[0])
-    lhs = np.trace(am @ bm)
-    rhs = np.trace(kronecker_product(am, bm) @ s)
-    return float(abs(lhs - rhs))
-
-
-def haar_pair_moment_check(dim: int, trials: int, rng: np.random.Generator) -> float:
-    """Max entrywise deviation of the Monte Carlo pair moment E|ψ⟩⟨ψ|^{⊗2}
-    of Haar states on C^dim from (1 + S)/(d(d+1))."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    check_dimension(dim * dim)
-    z = complex_gaussian((trials, dim), rng)
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    v = (z[:, :, None] * z[:, None, :]).reshape(trials, dim * dim)
-    estimate = (v.T @ v.conj()) / trials
-    closed = (np.eye(dim * dim) + swap_operator(dim)) / (dim * (dim + 1))
-    return float(np.max(np.abs(estimate - closed)))
-
-
-def identity_checks(rng: np.random.Generator) -> dict[str, BoundCheck]:
-    """SWAP trace identity over 100 random 4×4 pairs and the Haar pair
-    moment of C⁴ over 10 000 draws, each against its gate."""
-    pairs = 100
-    swap_dev = 0.0
-    for _ in range(pairs):
-        a = complex_gaussian((4, 4), rng)
-        b = complex_gaussian((4, 4), rng)
-        swap_dev = max(swap_dev, swap_trace_identity_check(a, b))
-    trials = 10_000
-    moment_dev = haar_pair_moment_check(4, trials, rng)
-    return {
-        "swap_identity_max_dev": BoundCheck.upper(swap_dev, 1e-10, pairs=pairs),
-        "haar_pair_moment_dev": BoundCheck.upper(
-            moment_dev, 5 / math.sqrt(trials), trials=trials
-        ),
     }
 
 

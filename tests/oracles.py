@@ -26,6 +26,10 @@ former forms are kept as bit-exact references: the complex Gaussian as two
 draws (`two_draw_gaussian`), the Haar unitary as one out-of-place expression
 (`two_draw_haar_unitary`) and the spin-bath matrix as its Kronecker sum
 (`kronecker_sum_spin_bath`); `same_bits` compares arrays bit for bit.
+Kronecker products are numpy's `np.kron`. The operator identities of the
+proofs are checked here too: SWAP (`swap_operator`), the trace identity
+tr(AB) = tr((A ⊗ B)S) (`swap_trace_identity_check`) and the Haar pair
+moment E|ψ⟩⟨ψ|^{⊗2} = (1 + S)/(d(d + 1)) (`haar_pair_moment_check`).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from eqlab.bipartite import BipartiteSpace
 from eqlab.dynamics import _phase_factors, energy_coefficients, reduce_to_system
 from eqlab.errors import DimensionMismatchError
 from eqlab.hamiltonians import SpectralHamiltonian
-from eqlab.linalg import as_matrix, hermitize, kronecker_product
+from eqlab.linalg import as_matrix, complex_gaussian, hermitize
 from eqlab.states import Subspace, _as_stack, as_state, haar_random_state
 
 RANK_THRESHOLD = 1e-10
@@ -161,7 +165,7 @@ def noninteracting_hamiltonian(
             f"factor dims ({h_s.dim}, {h_b.dim}) do not match space ({space.d_S}, {space.d_B})"
         )
     energies = (h_s.energies[:, None] + h_b.energies[None, :]).reshape(-1)
-    basis = kronecker_product(eigenbasis(h_s), eigenbasis(h_b))
+    basis = np.kron(eigenbasis(h_s), eigenbasis(h_b))
     order = np.argsort(energies, kind="stable")
     return SpectralHamiltonian(energies[order], basis[:, order])
 
@@ -196,10 +200,40 @@ def kronecker_sum_spin_bath(field: float, d_B: int, rng: np.random.Generator) ->
     h_int = unit_radius(2 * d_B)
     h_bath = unit_radius(d_B)
     return (
-        field * kronecker_product(SIGMA_Z, np.eye(d_B))
+        field * np.kron(SIGMA_Z, np.eye(d_B))
         + h_int
-        + kronecker_product(np.eye(2), h_bath)
+        + np.kron(np.eye(2), h_bath)
     )
+
+
+def swap_operator(dim: int) -> np.ndarray:
+    """SWAP on H ⊗ H: S|i⟩|j⟩ = |j⟩|i⟩."""
+    s = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    for i in range(dim):
+        for j in range(dim):
+            s[i * dim + j, j * dim + i] = 1.0
+    return s
+
+
+def swap_trace_identity_check(a, b) -> float:
+    """|tr(AB) − tr((A ⊗ B)S)|; exactly zero up to rounding."""
+    am = as_matrix(a, "a")
+    bm = as_matrix(b, "b")
+    if am.shape != bm.shape or am.shape[0] != am.shape[1]:
+        raise DimensionMismatchError(f"need equal square shapes, got {am.shape}, {bm.shape}")
+    rhs = np.trace(np.kron(am, bm) @ swap_operator(am.shape[0]))
+    return float(abs(np.trace(am @ bm) - rhs))
+
+
+def haar_pair_moment_check(dim: int, trials: int, rng: np.random.Generator) -> float:
+    """Max entrywise deviation of the Monte Carlo pair moment E|ψ⟩⟨ψ|^{⊗2}
+    of ``trials`` Haar states on C^dim from (1 + S)/(d(d + 1))."""
+    z = complex_gaussian((trials, dim), rng)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    v = (z[:, :, None] * z[:, None, :]).reshape(trials, dim * dim)
+    estimate = (v.T @ v.conj()) / trials
+    closed = (np.eye(dim * dim) + swap_operator(dim)) / (dim * (dim + 1))
+    return float(np.max(np.abs(estimate - closed)))
 
 
 def numerical_rank(rho, threshold: float = RANK_THRESHOLD):

@@ -31,14 +31,13 @@ from eqlab.verifiers import (
     d_eff_of_time_average,
     delta_quantity,
     diagonal_counterexample,
-    haar_pair_moment_check,
     spin_bath_counterexample,
-    swap_trace_identity_check,
     theorem1_check,
     theorem2_sweep_check,
     theorem3_sweep_check,
     theorem4_check,
 )
+from oracles import haar_pair_moment_check, swap_trace_identity_check
 
 MASTER_SEED = 20240901
 

@@ -1,12 +1,14 @@
-"""Tensor-product structure: the index convention as eqlab reads it, the
-partial-trace oracles of tests/oracles.py, and SWAP."""
+"""Tensor-product structure: the index convention as eqlab reads it, and the
+partial-trace, SWAP and operator-identity oracles of tests/oracles.py."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
-from eqlab.bipartite import BipartiteSpace, swap_operator
+from eqlab.bipartite import BipartiteSpace
 from eqlab.dynamics import (
     dephased_bath,
     dephased_system,
@@ -16,9 +18,16 @@ from eqlab.dynamics import (
 )
 from eqlab.errors import DimensionMismatchError
 from eqlab.hamiltonians import SpectralHamiltonian
-from eqlab.linalg import hermitian_eigendecomposition, kronecker_product
+from eqlab.linalg import hermitian_eigendecomposition
 from eqlab.states import Subspace, haar_random_state, product_state
-from oracles import density_matrix, partial_trace_bath, partial_trace_system
+from oracles import (
+    density_matrix,
+    haar_pair_moment_check,
+    partial_trace_bath,
+    partial_trace_system,
+    swap_operator,
+    swap_trace_identity_check,
+)
 
 
 def brute_force_trace_bath(rho: np.ndarray, space: BipartiteSpace) -> np.ndarray:
@@ -95,7 +104,7 @@ class TestPartialTraces:
         space = BipartiteSpace(3, 4)
         rho_s = random_density(3, rng)
         rho_b = random_density(4, rng)
-        rho = kronecker_product(rho_s, rho_b)
+        rho = np.kron(rho_s, rho_b)
         assert np.max(np.abs(partial_trace_bath(rho, space) - rho_s)) <= 1e-12
         assert np.max(np.abs(partial_trace_system(rho, space) - rho_b)) <= 1e-12
 
@@ -137,7 +146,7 @@ class TestPartialTraces:
         a = (a + a.conj().T) / 2
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         b = (b + b.conj().T) / 2
-        out = partial_trace_bath(kronecker_product(a, b), space)
+        out = partial_trace_bath(np.kron(a, b), space)
         assert np.max(np.abs(out - np.trace(b) * a)) <= 1e-10
 
     def test_trace_preserved(self):
@@ -184,5 +193,26 @@ class TestSwapOperator:
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             lhs = np.trace(a @ b)
-            rhs = np.trace(kronecker_product(a, b) @ swap_operator(4))
+            rhs = np.trace(np.kron(a, b) @ swap_operator(4))
             assert abs(lhs - rhs) <= 1e-10
+
+
+class TestIdentities:
+    def test_swap_identity_identity_matrices(self):
+        assert swap_trace_identity_check(np.eye(3), np.eye(3)) <= 1e-12
+
+    def test_swap_identity_random(self):
+        rng = np.random.default_rng(216)
+        for _ in range(20):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            assert swap_trace_identity_check(a, b) <= 1e-10
+
+    def test_swap_identity_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            swap_trace_identity_check(np.eye(2), np.eye(3))
+
+    def test_pair_moment_convergence(self):
+        rng = np.random.default_rng(218)
+        dev = haar_pair_moment_check(4, 10_000, rng)
+        assert dev <= 5 / math.sqrt(10_000)

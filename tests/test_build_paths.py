@@ -4,8 +4,8 @@ Every complex Gaussian is drawn by `eqlab.linalg.complex_gaussian`, one
 ``standard_normal`` call for both halves; the form a + 1j·b over two draws
 makes three dense temporaries where one does. The models and states are
 built without Kronecker products: the spin-bath matrix in place and product
-states as outer products. ``kronecker_product`` stays in ``linalg`` for the
-SWAP identity.
+states as outer products. eqlab has no Kronecker-product helper; the tests'
+references call ``np.kron``.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ WALK = {
         [
             {"d_B": [1]},
             {"d_S": 1, "d_B": [2]},
-            {"experiment": "identities", "d_S": 1, "d_B": [1]},
             {"experiment": "counterexamples", "d_B": [2]},
         ],
         [

@@ -20,11 +20,7 @@ from eqlab.hamiltonians import (
     spin_bath_hamiltonian,
     with_nondegenerate_gaps,
 )
-from eqlab.linalg import (
-    haar_random_unitary,
-    hermitian_eigendecomposition,
-    kronecker_product,
-)
+from eqlab.linalg import haar_random_unitary, hermitian_eigendecomposition
 from eqlab.states import Subspace, haar_random_state, product_state
 from oracles import (
     SIGMA_Z,
@@ -464,7 +460,7 @@ class TestDiagonalProductHamiltonian:
         space = BipartiteSpace(2, 4)
         h = diagonal_product_hamiltonian(space, (0.0, 1.0), rng=rng)
         h_dense = dense(h)
-        a = kronecker_product(np.diag(rng.standard_normal(2)), np.eye(4))
+        a = np.kron(np.diag(rng.standard_normal(2)), np.eye(4))
         assert np.max(np.abs(a @ h_dense - h_dense @ a)) <= 1e-12
 
 
@@ -478,7 +474,7 @@ class TestSpinBathHamiltonian:
         # Removing the field term leaves H_int + 1 x H_B, whose expectation
         # values lie in [-2, 2].
         h, space = model
-        pert = dense(h) - 50.0 * kronecker_product(SIGMA_Z, np.eye(space.d_B))
+        pert = dense(h) - 50.0 * np.kron(SIGMA_Z, np.eye(space.d_B))
         eig = hermitian_eigendecomposition(pert).eigenvalues
         assert eig[0] >= -2.0 - 1e-9 and eig[-1] <= 2.0 + 1e-9
 
@@ -543,11 +539,12 @@ class TestSpinBathHamiltonian:
         assert same_bits(h.eigenbasis, eig.eigenvectors)
 
     def test_memory(self):
-        # Live at the peak: H (assembled in H_int's buffer), H_B (a quarter of
-        # H) and two d × d temporaries of the eigendecomposition (a − a† or
-        # a + a† and its half, or the Hermitized copy and the eigenvectors):
-        # 3.25 complex d × d arrays. O(d) vectors and one ufunc buffer of
-        # 8192 complex numbers come on top. The Kronecker sum held a fourth.
+        # Live at the peak: H (assembled in H_int's buffer) and two d × d
+        # temporaries of the eigendecomposition (a − a† or a + a† and its
+        # half, or the Hermitized copy and the eigenvectors): 3 complex d × d
+        # arrays. H_B (a quarter of H) is freed before it. O(d) vectors and
+        # one ufunc buffer of 8192 complex numbers come on top. The Kronecker
+        # sum held a fourth array.
         d_b = 128
         d = 2 * d_b
         spin_bath_hamiltonian(50.0, d_b, np.random.default_rng(0))  # warm numpy's caches
@@ -557,5 +554,5 @@ class TestSpinBathHamiltonian:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * (3.25 * d * d + 16 * d + 8192), peak / (16 * d * d)
+        assert peak <= 16 * (3.0 * d * d + 16 * d + 8192), peak / (16 * d * d)
 

@@ -1,14 +1,16 @@
-"""Kernel tests: eigensolver, Haar unitaries, Kronecker products."""
+"""Kernel tests: eigensolver, complex Gaussian draws, Haar unitaries and states."""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqlab import linalg, states
 from eqlab.errors import (
     ConfigInvalidError,
     DimensionMismatchError,
@@ -24,9 +26,9 @@ from eqlab.linalg import (
     hermitian_eigendecomposition,
     hermitize,
     is_hermitian,
-    kronecker_product,
     max_dimension,
 )
+from eqlab.states import Subspace, haar_random_state
 from oracles import same_bits, two_draw_gaussian, two_draw_haar_unitary
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -179,32 +181,35 @@ class TestComplexGaussian:
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-class TestKroneckerProduct:
-    def test_scalar_case(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(kronecker_product([[2.0]], m), 2 * m)
+def haar_fourth_moment_scores(seed: int) -> list[float]:
+    """The mean |U_ij|⁴ over 200 Haar unitaries on C¹⁶ and the mean |ψ₀|⁴ over
+    10⁴ Haar states on C⁴, each against its exact value 2/(d(d + 1)), in
+    standard errors. The entries of one U are dependent, so the unitaries'
+    standard error is that of their 200 per-draw means. Real draws give
+    3/(d(d + 2)) instead, 1.4 and 1.25 times the complex value."""
+    rng = np.random.default_rng(seed)
+    unitaries = [np.mean(np.abs(haar_random_unitary(16, rng)) ** 4) for _ in range(200)]
+    firsts = np.array([haar_random_state(Subspace.full(4), rng)[0] for _ in range(10_000)])
+    scores = []
+    for samples, d in ((np.array(unitaries), 16), (np.abs(firsts) ** 4, 4)):
+        std_error = np.std(samples, ddof=1) / math.sqrt(samples.size)
+        scores.append(float((np.mean(samples) - 2 / (d * (d + 1))) / std_error))
+    return scores
 
-    def test_identity(self):
-        assert np.array_equal(kronecker_product(np.eye(2), np.eye(3)), np.eye(6))
 
-    def test_brute_force_oracle(self):
-        out = kronecker_product(SIGMA_X, SIGMA_Z)
-        expected = np.zeros((4, 4), dtype=np.complex128)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        expected[i * 2 + k, j * 2 + l] = SIGMA_X[i, j] * SIGMA_Z[k, l]
-        assert np.array_equal(out, expected)
+class TestHaarFourthMoments:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_complex_draws_within_three_standard_errors(self, seed):
+        assert all(abs(z) <= 3 for z in haar_fourth_moment_scores(seed))
 
-    def test_trace_multiplicativity(self):
-        rng = np.random.default_rng(21)
-        for _ in range(5):
-            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            lhs = np.trace(kronecker_product(a, b))
-            rhs = np.trace(a) * np.trace(b)
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_real_draws_fail(self, monkeypatch, seed):
+        def real_gaussian(shape, rng):
+            return rng.standard_normal(shape).astype(np.complex128)
+
+        monkeypatch.setattr(linalg, "complex_gaussian", real_gaussian)
+        monkeypatch.setattr(states, "complex_gaussian", real_gaussian)
+        assert all(abs(z) > 3 for z in haar_fourth_moment_scores(seed))
 
 
 def test_is_hermitian_tolerance():

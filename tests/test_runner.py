@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import eqlab
-from eqlab import dynamics, hamiltonians, linalg, runner, verifiers
+from eqlab import dynamics, hamiltonians, runner, verifiers
 from eqlab.bipartite import BipartiteSpace
 from eqlab.cli import main
 from eqlab.errors import ConfigInvalidError
@@ -84,6 +84,7 @@ ABOVE_HALF_MAX = math.nextafter(HALF_MAX, math.inf)
 # fields take a JSON integer only: a float would be truncated or crash the
 # seed mixer, and JSON true/false load as bools, which Python counts as ints.
 UNRUNNABLE = {
+    "experiment": {"experiment": "identities"},  # a name the registry does not hold
     "hamiltonian.window": {"hamiltonian": {"window": [1, 0]}},
     "hamiltonian.field": {"experiment": "counterexamples", "hamiltonian": {"field": 0}},
     "hamiltonian.name": {"experiment": "counterexamples", "hamiltonian": {"name": "foo"}},
@@ -170,10 +171,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalidError, match=f"^{field}: counterexamples"):
             small_config(experiment="counterexamples", **dims)
 
-    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "identities"])
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_one_level_space_rejected(self, experiment):
-        # The rule holds for every experiment but identities: a one-level
-        # Hamiltonian has no gap (thm1, thm4) and no level spacing (thm3).
+        # A one-level Hamiltonian has no gap (thm1, thm4) and no level spacing (thm3).
         with pytest.raises(ConfigInvalidError, match="^d_B: "):
             small_config(experiment=experiment, d_S=1, d_B=[4, 1])
 
@@ -181,9 +181,6 @@ class TestConfigValidation:
     def test_document_that_is_not_an_object(self, doc):
         with pytest.raises(ConfigInvalidError, match="^config document: must be an object"):
             ExperimentConfig.from_dict(doc)
-
-    def test_identities_admit_one_level_space(self):
-        assert small_config(experiment="identities", d_S=1, d_B=[1]).d_B == (1,)
 
     def test_scalar_d_b_coerced(self):
         cfg = small_config(d_B=16)
@@ -286,11 +283,6 @@ class TestRunExperiment:
         given = run_experiment(small_config(**base, hamiltonian={"field": field}))
         assert strip_walltime(left_out) == strip_walltime(given)
 
-    def test_identities(self):
-        cfg = small_config(experiment="identities", d_B=[4], trials=1)
-        records = run_experiment(cfg)
-        assert all_bounds_satisfied(records)
-
     def test_thm3_delta_rounding(self):
         # δ ≤ 1 holds exactly, but at d_S = 1 and master seed 7 it is computed
         # as 1.0000000000000002; the row's rounding allowance must absorb that.
@@ -384,7 +376,6 @@ PINNED_CONFIGS = {
     "thm3-subsystem": {"d_S": 1, "d_B": [4], "trials": 3},
     "thm4": {"d_B": [4]},
     "counterexamples": {"d_B": [4], "trials": 1},
-    "identities": {"d_B": [2], "trials": 1},
     # d_S ≠ 2: the distances come from ρ_S and `trace_distance`, not the qubit closed form.
     "thm1-d3": {"experiment": "thm1", "d_S": 3, "d_B": [8]},
     "thm4-d3": {"experiment": "thm4", "d_S": 3, "d_B": [8]},
@@ -444,7 +435,6 @@ def test_pinned_rows_without_kronecker_products(monkeypatch):
         raise AssertionError("Kronecker product on the counterexamples path")
 
     monkeypatch.setattr(np, "kron", refused)
-    monkeypatch.setattr(linalg, "kronecker_product", refused)
     assert_pinned(pinned_records("counterexamples"))
 
 
@@ -476,6 +466,22 @@ class TestSharedPerSweep:
         run_experiment(cfg)
         assert [e.size for e in hamiltonian_builds] == [8, 16]
         assert runner._sweep_shared.cache_info().currsize == 0  # released after the run
+
+    @pytest.mark.parametrize("experiment", ["thm2", "thm3-bath", "thm4"])
+    def test_built_once_per_sweep_with_workers(self, monkeypatch, tmp_path, experiment):
+        # Every process appends the dimension of each Hamiltonian it builds to
+        # one file: the parent builds each sweep's before its workers fork.
+        log = tmp_path / "builds"
+        build = runner.random_spectral_hamiltonian
+
+        def logged(space, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{space.d}\n")
+            return build(space, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "random_spectral_hamiltonian", logged)
+        run_experiment(small_config(experiment=experiment, d_B=[4, 8], trials=5), workers=2)
+        assert log.read_text().split() == ["8", "16"]
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_parallel_matches_serial(self, experiment):
@@ -616,8 +622,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "c_prime" in out and "c_dprime" in out
 
-    def test_check_identities(self):
-        assert main(["check-identities", "--seed", "3"]) == 0
+    def test_check_identities_is_unknown(self, capsys):
+        assert main(["check-identities"]) == 1
+        assert "invalid choice: 'check-identities'" in capsys.readouterr().err
 
     def test_run_success(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
@@ -732,13 +739,6 @@ class TestCli:
         )
         assert main(["run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: time_sampling.t_max_factor: ")
-
-    @pytest.mark.parametrize("seed, code", [(-1, 1), (0, 0), (2**64 - 1, 0), (2**64, 1)])
-    def test_check_identities_seed_range(self, capsys, seed, code):
-        # --seed takes master_seed's range, [0, 2^64).
-        assert main(["check-identities", "--seed", str(seed)]) == code
-        err = capsys.readouterr().err
-        assert err == "" if code == 0 else err.startswith("error: --seed: ")
 
     def test_epsilon_fourth_power_beyond_float_range(self, tmp_path):
         # ε⁴ = 1e400 is no float: the tail bound e^{−c″ε⁴d_eff} reads 0, and

@@ -1,4 +1,4 @@
-"""Theorem checks, identities and counterexample demonstrations."""
+"""Theorem checks and counterexample demonstrations."""
 
 from __future__ import annotations
 
@@ -52,9 +52,7 @@ from eqlab.verifiers import (
     delta_quantity,
     diagonal_counterexample,
     eigenstate_purities,
-    haar_pair_moment_check,
     spin_bath_counterexample,
-    swap_trace_identity_check,
     theorem1_check,
     theorem2_check,
     theorem2_sweep_check,
@@ -688,27 +686,6 @@ class TestSubadditivity:
         assert d_eff_of_time_average(c) >= sub.d_R / 4
         omega_b_deff = effective_dimension(dephased_bath(c, h, space))
         assert omega_b_deff >= sub.d_R / (4 * space.d_S)
-
-
-class TestIdentities:
-    def test_swap_identity_identity_matrices(self):
-        assert swap_trace_identity_check(np.eye(3), np.eye(3)) <= 1e-12
-
-    def test_swap_identity_random(self):
-        rng = np.random.default_rng(216)
-        for _ in range(20):
-            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            assert swap_trace_identity_check(a, b) <= 1e-10
-
-    def test_swap_identity_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            swap_trace_identity_check(np.eye(2), np.eye(3))
-
-    def test_pair_moment_convergence(self):
-        rng = np.random.default_rng(218)
-        dev = haar_pair_moment_check(4, 10_000, rng)
-        assert dev <= 5 / math.sqrt(10_000)
 
 
 def per_state_diagonal_counterexample(space, rng, n_times):
