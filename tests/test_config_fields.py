@@ -38,6 +38,7 @@ WALK = {
             {"d_B": [1]},
             {"d_S": 1, "d_B": [2]},
             {"experiment": "counterexamples", "d_B": [2]},
+            {"d_B": 2},  # one integer reads as a list of one
         ],
         [
             {"d_B": []},
@@ -45,6 +46,7 @@ WALK = {
             {"d_B": [2.0]},
             {"d_S": 1, "d_B": [1]},
             {"experiment": "counterexamples", "d_B": [1]},
+            {"d_B": 0},
         ],
     ),
     "d_S": (

@@ -467,7 +467,7 @@ class TestSharedPerSweep:
         assert [e.size for e in hamiltonian_builds] == [8, 16]
         assert runner._sweep_shared.cache_info().currsize == 0  # released after the run
 
-    @pytest.mark.parametrize("experiment", ["thm2", "thm3-bath", "thm4"])
+    @pytest.mark.parametrize("experiment", ["thm2", "thm3-bath", "thm3-subsystem", "thm4"])
     def test_built_once_per_sweep_with_workers(self, monkeypatch, tmp_path, experiment):
         # Every process appends the dimension of each Hamiltonian it builds to
         # one file: the parent builds each sweep's before its workers fork.
@@ -482,6 +482,30 @@ class TestSharedPerSweep:
         monkeypatch.setattr(runner, "random_spectral_hamiltonian", logged)
         run_experiment(small_config(experiment=experiment, d_B=[4, 8], trials=5), workers=2)
         assert log.read_text().split() == ["8", "16"]
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_shared_experiments_are_the_readers(self, monkeypatch, experiment):
+        # A serial run reads the memo only from trials and aggregates: exactly
+        # the experiments in _SHARED_EXPERIMENTS read it, so the parent of a
+        # parallel run builds nothing for thm1 and counterexamples.
+        reads = []
+        read = runner._sweep_shared
+
+        def logged(*args):
+            reads.append(args)
+            return read(*args)
+
+        logged.cache_clear = read.cache_clear
+        monkeypatch.setattr(runner, "_sweep_shared", logged)
+        run_experiment(small_config(experiment=experiment, d_B=[4, 8], trials=3))
+        assert bool(reads) == (experiment in runner._SHARED_EXPERIMENTS)
+
+    def test_pools_shut_down(self):
+        # Each sweep's pool is joined before the next one forks.
+        import multiprocessing
+
+        run_experiment(small_config(experiment="thm2", d_B=[4, 8], trials=3), workers=2)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_parallel_matches_serial(self, experiment):
