@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eqlab.hamiltonians import SpectralHamiltonian
+from oracles import require_unitary
 
 
 @pytest.fixture(scope="session")
@@ -15,4 +16,4 @@ def dft_1024():
     d = 1024
     k = np.arange(d)
     dft = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
-    return SpectralHamiltonian(np.linspace(0.0, 1.0, d), dft)
+    return SpectralHamiltonian(np.linspace(0.0, 1.0, d), require_unitary(dft))

@@ -18,7 +18,9 @@ so `haar_random_state`, `delta_quantity` and the runner accept it in its
 place, and `DenseSubspace.of` gives the dense form of a structured subspace;
 `random_subspace` and `SHAPES` give the cases the two are compared on.
 `numerical_rank` counts the eigenvalues of a state above a threshold; no
-eqlab run path needs a rank. A Hamiltonian diagonal in the product basis
+eqlab run path needs a rank. `SpectralHamiltonian` does not check that
+a basis is unitary; `require_unitary` does, on every basis a test makes
+itself before eqlab reads it. A Hamiltonian diagonal in the product basis
 stores no eigenbasis; `eigenbasis` gives it as the dense identity, and
 `with_dense_basis` the same Hamiltonian with that identity stored, the
 reference its basis-free methods are compared against. The random models'
@@ -72,7 +74,15 @@ def eigenbasis(h: SpectralHamiltonian) -> np.ndarray:
 
 def with_dense_basis(h: SpectralHamiltonian) -> SpectralHamiltonian:
     """H with its eigenbasis stored densely, I for a diagonal Hamiltonian."""
-    return SpectralHamiltonian.trusted(h.energies, eigenbasis(h))
+    return SpectralHamiltonian(h.energies, eigenbasis(h))
+
+
+def require_unitary(u: np.ndarray) -> np.ndarray:
+    """u itself, once u†u = 1 within 1e-10 entrywise: the d³ check that
+    `SpectralHamiltonian` leaves to whoever hands it a basis."""
+    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) > 1e-10:
+        raise ValueError("eigenbasis is not unitary within 1e-10")
+    return u
 
 
 def density_matrix(psi) -> np.ndarray:
@@ -167,7 +177,7 @@ def noninteracting_hamiltonian(
     energies = (h_s.energies[:, None] + h_b.energies[None, :]).reshape(-1)
     basis = np.kron(eigenbasis(h_s), eigenbasis(h_b))
     order = np.argsort(energies, kind="stable")
-    return SpectralHamiltonian(energies[order], basis[:, order])
+    return SpectralHamiltonian(energies[order], require_unitary(basis[:, order]))
 
 
 def same_bits(a, b) -> bool:

@@ -25,6 +25,7 @@ from oracles import (
     haar_pair_moment_check,
     partial_trace_bath,
     partial_trace_system,
+    require_unitary,
     swap_operator,
     swap_trace_identity_check,
 )
@@ -87,7 +88,7 @@ class TestIndexMaps:
         assert np.max(np.abs(reduce_to_bath(psi[None, :], space)[0] - rho_b)) <= 1e-12
         # An eigenbasis containing |ψ_S⟩|φ_B⟩, with all the weight on it: ω = |ψ⟩⟨ψ|.
         q, _ = np.linalg.qr(np.column_stack([psi, rng.standard_normal((space.d, space.d - 1))]))
-        h = SpectralHamiltonian(np.arange(space.d, dtype=np.float64), q)
+        h = SpectralHamiltonian(np.arange(space.d, dtype=np.float64), require_unitary(q))
         c = energy_coefficients(psi, h)
         omega_s, omega_b = dephased_system(c, h, space), dephased_bath(c, h, space)
         assert np.max(np.abs(omega_s - rho_s)) <= 1e-12

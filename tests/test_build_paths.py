@@ -5,7 +5,10 @@ Every complex Gaussian is drawn by `eqlab.linalg.complex_gaussian`, one
 makes three dense temporaries where one does. The models and states are
 built without Kronecker products: the spin-bath matrix in place and product
 states as outer products. eqlab has no Kronecker-product helper; the tests'
-references call ``np.kron``.
+references call ``np.kron``. `SpectralHamiltonian` does not check that its
+basis is unitary, so only two functions of `eqlab.hamiltonians` build one:
+`_on_window` (a Householder QR factor or None) and `spin_bath_hamiltonian`
+(LAPACK's ``eigh`` eigenvectors).
 """
 
 from __future__ import annotations
@@ -71,3 +74,38 @@ def test_no_kronecker_product(module):
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert names.isdisjoint({"kron", "kronecker_product"})
+
+
+def hamiltonian_builds(source: str) -> list[str]:
+    """The top-level function or class around each ``SpectralHamiltonian(…)``
+    call, in source order ("<module>" for a call outside both)."""
+    builds = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            func = node.func if isinstance(node, ast.Call) else None
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "SpectralHamiltonian":
+                builds.append((node.lineno, scope))
+    return [scope for _, scope in sorted(builds)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_hamiltonians_are_built_in_one_module(path):
+    builds = ["_on_window", "spin_bath_hamiltonian"] if path.name == "hamiltonians.py" else []
+    assert hamiltonian_builds(path.read_text()) == builds
+
+
+def test_detects_hamiltonian_build():
+    source = (
+        "from .hamiltonians import SpectralHamiltonian\n"
+        "from . import hamiltonians\n"
+        "def rebuild(h, e):\n"
+        "    return SpectralHamiltonian(e, h.eigenbasis)\n"
+        "class Model:\n"
+        "    def build(self):\n"
+        "        return hamiltonians.SpectralHamiltonian(self.e, None)\n"
+        "H = SpectralHamiltonian([0.0], None)\n"
+        "isinstance(H, SpectralHamiltonian)\n"
+    )
+    assert hamiltonian_builds(source) == ["rebuild", "Model", "<module>"]

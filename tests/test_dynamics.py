@@ -55,6 +55,7 @@ from oracles import (
     noninteracting_hamiltonian,
     partial_trace_bath,
     partial_trace_system,
+    require_unitary,
     shape_id,
     system_states,
     torus_state,
@@ -218,7 +219,8 @@ def _spectral(d, basis, rng):
     return SpectralHamiltonian(np.sort(rng.uniform(0.0, 1.0, d)), basis)
 
 
-# Built through the unitarity-checked constructor; d = 1 is allowed.
+# Haar, Kronecker-product (checked by `noninteracting_hamiltonian`) and
+# product bases; d = 1 is allowed.
 FAMILIES = {
     "random": lambda space, rng: _spectral(space.d, haar_random_unitary(space.d, rng), rng),
     "noninteracting": lambda space, rng: noninteracting_hamiltonian(
@@ -298,7 +300,7 @@ class TestTorusState:
         # With one level and eigenbasis [[1]], torus_state(1, h, θ) is the
         # phase factor e^{iθ} itself, which is computed from tan(θ/2). The
         # points near π are where tan(θ/2) is largest.
-        h = SpectralHamiltonian(np.zeros(1), np.eye(1, dtype=np.complex128))
+        h = SpectralHamiltonian(np.zeros(1), require_unitary(np.eye(1, dtype=np.complex128)))
         rng = np.random.default_rng(109)
         special = [0.0, -0.0, np.pi, -np.pi, 3 * np.pi, np.nextafter(np.pi, 4)]
         theta = np.concatenate([
@@ -366,7 +368,7 @@ class TestTrajectoryStatistics:
         rng = np.random.default_rng(102)
         space = BipartiteSpace(2, 2)
         ident2 = np.eye(2, dtype=np.complex128)
-        h_s = SpectralHamiltonian(np.array([0.0, 1.0]), ident2)
+        h_s = SpectralHamiltonian(np.array([0.0, 1.0]), require_unitary(ident2))
         h = noninteracting_hamiltonian(h_s, h_s, space)
         c = energy_coefficients(haar_random_state(Subspace.full(4), rng), h)
         with pytest.raises(DegenerateHamiltonianError, match="^non-degenerate gaps: "):
@@ -646,7 +648,7 @@ class TestReducedStates:
         rng = np.random.default_rng(165)
         space, n = BipartiteSpace(2, 256), verifiers.BATH_SAMPLES
         energies = np.sort(rng.uniform(0.0, 1.0, space.d))
-        h = SpectralHamiltonian.trusted(energies, haar_random_unitary(space.d, rng))
+        h = SpectralHamiltonian(energies, haar_random_unitary(space.d, rng))
         c = energy_coefficients(haar_random_state(Subspace.full(space.d), rng), h)
         phases = time_phases(sample_times(default_t_max(h), n, rng), h)
         arena = block_rows(space.d) * space.d * (3 * 8 + 2 * 16)

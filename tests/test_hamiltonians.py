@@ -30,6 +30,7 @@ from oracles import (
     kronecker_sum_spin_bath,
     noninteracting_hamiltonian,
     partial_trace_bath,
+    require_unitary,
     same_bits,
     shape_id,
     with_dense_basis,
@@ -83,7 +84,7 @@ def loop_gap_analysis(h: SpectralHamiltonian, tol: float | None = None) -> int:
 
 def trivial_hamiltonian(energies) -> SpectralHamiltonian:
     e = np.asarray(energies, dtype=np.float64)
-    return SpectralHamiltonian(e, np.eye(e.size, dtype=np.complex128))
+    return SpectralHamiltonian(e, require_unitary(np.eye(e.size, dtype=np.complex128)))
 
 
 class TestSpectralHamiltonian:
@@ -92,8 +93,22 @@ class TestSpectralHamiltonian:
             trivial_hamiltonian([1.0, 0.0])
 
     def test_rejects_non_unitary_basis(self):
-        with pytest.raises(ValueError):
-            SpectralHamiltonian(np.array([0.0, 1.0]), np.ones((2, 2)))
+        # The constructor stores any square basis; the tests' oracle refuses this one.
+        with pytest.raises(ValueError, match="^eigenbasis is not unitary within 1e-10$"):
+            require_unitary(np.ones((2, 2)))
+
+    def test_constructor_does_o_d_work(self, dft_1024):
+        # Only the energies are checked, and the basis is stored as given: a
+        # copy of it, or the u†u product of a unitarity check, holds 16 MiB.
+        u = dft_1024.eigenbasis
+        tracemalloc.start()
+        try:
+            h = SpectralHamiltonian(np.linspace(0.0, 1.0, u.shape[0]), u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.eigenbasis is u
+        assert peak < 1 << 20, peak
 
     def test_dense_round_trip(self):
         rng = np.random.default_rng(1)
@@ -228,7 +243,7 @@ class TestGapAnalysis:
         # the gaps, 26 bytes per gap; 28 is ~235 MB at d = 4096.
         d = 1024
         e = np.sort(np.random.default_rng(33).uniform(0.0, 1.0, d))
-        h = SpectralHamiltonian.trusted(e, np.eye(d, dtype=np.complex128))
+        h = SpectralHamiltonian(e, np.eye(d, dtype=np.complex128))
         tracemalloc.start()
         try:
             violations = gap_analysis(h)
@@ -277,22 +292,24 @@ class TestRandomSpectralHamiltonian:
         norms = np.linalg.norm(h.eigenbasis, axis=0)
         assert np.max(np.abs(norms - 1.0)) <= 1e-10
 
-    def test_trusted_checks_energies(self):
+    def test_constructor_checks_energies(self):
         rng = np.random.default_rng(9)
         h = random_spectral_hamiltonian(BipartiteSpace(2, 2), (0.0, 1.0), rng=rng)
-        trusted = SpectralHamiltonian.trusted([0.0, 0.1, 0.2, 0.3], h.eigenbasis)
-        assert trusted.eigenbasis is h.eigenbasis
-        assert np.array_equal(trusted.energies, [0.0, 0.1, 0.2, 0.3])
+        rebuilt = SpectralHamiltonian([0.0, 0.1, 0.2, 0.3], h.eigenbasis)
+        assert rebuilt.eigenbasis is h.eigenbasis
+        assert np.array_equal(rebuilt.energies, [0.0, 0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
-            SpectralHamiltonian.trusted([0.3, 0.2, 0.1, 0.0], h.eigenbasis)
+            SpectralHamiltonian([0.3, 0.2, 0.1, 0.0], h.eigenbasis)
         with pytest.raises(DimensionMismatchError):
-            SpectralHamiltonian.trusted([0.0, 0.1, 0.2], h.eigenbasis)
+            SpectralHamiltonian([0.0, 0.1, 0.2], h.eigenbasis)
+        with pytest.raises(DimensionMismatchError):
+            SpectralHamiltonian([0.0, 0.1, 0.2, 0.3], h.eigenbasis[:, :2])
 
     @pytest.mark.parametrize("d", [1, 2, 7, 64, 256])
     def test_haar_unitary_passes_unitarity_check(self, d):
-        # The trusted path rests on a Householder QR factor being unitary to
-        # rounding; the check it skips must pass on it.
-        hamiltonians._require_unitary(haar_random_unitary(d, np.random.default_rng(d)))
+        # The random model stores its Householder QR factor unchecked, which
+        # rests on the factor being unitary to rounding.
+        require_unitary(haar_random_unitary(d, np.random.default_rng(d)))
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
@@ -329,27 +346,21 @@ class TestWithNondegenerateGaps:
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("builder", ["random", "diagonal"])
-    def test_trusted_build_skips_unitarity_check(self, monkeypatch, builder):
+    def test_redraw_keeps_the_basis_and_redraws_the_energies(self, monkeypatch, builder):
         # The first draw's gap check fails, so the redraw step draws energies
-        # twice; the basis, a QR factor or I, is never checked for unitarity.
-        checks, counts = [], []
-        require_unitary, analyse = hamiltonians._require_unitary, hamiltonians.gap_analysis
-
-        def counting(u):
-            checks.append(u.shape)
-            require_unitary(u)
+        # twice and keeps the basis, a QR factor or None.
+        counts, analyse = [], hamiltonians.gap_analysis
 
         def failing_first(h, tol=None):
             counts.append(analyse(h, tol))
             return counts[-1] if len(counts) > 1 else 1
 
-        monkeypatch.setattr(hamiltonians, "_require_unitary", counting)
         monkeypatch.setattr(hamiltonians, "gap_analysis", failing_first)
         space, seed = BipartiteSpace(2, 3), 8
         build = {"random": random_spectral_hamiltonian, "diagonal": diagonal_product_hamiltonian}
         rng = np.random.default_rng(seed)
         h = with_nondegenerate_gaps(build[builder](space, (0.0, 1.0), rng=rng), (0.0, 1.0), rng)
-        assert counts == [0, 0] and checks == []
+        assert counts == [0, 0]
 
         # The stream of the resampling builds: the basis once, then d uniforms per draw.
         rng = np.random.default_rng(seed)
@@ -374,7 +385,7 @@ class TestWithNondegenerateGaps:
         basis = haar_random_unitary(512, rng)
         rng.uniform(0.0, 1.0, size=512)
         e = np.sort(rng.uniform(0.0, 1.0, 512))
-        last = gap_analysis(SpectralHamiltonian.trusted(e, basis))
+        last = gap_analysis(SpectralHamiltonian(e, basis))
         assert last > 0
         message = str(caught.value)
         assert message.startswith("non-degenerate gaps: ")
@@ -419,17 +430,15 @@ class TestDiagonalProductHamiltonian:
     def test_basis_free_constructor_checks_energies(self):
         h = SpectralHamiltonian([0.0, 0.5, 1.0], None)
         assert h.diagonal and h.dim == 3
-        assert SpectralHamiltonian.trusted([0.0, 0.5], None).dim == 2
         assert not random_spectral_hamiltonian(
             BipartiteSpace(2, 2), rng=np.random.default_rng(9)
         ).diagonal
-        for build in (SpectralHamiltonian, SpectralHamiltonian.trusted):
-            with pytest.raises(ValueError):
-                build([0.5, 0.0], None)
-            with pytest.raises(ValueError):
-                build([0.0, np.nan], None)
-            with pytest.raises(DimensionMismatchError):
-                build(np.zeros((2, 2)), None)
+        with pytest.raises(ValueError):
+            SpectralHamiltonian([0.5, 0.0], None)
+        with pytest.raises(ValueError):
+            SpectralHamiltonian([0.0, np.nan], None)
+        with pytest.raises(DimensionMismatchError):
+            SpectralHamiltonian(np.zeros((2, 2)), None)
 
     @pytest.mark.parametrize("shape", [(1, 4), (2, 8), (8, 2), (3, 5)], ids=shape_id)
     def test_methods_equal_the_dense_identity(self, shape):
@@ -495,14 +504,11 @@ class TestSpinBathHamiltonian:
             assert np.vdot(rho_s, rho_s).real >= 0.99
 
     @pytest.mark.parametrize("d_b", [8, 32])
-    def test_eigh_basis_is_unitary_and_trusted(self, monkeypatch, d_b):
-        # LAPACK's eigh returns an orthonormal basis, so the build skips the d³
-        # unitarity check, which the basis would pass.
-        checks = []
-        monkeypatch.setattr(hamiltonians, "_require_unitary", checks.append)
+    def test_eigh_basis_is_unitary(self, d_b):
+        # LAPACK's eigh returns an orthonormal basis, which the build stores
+        # unchecked; it passes the oracle and is unitary within 1e-12.
         h, space = spin_bath_hamiltonian(50.0, d_b, np.random.default_rng(13 + d_b))
-        u = h.eigenbasis
-        assert checks == []
+        u = require_unitary(h.eigenbasis)
         assert np.max(np.abs(u.conj().T @ u - np.eye(space.d))) <= 1e-12
 
     def test_invalid_params(self):

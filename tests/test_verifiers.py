@@ -65,6 +65,7 @@ from oracles import (
     SHAPES,
     DenseSubspace,
     random_subspace,
+    require_unitary,
     shape_id,
     system_states,
     torus_state,
@@ -318,7 +319,7 @@ class TestDelta:
         # bit-equal purities.
         space = BipartiteSpace(*shape)
         u = haar_random_unitary(space.d, np.random.default_rng(240 + sum(shape)))
-        h = SpectralHamiltonian.trusted(np.arange(space.d, dtype=np.float64), u)
+        h = SpectralHamiltonian(np.arange(space.d, dtype=np.float64), u)
         rows = block_rows(space.d)
         strided = [purity(reduce_to_bath(u.T[s : s + rows], space)) for s in range(0, space.d, rows)]
         assert np.array_equal(eigenstate_purities(h, space), np.concatenate(strided))
@@ -389,7 +390,7 @@ class TestDelta:
         space = BipartiteSpace(*shape)
         k = np.arange(space.d)
         dft = np.exp(2j * np.pi * np.outer(k, k) / space.d) / np.sqrt(space.d)
-        h = SpectralHamiltonian(np.linspace(0.0, 1.0, space.d), dft)
+        h = SpectralHamiltonian(np.linspace(0.0, 1.0, space.d), require_unitary(dft))
         sub = random_subspace(kind, space, np.random.default_rng(240))
         weights = sub.projector_diagonal(h.eigenbasis)
         reference = np.sum(weights * eigenstate_purities(h, space)) / sub.d_R
@@ -410,7 +411,7 @@ class TestDelta:
         space = BipartiteSpace(*shape)
         k = np.arange(space.d)
         dft = np.exp(2j * np.pi * np.outer(k, k) / space.d) / np.sqrt(space.d)
-        h = SpectralHamiltonian.trusted(np.linspace(0.0, 1.0, space.d), dft)
+        h = SpectralHamiltonian(np.linspace(0.0, 1.0, space.d), dft)
         sub = random_subspace(kind, space, np.random.default_rng(248))
         starts, read = [], SpectralHamiltonian.eigenvectors
 
@@ -434,7 +435,7 @@ class TestDelta:
         k = np.arange(space.d)
         dft = np.exp(2j * np.pi * np.outer(k, k) / space.d) / np.sqrt(space.d)
         u = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (space.d, 1))) * dft
-        h = SpectralHamiltonian.trusted(np.linspace(0.0, 1.0, space.d), u)
+        h = SpectralHamiltonian(np.linspace(0.0, 1.0, space.d), u)
         sub = random_subspace(kind, space, rng)
         weights = sub.projector_diagonal(h.eigenbasis)
         reference = np.sum(weights * eigenstate_purities(h, space)) / sub.d_R
